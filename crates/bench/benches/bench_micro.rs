@@ -7,8 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use subdex_bench::harness::{yelp_at, Scale};
-use subdex_core::accumulator::FamilyAccumulator;
-use subdex_core::generator::scan_block;
+use subdex_core::accumulator::{candidate_keys, scan_block, CountScratch, FamilyAccumulator};
 use subdex_core::mapdist::map_distance;
 use subdex_core::selector::{select_diverse, SelectionStrategy};
 use subdex_stats::emd::emd_transport;
@@ -44,21 +43,41 @@ fn bench_family_scan(c: &mut Criterion) {
     let attr = db.items().schema().attr_by_name("cuisine").unwrap();
     let dims: Vec<_> = db.ratings().dims().collect();
     let mut scratch = ScanScratch::new();
+    let mut counts = CountScratch::new();
     scratch.prepare_group(db.ratings(), &group);
     c.bench_function("family_scan_all_dims", |b| {
         b.iter(|| {
-            let mut fam = FamilyAccumulator::new(&db, Entity::Item, attr, dims.clone());
+            let mut fams = [FamilyAccumulator::new(
+                &db,
+                Entity::Item,
+                attr,
+                dims.clone(),
+            )];
             let block = scratch.gather_phase(db.ratings(), &group, 0..group.len(), &dims);
-            fam.update_block(&db, &block);
-            black_box(fam.records_processed())
+            scan_block(&db, &mut fams, &block, 1, &mut counts);
+            black_box(fams[0].records_processed())
+        })
+    });
+    // What the generator actually runs per phase: every family of both
+    // sides in one record-major scan (the items roll up per row, the
+    // reviewers go through their packed code rows).
+    let keys = candidate_keys(&db, &SelectionQuery::all());
+    c.bench_function("all_families_scan_all_dims", |b| {
+        b.iter(|| {
+            let mut fams: Vec<FamilyAccumulator> = keys
+                .iter()
+                .map(|(e, a, d)| FamilyAccumulator::new(&db, *e, *a, d.clone()))
+                .collect();
+            let block = scratch.gather_phase(db.ratings(), &group, 0..group.len(), &dims);
+            scan_block(&db, &mut fams, &block, 1, &mut counts);
+            black_box(fams[0].records_processed())
         })
     });
 }
 
-/// The pre-refactor row-at-a-time scan: per record, resolve the grouping
-/// entity's row, then per dimension fetch the score and bump the count —
-/// exactly what `FamilyAccumulator::update` used to do. The columnar
-/// kernels must beat this to justify the gather.
+/// The row-at-a-time scan: per record, resolve the grouping entity's row,
+/// then per dimension fetch the score and bump the count. The record-major
+/// scan must beat this to justify the gather.
 fn rowwise_counts(
     db: &SubjectiveDb,
     entity: Entity,
@@ -94,16 +113,18 @@ fn rowwise_counts(
     counts
 }
 
-/// Columnar count kernels against the row-at-a-time baseline, for both
-/// column layouts and at several thread counts (the few-families worst case:
-/// a single family, where the old per-family parallelism had nothing to
-/// split). Numbers feed the scan-kernel entry in EXPERIMENTS.md.
+/// The record-major scan against the row-at-a-time baseline, for both
+/// column layouts and at several thread counts, on a single family (the
+/// worst case for sharing: nothing to amortize the row roll-up or the
+/// packed-row gather over). Numbers feed the scan microbenchmark entry in
+/// EXPERIMENTS.md.
 fn bench_scan_kernel(c: &mut Criterion) {
     let ds = yelp_at(Scale::Study);
     let db = ds.db;
     let group = db.scan_group(&SelectionQuery::all(), 1);
     let dims: Vec<DimId> = db.ratings().dims().collect();
     let mut scratch = ScanScratch::new();
+    let mut counts = CountScratch::new();
     scratch.prepare_group(db.ratings(), &group);
     for (name, entity, attr_name) in [
         ("atomic_age_group", Entity::Reviewer, "age_group"),
@@ -124,7 +145,7 @@ fn bench_scan_kernel(c: &mut Criterion) {
                             vec![FamilyAccumulator::new(&db, entity, attr, dims.clone())];
                         let block =
                             scratch.gather_phase(db.ratings(), &group, 0..group.len(), &dims);
-                        scan_block(&db, &mut fams, &block, threads);
+                        scan_block(&db, &mut fams, &block, threads, &mut counts);
                         black_box(fams[0].records_processed())
                     })
                 },

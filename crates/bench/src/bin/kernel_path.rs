@@ -9,7 +9,7 @@
 //! distributions over the paper's 5-point scale for the row kernels
 //! (candidate subgroups during re-estimation), selection-pool-sized CDF
 //! sets for the EMD cost matrix and its column-minimum bound, and
-//! scan-sized row/score streams for the histogram and gather kernels.
+//! scan-sized index streams for the gather kernel.
 //! Before timing, every path's output is checked `to_bits`-equal to the
 //! scalar reference on the same inputs — the byte-identity contract the
 //! proptests pin, re-asserted on the actual bench data.
@@ -234,12 +234,6 @@ struct Inputs {
     ref_cdf: Vec<f64>,
     /// Cost matrix for `col_mins` (`pool × pool`).
     cost: Vec<f64>,
-    /// Scan stream: record entity rows, their scores, and the grouping
-    /// column's value codes.
-    rows: Vec<u32>,
-    scores: Vec<u8>,
-    codes: Vec<u32>,
-    groups: usize,
     /// Gather source column and indices — random (adversarial) and sorted
     /// (the scan layer's actual pattern: ascending filtered record ids).
     src: Vec<u32>,
@@ -311,21 +305,13 @@ impl Inputs {
             &mut cost,
         );
 
-        let groups = 1024;
         let entities = 16_384u32;
-        let rows: Vec<u32> = (0..shape.records)
-            .map(|_| rng.random_range(0..entities))
-            .collect();
-        let scores: Vec<u8> = (0..shape.records)
-            .map(|_| rng.random_range(1..=scale as u8))
-            .collect();
-        let codes: Vec<u32> = (0..entities)
-            .map(|_| rng.random_range(0..groups as u32))
-            .collect();
         let src: Vec<u32> = (0..entities)
             .map(|_| rng.random_range(0..1 << 20))
             .collect();
-        let idx = rows.clone();
+        let idx: Vec<u32> = (0..shape.records)
+            .map(|_| rng.random_range(0..entities))
+            .collect();
         let mut idx_sorted = idx.clone();
         idx_sorted.sort_unstable();
 
@@ -338,10 +324,6 @@ impl Inputs {
             pool_b,
             ref_cdf,
             cost,
-            rows,
-            scores,
-            codes,
-            groups,
             src,
             idx,
             idx_sorted,
@@ -573,40 +555,6 @@ fn run_all(data: &Inputs, shape: &Shape, paths: &[KernelPath]) -> Vec<KernelCell
                 time_ns(shape, || {
                     kernels::col_mins(p, black_box(&data.cost), pool, pool, &mut out);
                     black_box(&out);
-                })
-            })
-            .collect(),
-    });
-
-    let mut hist_ref = vec![0u64; data.groups * scale];
-    kernels::hist_single(
-        KernelPath::Scalar,
-        &data.rows,
-        &data.scores,
-        &data.codes,
-        scale,
-        &mut hist_ref,
-    );
-    let mut hist = vec![0u64; data.groups * scale];
-    cells.push(KernelCells {
-        name: "hist_single",
-        ns: paths
-            .iter()
-            .map(|&p| {
-                hist.iter_mut().for_each(|c| *c = 0);
-                kernels::hist_single(p, &data.rows, &data.scores, &data.codes, scale, &mut hist);
-                assert_eq!(hist, hist_ref, "hist_single/{p}: differs from scalar");
-                time_ns(shape, || {
-                    hist.iter_mut().for_each(|c| *c = 0);
-                    kernels::hist_single(
-                        p,
-                        black_box(&data.rows),
-                        &data.scores,
-                        &data.codes,
-                        scale,
-                        &mut hist,
-                    );
-                    black_box(&hist);
                 })
             })
             .collect(),

@@ -4,27 +4,47 @@
 //! All candidate rating maps with the same grouping attribute differ only in
 //! which rating dimension they aggregate, so they are computed as *one*
 //! query with multiple aggregates ("Combining Multiple Aggregates" in
-//! SeeDB's terms): a [`FamilyAccumulator`] scans each phase fraction once,
-//! resolving the grouping value per record a single time and updating one
-//! count matrix per still-active dimension. Pruned dimensions are removed
+//! SeeDB's terms): a [`FamilyAccumulator`] holds one count matrix per
+//! still-active dimension of its attribute. Pruned dimensions are removed
 //! from the family; an empty family stops scanning entirely.
 //!
-//! Since the columnar refactor the accumulator consumes gathered
-//! [`ScanBlock`]s rather than raw record-id slices: entity rows and score
-//! bytes arrive pre-gathered (shared by every family on that entity side),
-//! and counting runs through one of two kernels — branch-free for atomic
-//! grouping attributes, CSR for multi-valued ones. The chunk-level
-//! [`FamilyAccumulator::accumulate_block`] entry point lets the scan
-//! parallelize over record chunks as well as families.
+//! [`scan_block`] lifts the sharing one level further, from the dimensions
+//! of a family to the families of an entity side (aggregate once at the
+//! finest grouping key, then roll up — Wen et al. in PAPERS.md). Each
+//! gathered [`ScanBlock`] is scanned **once per side**, with the strategy
+//! read off the input:
+//!
+//! * **Dense side** — the table has far fewer rows than the block has
+//!   records (an item table of 93 rows under 20 000 ratings). The scan
+//!   counts a per-entity-row histogram `[row][dim][score]` over the union
+//!   of the side's active dimensions (`records × dims` increments, whatever
+//!   the number of families), then folds every row's histogram into each
+//!   active (family, dim) matrix through the grouping column — one code for
+//!   a single-valued attribute, the CSR values for a multi-valued one.
+//! * **Sparse side** — about as many rows as records (150 318 reviewers
+//!   under 200 500 ratings), so a per-row histogram would share nothing.
+//!   The scan copies each record's row of the table's
+//!   [`PackedCodes`](subdex_store::PackedCodes) matrix once — one short
+//!   contiguous read per record instead of one random code lookup per
+//!   family per dimension — and then runs one tight loop per active
+//!   (family, dim) pair over those contiguous codes. Attributes without a
+//!   packed slot (multi-valued, or more than 256 values) read their column
+//!   per record.
+//!
+//! Both strategies only regroup additions of exact `u64` counts, so every
+//! matrix is byte-identical to a record-at-a-time count — and so are the
+//! chunk-parallel partial sums, which split by record ranges only.
 
 use std::ops::Range;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::interest;
 use crate::ratingmap::{MapKey, RatingMap, Subgroup};
-use subdex_stats::kernels::{self, BatchScratch};
+use subdex_stats::kernels::BatchScratch;
 use subdex_stats::RatingDistribution;
 use subdex_store::{
-    AttrId, Column, DimId, Entity, RatingGroup, RecordId, ScanBlock, ScanScratch, SubjectiveDb,
+    AttrId, Column, DimId, Entity, EntityTable, RatingGroup, RecordId, ScanBlock, ScanScratch,
+    SubjectiveDb, ValueId,
 };
 
 /// Raw (unnormalized) criterion values of one candidate at some point of
@@ -121,8 +141,10 @@ pub struct FamilyAccumulator {
     pub attr: AttrId,
     /// Still-active dimensions (candidates not yet pruned/accepted).
     dims: Vec<DimId>,
-    /// `counts[dim_pos][value.index() * scale + (score − 1)]`.
-    counts: Vec<Vec<u64>>,
+    /// One count matrix per active dimension, flat and dim-major:
+    /// `counts[dim_pos * width + value.index() * scale + (score − 1)]` with
+    /// `width = value_count * scale` (see [`dim_counts`](Self::dim_counts)).
+    counts: Vec<u64>,
     value_count: usize,
     scale: usize,
     records_processed: u64,
@@ -133,7 +155,7 @@ impl FamilyAccumulator {
     pub fn new(db: &SubjectiveDb, entity: Entity, attr: AttrId, dims: Vec<DimId>) -> Self {
         let value_count = db.table(entity).dictionary(attr).len();
         let scale = db.ratings().scale() as usize;
-        let counts = vec![vec![0u64; value_count * scale]; dims.len()];
+        let counts = vec![0u64; dims.len() * value_count * scale];
         Self {
             entity,
             attr,
@@ -160,6 +182,17 @@ impl FamilyAccumulator {
         self.records_processed
     }
 
+    /// Length of one dimension's count matrix.
+    fn width(&self) -> usize {
+        self.value_count * self.scale
+    }
+
+    /// The count matrix of one active dimension position.
+    fn dim_counts(&self, dim_pos: usize) -> &[u64] {
+        let width = self.width();
+        &self.counts[dim_pos * width..(dim_pos + 1) * width]
+    }
+
     /// Map key for one active dimension position.
     pub fn key_at(&self, dim_pos: usize) -> MapKey {
         MapKey::new(self.entity, self.attr, self.dims[dim_pos])
@@ -170,18 +203,17 @@ impl FamilyAccumulator {
     pub fn remove_dim(&mut self, dim: DimId) {
         if let Some(pos) = self.dims.iter().position(|&d| d == dim) {
             self.dims.remove(pos);
-            self.counts.remove(pos);
+            let width = self.width();
+            self.counts.drain(pos * width..(pos + 1) * width);
         }
     }
 
-    /// Scans one phase fraction given as a record-id slice — the shared
-    /// multi-aggregate GroupBy.
+    /// Scans one phase fraction given as a record-id slice.
     ///
-    /// Compatibility wrapper over the columnar kernel: it gathers a
-    /// throwaway [`ScanBlock`] for `phase` and feeds it to
-    /// [`update_block`](Self::update_block). Hot paths should gather once
-    /// per phase with a long-lived [`ScanScratch`] and call `update_block`
-    /// directly so the gather is shared by every family.
+    /// Convenience wrapper for one-off scans (workload analysis, tests): it
+    /// gathers a throwaway [`ScanBlock`] for `phase` and runs [`scan_block`]
+    /// over this family alone. The generator gathers once per phase with
+    /// long-lived scratch and scans all families together.
     pub fn update(&mut self, db: &SubjectiveDb, phase: &[RecordId]) {
         if self.dims.is_empty() || phase.is_empty() {
             return;
@@ -191,96 +223,13 @@ impl FamilyAccumulator {
         scratch.prepare_group(db.ratings(), &group);
         let dims = self.dims.clone();
         let block = scratch.gather_phase(db.ratings(), &group, 0..phase.len(), &dims);
-        self.update_block(db, &block);
-    }
-
-    /// Scans one gathered block, updating every active dimension. This is
-    /// the hot path: entity rows and score buffers come pre-gathered, so
-    /// the kernels only stream over contiguous slices.
-    pub fn update_block(&mut self, db: &SubjectiveDb, block: &ScanBlock<'_>) {
-        if self.dims.is_empty() || block.is_empty() {
-            return;
-        }
-        let mut counts = std::mem::take(&mut self.counts);
-        self.accumulate_block(db, block, 0..block.len(), &mut counts);
-        self.counts = counts;
-        self.records_processed += block.len() as u64;
-    }
-
-    /// Runs the count kernels over `range` of `block`, accumulating into
-    /// `counts` (same shape as this family's matrices, see
-    /// [`fresh_counts`](Self::fresh_counts)). Takes `&self` so parallel
-    /// workers can each accumulate a chunk into a private matrix; the
-    /// caller merges with [`merge_counts`](Self::merge_counts) and advances
-    /// the record counter with
-    /// [`note_records_scanned`](Self::note_records_scanned).
-    ///
-    /// Two kernels, chosen by the grouping column's layout: a branch-free
-    /// one-add-per-record fast path for atomic (single-valued) attributes,
-    /// and the CSR path for multi-valued ones.
-    ///
-    /// # Panics
-    /// Panics if an active dimension was not gathered into `block`.
-    pub fn accumulate_block(
-        &self,
-        db: &SubjectiveDb,
-        block: &ScanBlock<'_>,
-        range: Range<usize>,
-        counts: &mut [Vec<u64>],
-    ) {
-        debug_assert_eq!(counts.len(), self.dims.len());
-        if self.dims.is_empty() || range.is_empty() {
-            return;
-        }
-        let column = db.table(self.entity).column(self.attr);
-        let rows = &block.entity_rows(self.entity)[range.clone()];
-        let scale = self.scale;
-        for (dim_pos, &dim) in self.dims.iter().enumerate() {
-            let scores = &block
-                .scores_for(dim)
-                .expect("active dimension not gathered into block")[range.clone()];
-            let counts = &mut counts[dim_pos];
-            match column {
-                Column::Single(_) => {
-                    let codes = column
-                        .single_codes()
-                        .expect("single column must expose codes");
-                    kernels::hist_single(kernels::active(), rows, scores, codes, scale, counts);
-                }
-                Column::Multi(csr) => {
-                    for (&row, &score) in rows.iter().zip(scores) {
-                        let base = score as usize - 1;
-                        for &v in csr.values(row) {
-                            counts[v.index() * scale + base] += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// A zeroed count matrix of this family's shape, for parallel workers'
-    /// private accumulation.
-    pub fn fresh_counts(&self) -> Vec<Vec<u64>> {
-        vec![vec![0u64; self.value_count * self.scale]; self.dims.len()]
-    }
-
-    /// Adds a worker's private count matrix into the family's. Addition on
-    /// `u64` is exact and commutative, so the merge order cannot change the
-    /// totals.
-    pub fn merge_counts(&mut self, partial: &[Vec<u64>]) {
-        assert_eq!(partial.len(), self.counts.len(), "count shape mismatch");
-        for (dst, src) in self.counts.iter_mut().zip(partial) {
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d += s;
-            }
-        }
-    }
-
-    /// Advances the scanned-record counter after the caller merged all
-    /// chunk results of a phase.
-    pub fn note_records_scanned(&mut self, n: u64) {
-        self.records_processed += n;
+        scan_block(
+            db,
+            std::slice::from_mut(self),
+            &block,
+            1,
+            &mut CountScratch::new(),
+        );
     }
 
     /// The per-subgroup distributions (non-empty only) and the overall
@@ -292,7 +241,7 @@ impl FamilyAccumulator {
         Vec<(subdex_store::ValueId, RatingDistribution)>,
         RatingDistribution,
     ) {
-        let counts = &self.counts[dim_pos];
+        let counts = self.dim_counts(dim_pos);
         let mut subs = Vec::new();
         let mut overall = RatingDistribution::new(self.scale);
         for v in 0..self.value_count {
@@ -334,7 +283,7 @@ impl FamilyAccumulator {
         measure: interest::PeculiarityMeasure,
         scratch: &mut EstimateScratch,
     ) -> RawScores {
-        let counts = &self.counts[dim_pos];
+        let counts = self.dim_counts(dim_pos);
         scratch.overall.reset(self.scale);
         // Pass 1: count the live (non-empty) subgroup rows and fold them
         // into the overall distribution (exact u64 adds, order-free).
@@ -411,6 +360,342 @@ impl FamilyAccumulator {
             })
             .collect();
         RatingMap::from_subgroups(self.key_at(dim_pos), subgroups, self.scale)
+    }
+}
+
+/// Smallest record chunk worth dispatching to a worker; below this the
+/// dispatch overhead dominates the scan.
+const MIN_CHUNK: usize = 1024;
+
+/// A side takes the per-row roll-up when the scanned range holds at least
+/// this many records per table row. The fold costs about one histogram
+/// cell per (row, family, dim) where the direct count costs one increment
+/// per (record, family, dim), so a handful of records per row already pays;
+/// near the threshold the two cost the same.
+const DENSE_RECORDS_PER_ROW: usize = 8;
+
+/// One scan lane's reusable buffers: what scanning one record range needs
+/// besides the count matrices it adds into.
+#[derive(Debug, Default)]
+struct Lane {
+    /// Dense side: the `[row][side dim][score]` histogram.
+    row_hist: Vec<u32>,
+    /// Dense side: union of the side's active dimensions.
+    side_dims: Vec<DimId>,
+    /// Sparse side: the range's packed code rows, `stride` bytes a record.
+    packed_rows: Vec<u8>,
+    /// Chunk-parallel path: this worker's private count set, the active
+    /// families' matrices back to back.
+    partial: Vec<u64>,
+}
+
+/// Reusable buffers of [`scan_block`], one lane per concurrent record
+/// chunk. Pooled with the rest of the generator's scratch
+/// ([`crate::generator::GenerateScratch`]) so steady-state scans allocate
+/// nothing: the chunk-parallel path takes its per-worker count sets from
+/// here rather than allocating fresh ones per block.
+///
+/// Each lane sits behind a `Mutex` only so pooled tasks can borrow their own
+/// lane mutably from a shared slice; lane `w` is locked by chunk `w` alone,
+/// so the lock is never contended.
+#[derive(Debug, Default)]
+pub struct CountScratch {
+    lanes: Vec<Mutex<Lane>>,
+}
+
+/// Locks a lane. Lanes hold no invariants between scans (every buffer is
+/// rebuilt from scratch per range), so a lane poisoned by a panicking scan
+/// task is as good as any other.
+fn lock(lane: &Mutex<Lane>) -> MutexGuard<'_, Lane> {
+    lane.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl CountScratch {
+    /// Fresh scratch with no lanes; they grow to the chunk count in use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn lane_bytes(&self, bytes: impl Fn(&Lane) -> usize) -> usize {
+        self.lanes.iter().map(|l| bytes(&lock(l))).sum()
+    }
+
+    /// Heap bytes currently retained across all lanes (capacity).
+    pub fn resident_bytes(&self) -> usize {
+        self.lanes.capacity() * std::mem::size_of::<Mutex<Lane>>()
+            + self.lane_bytes(|l| {
+                l.row_hist.capacity() * std::mem::size_of::<u32>()
+                    + l.side_dims.capacity() * std::mem::size_of::<DimId>()
+                    + l.packed_rows.capacity()
+                    + l.partial.capacity() * std::mem::size_of::<u64>()
+            })
+    }
+
+    /// Heap bytes the most recent scans actually needed (length, not
+    /// capacity) — the demand signal of the executor's high-water trim.
+    pub fn used_bytes(&self) -> usize {
+        self.lanes.len() * std::mem::size_of::<Mutex<Lane>>()
+            + self.lane_bytes(|l| {
+                l.row_hist.len() * std::mem::size_of::<u32>()
+                    + l.side_dims.len() * std::mem::size_of::<DimId>()
+                    + l.packed_rows.len()
+                    + l.partial.len() * std::mem::size_of::<u64>()
+            })
+    }
+
+    /// Releases all retained capacity (the high-water shrink hook).
+    pub fn shrink(&mut self) {
+        self.lanes = Vec::new();
+    }
+}
+
+/// Where one family's increments of one record range go: the family's own
+/// matrices (serial scan) or a worker's private copy (chunk-parallel scan).
+struct Target<'a> {
+    entity: Entity,
+    attr: AttrId,
+    dims: &'a [DimId],
+    /// Length of one dimension's matrix.
+    width: usize,
+    /// `dims.len()` matrices, dim-major.
+    counts: &'a mut [u64],
+}
+
+/// Scans one gathered block into every non-exhausted family — the record-
+/// major shared-aggregate scan described in the module docs.
+///
+/// With `threads > 1` the block is split into at most `threads` record
+/// chunks (never smaller than 1024 records) run on the persistent task
+/// pool. Each worker scans its chunk for all families into a private count
+/// set taken from `scratch`, and the sets are added into the families in
+/// chunk order afterwards — exact `u64` partial sums, so any order would
+/// give byte-identical totals.
+///
+/// # Panics
+/// Panics if an active dimension was not gathered into `block`.
+pub fn scan_block(
+    db: &SubjectiveDb,
+    families: &mut [FamilyAccumulator],
+    block: &ScanBlock<'_>,
+    threads: usize,
+    scratch: &mut CountScratch,
+) {
+    let n = block.len();
+    if n == 0 || families.iter().all(FamilyAccumulator::is_exhausted) {
+        return;
+    }
+    let chunk = n.div_ceil(threads.max(1)).max(MIN_CHUNK).min(n);
+    let n_chunks = n.div_ceil(chunk);
+    if scratch.lanes.len() < n_chunks {
+        scratch.lanes.resize_with(n_chunks, Mutex::default);
+    }
+
+    if n_chunks == 1 {
+        let mut targets: Vec<Target<'_>> = families
+            .iter_mut()
+            .filter(|f| !f.is_exhausted())
+            .map(|f| Target {
+                entity: f.entity,
+                attr: f.attr,
+                dims: &f.dims,
+                width: f.width(),
+                counts: &mut f.counts,
+            })
+            .collect();
+        scan_range(db, block, 0..n, &mut targets, &mut lock(&scratch.lanes[0]));
+    } else {
+        let active: &[FamilyAccumulator] = families;
+        let total: usize = active.iter().map(|f| f.counts.len()).sum();
+        let lanes = &scratch.lanes[..n_chunks];
+        crate::parallel::task_pool().run(n_chunks, |w| {
+            let lane = &mut *lock(&lanes[w]);
+            // Out of the lane while the targets borrow it.
+            let mut partial = std::mem::take(&mut lane.partial);
+            partial.clear();
+            partial.resize(total, 0);
+            let mut rest = partial.as_mut_slice();
+            let mut targets: Vec<Target<'_>> = Vec::with_capacity(active.len());
+            for f in active.iter().filter(|f| !f.is_exhausted()) {
+                let (counts, tail) = rest.split_at_mut(f.counts.len());
+                rest = tail;
+                targets.push(Target {
+                    entity: f.entity,
+                    attr: f.attr,
+                    dims: &f.dims,
+                    width: f.width(),
+                    counts,
+                });
+            }
+            let range = w * chunk..((w + 1) * chunk).min(n);
+            scan_range(db, block, range, &mut targets, lane);
+            lane.partial = partial;
+        });
+        for lane in lanes {
+            let lane = lock(lane);
+            let mut rest = lane.partial.as_slice();
+            for f in families.iter_mut().filter(|f| !f.is_exhausted()) {
+                let (partial, tail) = rest.split_at(f.counts.len());
+                rest = tail;
+                for (total, &part) in f.counts.iter_mut().zip(partial) {
+                    *total += part;
+                }
+            }
+        }
+    }
+    for f in families.iter_mut().filter(|f| !f.is_exhausted()) {
+        f.records_processed += n as u64;
+    }
+}
+
+/// Scans `range` of `block` into `targets`, one pass per entity side.
+fn scan_range(
+    db: &SubjectiveDb,
+    block: &ScanBlock<'_>,
+    range: Range<usize>,
+    targets: &mut [Target<'_>],
+    lane: &mut Lane,
+) {
+    let scale = db.ratings().scale() as usize;
+    // Reviewer-side targets first, so each side is one contiguous slice.
+    targets.sort_unstable_by_key(|t| t.entity == Entity::Item);
+    let (reviewer_side, item_side) =
+        targets.split_at_mut(targets.partition_point(|t| t.entity == Entity::Reviewer));
+    for (entity, targets) in [(Entity::Reviewer, reviewer_side), (Entity::Item, item_side)] {
+        if targets.is_empty() {
+            continue;
+        }
+        let table = db.table(entity);
+        let side = SideScan {
+            table,
+            rows: &block.entity_rows(entity)[range.clone()],
+            block,
+            range: range.clone(),
+            scale,
+        };
+        if table.len() * DENSE_RECORDS_PER_ROW <= range.len() {
+            side.dense(targets, &mut lane.row_hist, &mut lane.side_dims);
+        } else {
+            side.sparse(targets, &mut lane.packed_rows);
+        }
+    }
+}
+
+/// One entity side of one record range.
+struct SideScan<'a> {
+    table: &'a EntityTable,
+    /// The range's entity rows on this side.
+    rows: &'a [u32],
+    block: &'a ScanBlock<'a>,
+    range: Range<usize>,
+    scale: usize,
+}
+
+impl SideScan<'_> {
+    /// The range's scores on one dimension.
+    fn scores(&self, dim: DimId) -> &[u8] {
+        &self
+            .block
+            .scores_for(dim)
+            .expect("active dimension not gathered into block")[self.range.clone()]
+    }
+
+    /// Dense strategy: count `[row][dim][score]` once for the side, then
+    /// roll every row's histogram up into each (family, dim) matrix.
+    fn dense(&self, targets: &mut [Target<'_>], hist: &mut Vec<u32>, side_dims: &mut Vec<DimId>) {
+        side_dims.clear();
+        for t in targets.iter() {
+            for dim in t.dims {
+                if !side_dims.contains(dim) {
+                    side_dims.push(*dim);
+                }
+            }
+        }
+        let scale = self.scale;
+        // Histogram cells per row. A cell counts records of one block, and
+        // a block's records are indexed by `u32`, so it cannot overflow.
+        let cell = side_dims.len() * scale;
+        hist.clear();
+        hist.resize(self.table.len() * cell, 0);
+        for (di, &dim) in side_dims.iter().enumerate() {
+            let base = di * scale;
+            for (&row, &score) in self.rows.iter().zip(self.scores(dim)) {
+                hist[row as usize * cell + base + (score as usize - 1)] += 1;
+            }
+        }
+        for t in targets {
+            let column = self.table.column(t.attr);
+            for (counts, dim) in t.counts.chunks_exact_mut(t.width).zip(t.dims) {
+                let di = side_dims
+                    .iter()
+                    .position(|d| d == dim)
+                    .expect("side_dims is the union of the targets' dims");
+                let row_hists = hist.chunks_exact(cell).map(|h| &h[di * scale..][..scale]);
+                let mut add = |value: ValueId, row_hist: &[u32]| {
+                    let dst = &mut counts[value.index() * scale..][..scale];
+                    for (c, &h) in dst.iter_mut().zip(row_hist) {
+                        *c += u64::from(h);
+                    }
+                };
+                match column {
+                    Column::Single(codes) => {
+                        for (&value, row_hist) in codes.iter().zip(row_hists) {
+                            add(value, row_hist);
+                        }
+                    }
+                    Column::Multi(csr) => {
+                        for (row, row_hist) in row_hists.enumerate() {
+                            for &value in csr.values(row as u32) {
+                                add(value, row_hist);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Sparse strategy: gather the range's packed code rows once, then one
+    /// tight loop per (family, dim) pair over the contiguous codes.
+    /// Attributes without a packed slot go through their column.
+    fn sparse(&self, targets: &mut [Target<'_>], packed_rows: &mut Vec<u8>) {
+        let packed = self.table.packed_codes();
+        let stride = packed.stride();
+        let scale = self.scale;
+        if targets.iter().any(|t| packed.slot(t.attr).is_some()) {
+            packed_rows.clear();
+            packed_rows.reserve(self.rows.len() * stride);
+            for &row in self.rows {
+                packed_rows.extend_from_slice(packed.row(row));
+            }
+        }
+        for t in targets {
+            let slot = packed.slot(t.attr);
+            let column = self.table.column(t.attr);
+            for (counts, &dim) in t.counts.chunks_exact_mut(t.width).zip(t.dims) {
+                let scores = self.scores(dim);
+                match (slot, column) {
+                    (Some(slot), _) => {
+                        let codes = packed_rows[slot..].iter().step_by(stride);
+                        for (&code, &score) in codes.zip(scores) {
+                            counts[code as usize * scale + (score as usize - 1)] += 1;
+                        }
+                    }
+                    (None, Column::Single(codes)) => {
+                        for (&row, &score) in self.rows.iter().zip(scores) {
+                            let value = codes[row as usize];
+                            counts[value.index() * scale + (score as usize - 1)] += 1;
+                        }
+                    }
+                    (None, Column::Multi(csr)) => {
+                        for (&row, &score) in self.rows.iter().zip(scores) {
+                            for value in csr.values(row) {
+                                counts[value.index() * scale + (score as usize - 1)] += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -522,32 +807,34 @@ mod tests {
     }
 
     #[test]
-    fn chunked_accumulation_matches_whole_block() {
-        // Chunk + merge (the two-level parallel path) must equal one
-        // update_block call, for both the atomic and the CSR kernel.
+    fn dense_and_sparse_strategies_count_alike() {
+        // 8 records over 4-row tables scan through the packed-code path;
+        // the same records four times over in one block (32 ≥ 8 × 4 rows)
+        // take the per-row roll-up. Both must count every record once, for
+        // the atomic and the multi-valued column.
         let db = fixture::build();
-        let group = RatingGroup::with_order((0..8).collect());
-        let mut scratch = ScanScratch::new();
-        scratch.prepare_group(db.ratings(), &group);
-        for attr_name in ["city", "tags"] {
-            let attr = db.items().schema().attr_by_name(attr_name).unwrap();
-            let dims = vec![DimId(0), DimId(1)];
-            let block = scratch.gather_phase(db.ratings(), &group, 0..8, &dims);
-
-            let mut whole = FamilyAccumulator::new(&db, Entity::Item, attr, dims.clone());
-            whole.update_block(&db, &block);
-
-            let mut chunked = FamilyAccumulator::new(&db, Entity::Item, attr, dims.clone());
-            for range in [0..3, 3..5, 5..8] {
-                let mut partial = chunked.fresh_counts();
-                chunked.accumulate_block(&db, &block, range, &mut partial);
-                chunked.merge_counts(&partial);
+        let dims = vec![DimId(0), DimId(1)];
+        let records: Vec<u32> = (0..8).cycle().take(32).collect();
+        for (entity, attr_name) in [
+            (Entity::Reviewer, "gender"),
+            (Entity::Item, "city"),
+            (Entity::Item, "tags"),
+        ] {
+            let attr = db.table(entity).schema().attr_by_name(attr_name).unwrap();
+            let mut sparse = FamilyAccumulator::new(&db, entity, attr, dims.clone());
+            for pass in records.chunks(8) {
+                sparse.update(&db, pass);
             }
-            chunked.note_records_scanned(8);
-
-            assert_eq!(whole.distributions(0), chunked.distributions(0));
-            assert_eq!(whole.distributions(1), chunked.distributions(1));
-            assert_eq!(whole.records_processed(), chunked.records_processed());
+            let mut dense = FamilyAccumulator::new(&db, entity, attr, dims.clone());
+            dense.update(&db, &records);
+            for dim_pos in 0..dims.len() {
+                assert_eq!(
+                    sparse.distributions(dim_pos),
+                    dense.distributions(dim_pos),
+                    "{attr_name} dim {dim_pos}"
+                );
+            }
+            assert_eq!(sparse.records_processed(), dense.records_processed());
         }
     }
 

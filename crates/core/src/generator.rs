@@ -5,12 +5,12 @@
 //! rating dimension), then consumes the group in `n` equal fractions of a
 //! random permutation. After each fraction it
 //!
-//! * gathers the fraction into a columnar [`ScanBlock`] (entity rows and
-//!   score bytes resolved once, shared by every family) and updates the
-//!   shared per-attribute accumulators — in parallel over *families ×
-//!   record chunks* when enabled, so thread utilization no longer depends
-//!   on how many grouping attributes the schema has (the paper's "parallel
-//!   query execution", made two-level),
+//! * gathers the fraction into a columnar [`ScanBlock`](subdex_store::ScanBlock)
+//!   (entity rows and score bytes resolved once) and updates the shared
+//!   per-attribute accumulators with one record-major scan per entity side
+//!   ([`scan_block`]) — in parallel over record chunks when enabled, so
+//!   thread utilization does not depend on how many grouping attributes the
+//!   schema has (the paper's "parallel query execution"),
 //! * re-estimates each candidate's four normalized criteria and its
 //!   dimension-weighted utility,
 //! * applies confidence-interval pruning (Algorithm 3) and/or the
@@ -23,17 +23,18 @@
 //! from further pruning decisions.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::accumulator::{candidate_keys, EstimateScratch, FamilyAccumulator, RawScores};
+use crate::accumulator::{
+    candidate_keys, scan_block, CountScratch, EstimateScratch, FamilyAccumulator, RawScores,
+};
 use crate::parallel::resolve_threads;
 use crate::pruning::{ci_survivors, utility_envelope, PruningStrategy, SarDecision, SarState};
 use crate::ratingmap::{RatingMap, ScoredRatingMap};
 use crate::utility::{CriterionScores, DimensionWeights, UtilityCombiner};
 use subdex_stats::normalize::{Normalizer, NormalizerKind, ScoreNormalizer};
 use subdex_stats::{ConfidenceInterval, HoeffdingSerfling, RatingDistribution};
-use subdex_store::{DimId, RatingGroup, ScanBlock, ScanScratch, SelectionQuery, SubjectiveDb};
+use subdex_store::{DimId, RatingGroup, ScanScratch, SelectionQuery, SubjectiveDb};
 
 /// What the user has already seen: the inputs to dimension weighting
 /// (Algorithm 2) and global peculiarity.
@@ -217,12 +218,48 @@ struct Candidate {
     dw: f64,
 }
 
+/// Every reusable buffer of one [`generate_pooled`] call: the phase-gather
+/// set, the record-major scan's lanes, and the per-phase re-estimation
+/// scratch. Holds no results and no borrowed data — only recyclable
+/// containers — so one instance serves any sequence of groups.
+#[derive(Debug, Default)]
+pub struct GenerateScratch {
+    scan: ScanScratch,
+    counts: CountScratch,
+    estimate: EstimateScratch,
+}
+
+impl GenerateScratch {
+    /// Fresh, empty buffers.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Heap bytes currently retained (capacity).
+    pub fn resident_bytes(&self) -> usize {
+        self.scan.resident_bytes() + self.counts.resident_bytes() + self.estimate.resident_bytes()
+    }
+
+    /// Heap bytes the most recent call actually needed (length, not
+    /// capacity) — the demand signal of the executor's high-water trim.
+    pub fn used_bytes(&self) -> usize {
+        self.scan.used_bytes() + self.counts.used_bytes() + self.estimate.used_bytes()
+    }
+
+    /// Releases all retained capacity.
+    pub fn shrink(&mut self) {
+        self.scan.shrink();
+        self.counts.shrink();
+        self.estimate.shrink();
+    }
+}
+
 /// Runs Algorithm 1 over `group` for the candidates admissible under
 /// `query`, returning every surviving map scored and ranked.
 ///
-/// Allocates a throwaway [`ScanScratch`]; steady-state callers (the engine,
-/// the recommendation evaluator) should hold one scratch across steps and
-/// use [`generate_with_scratch`] so phase gathers reuse its buffers.
+/// Allocates a throwaway [`GenerateScratch`]; steady-state callers (the
+/// engine, the recommendation evaluator) hold one across steps and use
+/// [`generate_pooled`].
 pub fn generate(
     db: &SubjectiveDb,
     group: &RatingGroup,
@@ -231,44 +268,16 @@ pub fn generate(
     normalizers: &mut CriterionNormalizers,
     cfg: &GeneratorConfig,
 ) -> GeneratorOutput {
-    let mut scratch = ScanScratch::new();
-    generate_with_scratch(db, group, query, seen, normalizers, cfg, &mut scratch)
+    let mut scratch = GenerateScratch::new();
+    generate_pooled(db, group, query, seen, normalizers, cfg, &mut scratch)
 }
 
-/// [`generate`] with caller-provided gather buffers.
-///
-/// Allocates a throwaway [`EstimateScratch`] for the per-phase score
-/// re-estimation; steady-state callers should pool one of those too and
-/// use [`generate_pooled`].
-pub fn generate_with_scratch(
-    db: &SubjectiveDb,
-    group: &RatingGroup,
-    query: &SelectionQuery,
-    seen: &SeenContext,
-    normalizers: &mut CriterionNormalizers,
-    cfg: &GeneratorConfig,
-    scratch: &mut ScanScratch,
-) -> GeneratorOutput {
-    generate_pooled(
-        db,
-        group,
-        query,
-        seen,
-        normalizers,
-        cfg,
-        scratch,
-        &mut EstimateScratch::new(),
-    )
-}
-
-/// [`generate_with_scratch`] with every reusable buffer caller-provided:
-/// the phase-gather set *and* the re-estimation scratch. This is the
-/// fully-pooled entry point the step executor and the recommendation
-/// evaluator run on ([`crate::plan::ExecContext`] owns the pools), so
-/// steps 2..n re-estimate `candidates × phases` times without allocating.
+/// [`generate`] with every reusable buffer caller-provided. This is the
+/// entry point the step executor and the recommendation evaluator run on
+/// ([`crate::plan::ExecContext`] owns the pools), so steps 2..n gather,
+/// scan and re-estimate `candidates × phases` times without allocating.
 /// Pooling recycles capacity only — output is byte-identical to
 /// [`generate`].
-#[allow(clippy::too_many_arguments)]
 pub fn generate_pooled(
     db: &SubjectiveDb,
     group: &RatingGroup,
@@ -276,9 +285,13 @@ pub fn generate_pooled(
     seen: &SeenContext,
     normalizers: &mut CriterionNormalizers,
     cfg: &GeneratorConfig,
-    scratch: &mut ScanScratch,
-    est: &mut EstimateScratch,
+    scratch: &mut GenerateScratch,
 ) -> GeneratorOutput {
+    let GenerateScratch {
+        scan: scratch,
+        counts,
+        estimate: est,
+    } = scratch;
     let keys = candidate_keys(db, query);
     let mut families: Vec<FamilyAccumulator> = keys
         .iter()
@@ -344,7 +357,7 @@ pub fn generate_pooled(
         if phase_len > 0 && !dims_union.is_empty() {
             let scan_start = Instant::now();
             let block = scratch.gather_phase(db.ratings(), group, range, &dims_union);
-            scan_block(db, &mut families, &block, threads);
+            scan_block(db, &mut families, &block, threads, counts);
             out.scan_time += scan_start.elapsed();
         }
         records_seen += phase_len as u64;
@@ -479,85 +492,6 @@ pub fn generate_pooled(
     });
     out.pool = pool;
     out
-}
-
-/// Smallest record chunk worth dispatching to a worker; below this the
-/// dispatch overhead dominates the kernel.
-const MIN_CHUNK: usize = 1024;
-
-/// Scans one gathered block into every non-exhausted family — the paper's
-/// "parallel query execution" sharing optimization, made two-level.
-///
-/// With `threads > 1` the work is split into *families × record chunks*
-/// tasks pulled from a shared counter, so thread utilization no longer
-/// depends on how many grouping attributes the schema has. Each worker
-/// accumulates into private count matrices via
-/// [`FamilyAccumulator::accumulate_block`]; the caller merges them in
-/// deterministic worker order afterwards — and since chunk counts are exact
-/// `u64` partial sums, any merge order would give byte-identical totals
-/// anyway.
-pub fn scan_block(
-    db: &SubjectiveDb,
-    families: &mut [FamilyAccumulator],
-    block: &ScanBlock<'_>,
-    threads: usize,
-) {
-    if block.is_empty() {
-        return;
-    }
-    let active: Vec<usize> = families
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| !f.is_exhausted())
-        .map(|(i, _)| i)
-        .collect();
-    if active.is_empty() {
-        return;
-    }
-    let n = block.len();
-    let chunk = n.div_ceil(threads.max(1)).max(MIN_CHUNK).min(n);
-    let n_chunks = n.div_ceil(chunk);
-    let total_tasks = active.len() * n_chunks;
-    if threads <= 1 || total_tasks <= 1 {
-        for &fi in &active {
-            families[fi].update_block(db, block);
-        }
-        return;
-    }
-
-    let next = AtomicUsize::new(0);
-    let fams: &[FamilyAccumulator] = families;
-    let workers = threads.min(total_tasks);
-    // One private count-matrix set per (worker, active family), allocated
-    // lazily on the worker's first chunk of that family. Workers run on the
-    // persistent task pool; the pool returns their locals in worker-slot
-    // order, preserving the deterministic merge.
-    let locals: Vec<Vec<Option<Vec<Vec<u64>>>>> = crate::parallel::task_pool().run(workers, |_| {
-        let mut local: Vec<Option<Vec<Vec<u64>>>> = (0..active.len()).map(|_| None).collect();
-        loop {
-            let t = next.fetch_add(1, Ordering::Relaxed);
-            if t >= total_tasks {
-                break;
-            }
-            let (ai, ci) = (t / n_chunks, t % n_chunks);
-            let fam = &fams[active[ai]];
-            let start = ci * chunk;
-            let end = (start + chunk).min(n);
-            let counts = local[ai].get_or_insert_with(|| fam.fresh_counts());
-            fam.accumulate_block(db, block, start..end, counts);
-        }
-        local
-    });
-    for local in locals {
-        for (ai, partial) in local.into_iter().enumerate() {
-            if let Some(partial) = partial {
-                families[active[ai]].merge_counts(&partial);
-            }
-        }
-    }
-    for &fi in &active {
-        families[fi].note_records_scanned(n as u64);
-    }
 }
 
 #[cfg(test)]
@@ -705,10 +639,10 @@ mod tests {
     }
 
     #[test]
-    fn two_level_chunking_is_byte_identical() {
-        // 3600 records in one whole-group block → several record chunks per
-        // family at 4 threads, so the chunk level of the two-level scan is
-        // actually exercised (MIN_CHUNK = 1024).
+    fn record_chunking_is_byte_identical() {
+        // 3600 records in one whole-group block → several record chunks at
+        // 4 threads, so the chunk-parallel scan and its pooled per-worker
+        // count sets are actually exercised (MIN_CHUNK = 1024).
         let mut us = Schema::new();
         us.add("gender", false);
         let mut ub = EntityTableBuilder::new(us);
@@ -741,11 +675,12 @@ mod tests {
                 .collect()
         };
         let block = scratch.gather_phase(db.ratings(), &group, 0..group.len(), &dims);
+        let mut counts = CountScratch::new();
         let mut seq = make();
-        scan_block(&db, &mut seq, &block, 1);
+        scan_block(&db, &mut seq, &block, 1, &mut counts);
         for threads in [2, 4, 8] {
             let mut par = make();
-            scan_block(&db, &mut par, &block, threads);
+            scan_block(&db, &mut par, &block, threads, &mut counts);
             for (a, b) in seq.iter().zip(&par) {
                 assert_eq!(a.distributions(0), b.distributions(0), "{threads} threads");
                 assert_eq!(a.records_processed(), b.records_processed());

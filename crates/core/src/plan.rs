@@ -39,9 +39,8 @@
 //! through the pre-refactor monolithic step — pinned by the property tests
 //! in `tests/plan_equivalence.rs`.
 
-use crate::accumulator::EstimateScratch;
 use crate::engine::{EngineConfig, StepResult};
-use crate::generator::{self, CriterionNormalizers, GeneratorConfig, SeenContext};
+use crate::generator::{self, CriterionNormalizers, GenerateScratch, GeneratorConfig, SeenContext};
 use crate::mapdist::{DistanceEngine, SelectionStats};
 use crate::pruning::PruningStrategy;
 use crate::ratingmap::ScoredRatingMap;
@@ -50,7 +49,7 @@ use crate::selector::{select_diverse_with, SelectScratch, SelectionStrategy};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use subdex_store::{
-    DistanceCache, GroupCache, GroupColumns, RatingGroup, ScanScratch, SelectionQuery, SubjectiveDb,
+    DistanceCache, GroupCache, GroupColumns, RatingGroup, SelectionQuery, SubjectiveDb,
 };
 
 /// One typed phase operation of a step plan.
@@ -355,11 +354,9 @@ pub struct StepStats {
 /// concurrently because the executor takes it `&mut`.
 #[derive(Debug, Default)]
 pub struct ExecContext {
-    /// Gather buffers for the stepped query's own phase scans.
-    pub(crate) scan: ScanScratch,
-    /// Subgroup-distribution buffers for the stepped query's per-phase
-    /// score re-estimation.
-    pub(crate) estimate: EstimateScratch,
+    /// Gather, scan and re-estimation buffers for the stepped query's own
+    /// generate phase.
+    pub(crate) generate: GenerateScratch,
     /// GMM buffers for the displayed-maps selection.
     pub(crate) select: SelectScratch,
     /// Candidate vector + per-worker evaluation buffers for the
@@ -411,8 +408,7 @@ impl ExecContext {
     /// Heap bytes currently retained by the pooled scratch (capacity, not
     /// length — what the session actually pins between steps).
     pub fn resident_scratch_bytes(&self) -> usize {
-        self.scan.resident_bytes()
-            + self.estimate.resident_bytes()
+        self.generate.resident_bytes()
             + self.select.resident_bytes()
             + self.recommend.resident_bytes()
     }
@@ -420,18 +416,14 @@ impl ExecContext {
     /// Heap bytes the most recent step actually needed across the pooled
     /// scratch (length-based).
     pub fn used_scratch_bytes(&self) -> usize {
-        self.scan.used_bytes()
-            + self.estimate.used_bytes()
-            + self.select.used_bytes()
-            + self.recommend.used_bytes()
+        self.generate.used_bytes() + self.select.used_bytes() + self.recommend.used_bytes()
     }
 
     /// Releases every pooled buffer's capacity. The next step re-warms from
     /// empty; results are unaffected (the scratch recycles containers,
     /// never values).
     pub fn shrink(&mut self) {
-        self.scan.shrink();
-        self.estimate.shrink();
+        self.generate.shrink();
         self.select.shrink();
         self.recommend.shrink();
     }
@@ -513,8 +505,7 @@ impl StepExecutor<'_> {
                         self.seen,
                         self.normalizers,
                         &gen_cfg,
-                        &mut self.ctx.scan,
-                        &mut self.ctx.estimate,
+                        &mut self.ctx.generate,
                     );
                     stats.phases.generate = t.elapsed();
                     stats.phases.scan = out.scan_time;

@@ -13,15 +13,14 @@
 //! recommending visualizations share one computation. Candidates are
 //! evaluated concurrently, up to the number of available cores.
 
-use crate::accumulator::EstimateScratch;
-use crate::generator::{self, CriterionNormalizers, GeneratorConfig, SeenContext};
+use crate::generator::{self, CriterionNormalizers, GenerateScratch, GeneratorConfig, SeenContext};
 use crate::mapdist::{DistanceEngine, SelectionStats};
 use crate::ratingmap::ScoredRatingMap;
 use crate::selector::{select_diverse_with, SelectScratch, SelectionStrategy};
 use std::collections::HashSet;
 use subdex_store::{
-    AttrValue, Entity, GroupCache, GroupColumns, GroupRoute, RatingGroup, ScanScratch,
-    SelectionQuery, SubjectiveDb,
+    AttrValue, Entity, GroupCache, GroupColumns, GroupRoute, RatingGroup, SelectionQuery,
+    SubjectiveDb,
 };
 
 /// One recommended next-step operation.
@@ -81,32 +80,29 @@ impl Materialization {
     }
 }
 
-/// One evaluation worker's reusable buffers: a phase-scan gather set, the
-/// per-phase re-estimation scratch, and a diverse-selection scratch. Each
-/// candidate a worker evaluates runs the full generate → select pipeline
-/// over these.
+/// One evaluation worker's reusable buffers: the generator's scratch and a
+/// diverse-selection scratch. Each candidate a worker evaluates runs the
+/// full generate → select pipeline over these.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
-    scan: ScanScratch,
-    est: EstimateScratch,
+    generate: GenerateScratch,
     select: SelectScratch,
 }
 
 impl EvalScratch {
     /// Heap bytes currently held across the worker's pooled buffers.
     pub fn resident_bytes(&self) -> usize {
-        self.scan.resident_bytes() + self.est.resident_bytes() + self.select.resident_bytes()
+        self.generate.resident_bytes() + self.select.resident_bytes()
     }
 
     /// Heap bytes the worker's most recent evaluation actually needed.
     pub fn used_bytes(&self) -> usize {
-        self.scan.used_bytes() + self.est.used_bytes() + self.select.used_bytes()
+        self.generate.used_bytes() + self.select.used_bytes()
     }
 
     /// Releases all retained capacity.
     pub fn shrink(&mut self) {
-        self.scan.shrink();
-        self.est.shrink();
+        self.generate.shrink();
         self.select.shrink();
     }
 }
@@ -466,6 +462,19 @@ pub fn recommend_with_stats_in(
     };
     let dist_engine = &dist_engine;
 
+    // Likewise the generator: when the fan-out gives every pool worker a
+    // candidate, a parallel phase scan inside each would only re-enter the
+    // pool once per phase. Chunk merges are exact, so the serial scan
+    // produces the same bits. Fewer candidates than workers (a lone
+    // candidate included) or a serial recommender leave cores idle, so the
+    // generator keeps its own parallelism there.
+    let threads = crate::parallel::resolve_threads(cfg.threads);
+    let fan_out = cfg.parallel && threads > 1 && candidates.len() > 1;
+    let gen_cfg = &GeneratorConfig {
+        parallel: gen_cfg.parallel && !(fan_out && candidates.len() >= threads),
+        ..*gen_cfg
+    };
+
     let evaluate = |q: &SelectionQuery,
                     es: &mut EvalScratch,
                     stats: &mut Materialization,
@@ -565,16 +574,8 @@ pub fn recommend_with_stats_in(
             }
         };
         let mut norms = normalizers.clone();
-        let out = generator::generate_pooled(
-            db,
-            &group,
-            q,
-            seen,
-            &mut norms,
-            gen_cfg,
-            &mut es.scan,
-            &mut es.est,
-        );
+        let out =
+            generator::generate_pooled(db, &group, q, seen, &mut norms, gen_cfg, &mut es.generate);
         let pool_size = cfg.selection.pool_size(cfg.k, out.pool.len());
         let pool: Vec<ScoredRatingMap> = out.pool.into_iter().take(pool_size.max(cfg.k)).collect();
         let (maps, sel) =
@@ -589,11 +590,9 @@ pub fn recommend_with_stats_in(
         })
     };
 
-    let threads = crate::parallel::resolve_threads(cfg.threads);
-
     let mut stats = Materialization::default();
     let mut sel_stats = SelectionStats::default();
-    let mut recs: Vec<Recommendation> = if cfg.parallel && threads > 1 && candidates.len() > 1 {
+    let mut recs: Vec<Recommendation> = if fan_out {
         let chunk = candidates.len().div_ceil(threads);
         let spawned = candidates.len().div_ceil(chunk);
         if workers.len() < spawned {

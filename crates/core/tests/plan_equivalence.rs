@@ -14,7 +14,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use proptest::strategy::Just;
 
-use subdex_core::generator::{self, CriterionNormalizers, SeenContext};
+use subdex_core::generator::{self, CriterionNormalizers, GenerateScratch, SeenContext};
 use subdex_core::mapdist::DistanceEngine;
 use subdex_core::ratingmap::ScoredRatingMap;
 use subdex_core::recommend::{self, Materialization, Recommendation};
@@ -22,7 +22,7 @@ use subdex_core::selector::select_diverse_tracked;
 use subdex_core::{EngineConfig, SdeEngine, SelectionStats, StepResult};
 use subdex_store::{
     table::EntityTableBuilder, AttrValue, Cell, DistanceCache, Entity, GroupCache, GroupColumns,
-    RatingGroup, ScanScratch, Schema, SelectionQuery, SubjectiveDb, Value,
+    RatingGroup, Schema, SelectionQuery, SubjectiveDb, Value,
 };
 
 const SCALE: u8 = 5;
@@ -37,7 +37,7 @@ struct LegacyEngine {
     step_counter: usize,
     group_cache: Option<Arc<GroupCache>>,
     dist_cache: Option<Arc<DistanceCache>>,
-    scratch: ScanScratch,
+    scratch: GenerateScratch,
 }
 
 struct LegacyResult {
@@ -62,7 +62,7 @@ impl LegacyEngine {
             step_counter: 0,
             group_cache: None,
             dist_cache: None,
-            scratch: ScanScratch::new(),
+            scratch: GenerateScratch::new(),
         }
     }
 
@@ -107,7 +107,7 @@ impl LegacyEngine {
         };
         let group = RatingGroup::from_columns(&parent_cols, seed);
         let gen_cfg = self.config.generator_config();
-        let out = generator::generate_with_scratch(
+        let out = generator::generate_pooled(
             &self.db,
             &group,
             query,

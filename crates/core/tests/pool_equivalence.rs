@@ -27,8 +27,15 @@ use subdex_store::{
 const SCALE: u8 = 5;
 
 /// Everything observable about a step except wall-clock times (which can
-/// never match across runs). Selection counters are compared without
-/// `select_time` for the same reason.
+/// never match across runs) and one schedule-dependent counter. Selection
+/// counters are compared without `select_time` for the same reason.
+///
+/// `Materialization.records_filtered` is zeroed before comparison: with a
+/// shared `GroupCache`, which cached ancestor a recommendation worker's
+/// `peek` finds depends on which sibling worker inserted first, and the
+/// counter is the length of the ancestor that was filtered (22 vs 24 rows
+/// for the same derived group). Results, materialization routes and every
+/// other counter are schedule-independent and stay compared.
 type Fingerprint = (
     usize,                             // step
     usize,                             // group_size
@@ -73,7 +80,10 @@ fn step_fp(r: &StepResult) -> Fingerprint {
             r.stats.generator.pruned_ci,
             r.stats.generator.pruned_mab,
         ),
-        r.stats.materialization,
+        Materialization {
+            records_filtered: 0,
+            ..r.stats.materialization
+        },
         sel_fp(&r.stats.selection),
         r.stats.db_epoch,
     )

@@ -2,9 +2,10 @@
 //! of the distributional hot path.
 //!
 //! Every exploration step reduces to the same handful of small-distribution
-//! loops: histogram accumulation during the phase scan, CDF prefixes and
-//! TVD/KL divergences during score re-estimation, and L1 cost matrices
-//! during GMM selection. The rating scale `m` is tiny (typically 5), so
+//! loops: CDF prefixes and TVD/KL divergences during score re-estimation,
+//! and L1 cost matrices during GMM selection (the phase scan's histogram
+//! accumulation is data-dependent scatter no lane model helps with; it
+//! lives with the accumulators in `subdex-core`). The rating scale `m` is tiny (typically 5), so
 //! vectorizing *within* one distribution is useless — and would reassociate
 //! its reductions. This module instead vectorizes across the **batch
 //! axis**: one distribution (candidate, subgroup, map pair) per SIMD lane.
@@ -37,7 +38,7 @@
 //! * Integer kernels are exact on every path, so identity there is by
 //!   construction. The word-wise set kernels (`and_words`, `andnot_words`,
 //!   `popcount_words`) vectorize profitably; the data-dependent ones
-//!   (`hist_single`, `gather_u32`, the probe/decode/filter set kernels)
+//!   (`gather_u32`, the probe/decode/filter set kernels)
 //!   share the scalar body because their `vpgatherdd`-style variants
 //!   measured slower than out-of-order scalar loads (see the per-kernel
 //!   docs).
@@ -555,32 +556,6 @@ pub fn col_mins(path: KernelPath, mat: &[f64], rows: usize, cols: usize, out: &m
     }
 }
 
-/// Histogram accumulation for a single-valued grouping column:
-/// `counts[codes[rows[r]] * scale + (scores[r] − 1)] += 1` per record.
-/// All paths share the scalar kernel: the increments are data-dependent
-/// scatter updates no lane model helps with, and an AVX2 variant that
-/// vectorized the code gather and flat-index arithmetic *measured ~1.5×
-/// slower* than scalar (`vpgatherdd` latency on cache-resident random
-/// access, with the `u64` increments scalar either way — see
-/// `BENCH_kernels.json`), so it was retired. The `path` argument stays for
-/// API uniformity and future ISAs where scatter/gather histograms do pay.
-///
-/// # Panics
-/// Panics if a row exceeds `codes`, a flat index exceeds `counts`, or
-/// `rows` and `scores` differ in length.
-pub fn hist_single(
-    path: KernelPath,
-    rows: &[u32],
-    scores: &[u8],
-    codes: &[u32],
-    scale: usize,
-    counts: &mut [u64],
-) {
-    check(path);
-    assert_eq!(rows.len(), scores.len(), "row/score length mismatch");
-    scalar::hist_single(rows, scores, codes, scale, counts)
-}
-
 // --------------------------------------------------------------- set kernels
 //
 // Word-wise set algebra for the compressed posting index (`store::cindex`).
@@ -645,7 +620,7 @@ pub fn popcount_words(path: KernelPath, words: &[u64]) -> u64 {
 /// intersection. All paths share the scalar kernel: the per-id word
 /// lookup is data-dependent random access that a lane model doesn't
 /// help with (the same access pattern that made the `vpgatherdd`
-/// variants of `hist_single`/`gather_u32` measure slower than scalar),
+/// variant of `gather_u32` measure slower than scalar),
 /// and the branchless compaction already keeps the pipeline full. The
 /// `path` argument stays for API uniformity.
 pub fn array_bitmap_probe(path: KernelPath, ids: &[u32], words: &[u64], out: &mut Vec<u32>) {

@@ -266,24 +266,6 @@ pub(crate) fn col_mins(mat: &[f64], rows: usize, cols: usize, out: &mut [f64]) {
     }
 }
 
-/// One histogram update of the single-valued grouping kernel.
-#[inline]
-pub(crate) fn hist_one(row: u32, score: u8, codes: &[u32], scale: usize, counts: &mut [u64]) {
-    counts[codes[row as usize] as usize * scale + (score as usize - 1)] += 1;
-}
-
-pub(crate) fn hist_single(
-    rows: &[u32],
-    scores: &[u8],
-    codes: &[u32],
-    scale: usize,
-    counts: &mut [u64],
-) {
-    for (&row, &score) in rows.iter().zip(scores) {
-        hist_one(row, score, codes, scale, counts);
-    }
-}
-
 pub(crate) fn gather_u32(src: &[u32], idx: &[u32], out: &mut [u32]) {
     for (slot, &i) in out.iter_mut().zip(idx) {
         *slot = src[i as usize];

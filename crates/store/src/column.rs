@@ -30,16 +30,6 @@ impl Column {
         self.len() == 0
     }
 
-    /// The raw dictionary codes of a single-valued column, or `None` for a
-    /// CSR column — the input shape of the branch-free histogram kernel.
-    #[inline]
-    pub fn single_codes(&self) -> Option<&[u32]> {
-        match self {
-            Column::Single(codes) => Some(ValueId::as_u32_slice(codes)),
-            Column::Multi(_) => None,
-        }
-    }
-
     /// The values of `row` as a slice (length 1 for single-valued columns).
     ///
     /// # Panics

@@ -978,6 +978,28 @@ mod tests {
     }
 
     #[test]
+    fn clone_and_append_share_the_packed_code_matrices() {
+        // The persistence layer publishes an append as clone → mutate →
+        // swap; the derived packed matrices must ride along as the same
+        // allocation, not be rebuilt or copied per epoch — whether the
+        // clone was taken before the first use (reviewers here) or after
+        // it (items).
+        let db = figure2_db();
+        db.items().packed_codes();
+        let mut next = db.clone();
+        let dims = db.ratings().dim_count();
+        next.append_ratings(&[crate::ratings::RatingDraft::new(3, 3, vec![1; dims])])
+            .unwrap();
+        assert_eq!(next.epoch(), db.epoch() + 1);
+        for entity in [Entity::Reviewer, Entity::Item] {
+            assert!(std::ptr::eq(
+                next.table(entity).packed_codes(),
+                db.table(entity).packed_codes()
+            ));
+        }
+    }
+
+    #[test]
     fn scan_group_matches_rating_group() {
         let db = figure2_db();
         let young = db

@@ -62,7 +62,7 @@ pub use predicate::{AttrValue, SelectionQuery};
 pub use ratings::{DimId, RatingDraft, RatingTable, RatingTableBuilder, RecordId};
 pub use scan::{GroupColumns, ScanBlock, ScanScratch};
 pub use schema::{AttrId, Entity, Schema};
-pub use table::{Cell, EntityTable, EntityTableBuilder};
+pub use table::{Cell, EntityTable, EntityTableBuilder, PackedCodes};
 pub use value::{Dictionary, Value, ValueId};
 
 /// Compile-time proof that the shared query substrate is safe to use from

@@ -4,6 +4,13 @@
 //! and one [`Column`] per attribute. Rows are appended through
 //! [`EntityTableBuilder`], which interns values and enforces the schema
 //! (single- vs multi-valued arity).
+//!
+//! Every table can also hand out a [`PackedCodes`] matrix: the codes of its
+//! narrow single-valued attributes laid out row-major, one byte each, so a
+//! scan that needs several attributes of one row reads one short contiguous
+//! run instead of one slot in each attribute's column.
+
+use std::sync::{Arc, OnceLock};
 
 use crate::column::{Column, CsrColumn};
 use crate::schema::{AttrId, Schema};
@@ -42,6 +49,83 @@ impl From<Vec<Value>> for Cell {
     }
 }
 
+/// Row-major `u8` code matrix over a table's *narrow* single-valued
+/// attributes — those whose dictionary has at most 256 values, so every
+/// code fits a byte. Row `r` is the `stride` bytes at `r * stride`; byte
+/// [`slot`](Self::slot)`(attr)` of a row is that attribute's code.
+/// Multi-valued attributes and wider dictionaries have no slot and are read
+/// through their [`Column`].
+///
+/// Derived data: a pure function of the columns, so it is never persisted.
+/// It is built on first use rather than with the table (a transposition of
+/// every packed column; opening a snapshot should not pay for scans it may
+/// never run), in a cell that every clone of the table shares — tables are
+/// immutable, and the persistence layer clones the whole database per
+/// append — so it is built at most once however many epochs follow.
+#[derive(Debug)]
+pub struct PackedCodes {
+    stride: usize,
+    /// `slots[attr.index()]`: byte position of the attribute in a row.
+    slots: Vec<Option<usize>>,
+    /// `rows × stride` codes.
+    bytes: Vec<u8>,
+}
+
+impl PackedCodes {
+    /// Largest dictionary whose codes fit one byte.
+    const MAX_VALUES: usize = 1 << 8;
+
+    fn build(dicts: &[Dictionary], columns: &[Column], rows: usize) -> Self {
+        let mut stride = 0;
+        let slots: Vec<Option<usize>> = dicts
+            .iter()
+            .zip(columns)
+            .map(|(dict, col)| {
+                let narrow = matches!(col, Column::Single(_)) && dict.len() <= Self::MAX_VALUES;
+                narrow.then(|| {
+                    stride += 1;
+                    stride - 1
+                })
+            })
+            .collect();
+        let mut bytes = vec![0u8; rows * stride];
+        for (col, slot) in columns.iter().zip(&slots) {
+            if let (Column::Single(codes), Some(slot)) = (col, slot) {
+                for (row, code) in bytes.chunks_exact_mut(stride).zip(codes) {
+                    // Lossless: the dictionary has at most 256 values.
+                    row[*slot] = code.0 as u8;
+                }
+            }
+        }
+        Self {
+            stride,
+            slots,
+            bytes,
+        }
+    }
+
+    /// Bytes per row: the number of packed attributes.
+    pub fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// Byte position of `attr` within a packed row, or `None` when the
+    /// attribute is multi-valued or its dictionary exceeds 256 values.
+    pub fn slot(&self, attr: AttrId) -> Option<usize> {
+        self.slots[attr.index()]
+    }
+
+    /// The packed codes of one row (`stride` bytes).
+    ///
+    /// # Panics
+    /// Panics if `row` is out of range.
+    #[inline]
+    pub fn row(&self, row: u32) -> &[u8] {
+        let start = row as usize * self.stride;
+        &self.bytes[start..start + self.stride]
+    }
+}
+
 /// A fully built, immutable entity table.
 #[derive(Debug, Clone)]
 pub struct EntityTable {
@@ -49,6 +133,9 @@ pub struct EntityTable {
     dicts: Vec<Dictionary>,
     columns: Vec<Column>,
     rows: usize,
+    /// Built by the first [`packed_codes`](Self::packed_codes) call on any
+    /// clone.
+    packed: Arc<OnceLock<PackedCodes>>,
 }
 
 impl EntityTable {
@@ -110,6 +197,7 @@ impl EntityTable {
             dicts,
             columns,
             rows,
+            packed: Arc::default(),
         })
     }
 
@@ -136,6 +224,14 @@ impl EntityTable {
     /// The column of one attribute.
     pub fn column(&self, attr: AttrId) -> &Column {
         &self.columns[attr.index()]
+    }
+
+    /// The row-major packed code matrix of the narrow single-valued
+    /// attributes: one allocation shared by every clone of this table,
+    /// built by whichever clone asks first.
+    pub fn packed_codes(&self) -> &PackedCodes {
+        self.packed
+            .get_or_init(|| PackedCodes::build(&self.dicts, &self.columns, self.rows))
     }
 
     /// The encoded values of `row` for `attr` (slice of length 1 for
@@ -263,6 +359,7 @@ impl EntityTableBuilder {
             dicts: self.dicts,
             columns,
             rows: self.rows,
+            packed: Arc::default(),
         }
     }
 }
@@ -327,6 +424,45 @@ mod tests {
     }
 
     #[test]
+    fn packed_codes_mirror_narrow_single_columns() {
+        let t = restaurant_table();
+        let cuisine = t.schema().attr_by_name("cuisine").unwrap();
+        let state = t.schema().attr_by_name("state").unwrap();
+        let city = t.schema().attr_by_name("city").unwrap();
+        let packed = t.packed_codes();
+        assert_eq!(packed.stride(), 2);
+        assert_eq!(packed.slot(cuisine), None, "multi-valued: no slot");
+        for attr in [state, city] {
+            let slot = packed.slot(attr).unwrap();
+            for row in 0..t.len() as u32 {
+                assert_eq!(
+                    u32::from(packed.row(row)[slot]),
+                    t.values(row, attr)[0].0,
+                    "row {row}"
+                );
+            }
+        }
+        assert!(std::ptr::eq(packed, t.clone().packed_codes()));
+    }
+
+    #[test]
+    fn packed_codes_skip_dictionaries_wider_than_a_byte() {
+        let mut schema = Schema::new();
+        schema.add("wide", false);
+        schema.add("full", false);
+        let mut b = EntityTableBuilder::new(schema);
+        for i in 0..300i64 {
+            b.push_row(vec![Cell::from(i), Cell::from(i % 256)]);
+        }
+        let t = b.build();
+        let packed = t.packed_codes();
+        assert_eq!(packed.slot(AttrId(0)), None, "300 values need two bytes");
+        assert_eq!(packed.slot(AttrId(1)), Some(0), "256 values still fit");
+        assert_eq!(packed.row(255), &[255]);
+        assert_eq!(packed.row(299), &[43]);
+    }
+
+    #[test]
     #[should_panic(expected = "arity")]
     fn arity_mismatch_panics() {
         let mut schema = Schema::new();
@@ -348,5 +484,6 @@ mod tests {
     fn empty_table() {
         let t = EntityTableBuilder::new(Schema::new()).build();
         assert!(t.is_empty());
+        assert_eq!(t.packed_codes().stride(), 0);
     }
 }

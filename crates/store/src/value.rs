@@ -10,12 +10,7 @@ use std::collections::HashMap;
 
 /// Dictionary code for a value of one attribute. Codes are dense
 /// (`0..dictionary.len()`), so per-value accumulators can be flat vectors.
-///
-/// `repr(transparent)` guarantees a `ValueId` is layout-identical to its
-/// `u32` code, which lets code slices be reinterpreted for the SIMD
-/// histogram kernels (see [`ValueId::as_u32_slice`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[repr(transparent)]
 pub struct ValueId(pub u32);
 
 impl ValueId {
@@ -23,15 +18,6 @@ impl ValueId {
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
-    }
-
-    /// Reinterprets a slice of ids as its raw `u32` codes — sound because
-    /// `ValueId` is `repr(transparent)` over `u32`.
-    #[inline]
-    pub fn as_u32_slice(ids: &[ValueId]) -> &[u32] {
-        // SAFETY: `ValueId` is `repr(transparent)` over `u32`, so the two
-        // slice types have identical layout.
-        unsafe { std::slice::from_raw_parts(ids.as_ptr().cast::<u32>(), ids.len()) }
     }
 }
 
