@@ -5,18 +5,29 @@
 //! rating WAL, plus the current [`SubjectiveDb`] behind an `Arc`. Reads are
 //! epoch-consistent by construction: sessions clone the `Arc` once and see
 //! that database version for as long as they hold it, while appends publish
-//! a *new* `Arc` (clone, mutate, swap) rather than mutating shared state —
-//! an engine mid-step never observes a half-applied batch.
+//! a *new* `Arc` rather than mutating shared state — an engine mid-step
+//! never observes a half-applied batch.
+//!
+//! Publishing an epoch is copy-on-append, not copy-the-database
+//! ([`SubjectiveDb::with_appended`]): the next epoch shares the entity
+//! tables, their posting indexes and the rating adjacency base with the
+//! current one through `Arc`s, and owns only the flat rating columns —
+//! copied once, at their final size — with the batch in the adjacency tail.
+//! What stays O(|R|) per append is that one column copy (9 bytes a record
+//! at four dimensions; ≈ 0.2 ms at 200 K ratings), so live epochs cost a
+//! set of rating columns each, not a database each.
 //!
 //! Durability protocol for [`append_ratings`](PersistentStore::append_ratings):
 //!
 //! 1. validate the drafts against the current database (nothing invalid is
 //!    ever made durable),
 //! 2. frame + fsync them into the WAL ([`wal::WalWriter::append_batch`]),
-//! 3. apply in memory and publish the new `Arc` with a bumped epoch.
+//! 3. build the next epoch in memory and publish its `Arc`.
 //!
 //! A crash after step 2 is recovered by [`open`](PersistentStore::open),
-//! which replays the WAL on top of the last snapshot.
+//! which replays the WAL on top of the last snapshot — in place
+//! ([`SubjectiveDb::append_ratings`]; nobody else holds the database yet),
+//! through the same rating-table append the live path runs.
 //! [`compact`](PersistentStore::compact) folds the log into a fresh snapshot
 //! (temp-file + rename) and resets the log; batch sequence numbers make the
 //! crash window between those two steps idempotent.
@@ -59,23 +70,23 @@ pub struct PersistStats {
     pub epoch: u64,
 }
 
-/// Serialized mutable state: the WAL writer and the dirty-record counter
-/// move together under one lock so appends and checkpoints interleave
-/// atomically.
-struct State {
-    wal: wal::WalWriter,
-    dirty: u64,
-}
-
 /// A durable [`SubjectiveDb`] home directory. All methods take `&self`;
 /// share the store behind an `Arc`.
 pub struct PersistentStore {
     dir: PathBuf,
-    state: Mutex<State>,
-    /// The published database. Lock order: `state` before `published`.
+    /// The WAL writer; holding it is the write lock. Appends and
+    /// checkpoints serialize on it — a checkpoint holds it across the whole
+    /// snapshot write — so nothing a reader or a metrics call needs may
+    /// wait for it.
+    wal: Mutex<wal::WalWriter>,
+    /// The published database. Lock order: `wal` before `published`.
     published: Mutex<Arc<SubjectiveDb>>,
     snapshot_bytes: AtomicU64,
     appended: AtomicU64,
+    /// Records appended since the last checkpoint. Written only under
+    /// `wal`, read without it (a statistic and a checkpoint hint, so
+    /// `Relaxed`).
+    dirty: AtomicU64,
     checkpoints: AtomicU64,
     load_micros: u64,
     wal_replayed_batches: u64,
@@ -112,10 +123,11 @@ impl PersistentStore {
         )?;
         Ok(Self {
             dir: dir.to_owned(),
-            state: Mutex::new(State { wal, dirty: 0 }),
+            wal: Mutex::new(wal),
             published: Mutex::new(Arc::new(db)),
             snapshot_bytes: AtomicU64::new(bytes),
             appended: AtomicU64::new(0),
+            dirty: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
             load_micros: 0,
             wal_replayed_batches: 0,
@@ -162,10 +174,11 @@ impl PersistentStore {
 
         Ok(Self {
             dir: dir.to_owned(),
-            state: Mutex::new(State { wal, dirty: 0 }),
+            wal: Mutex::new(wal),
             published: Mutex::new(Arc::new(db)),
             snapshot_bytes: AtomicU64::new(meta.bytes),
             appended: AtomicU64::new(0),
+            dirty: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
             load_micros,
             wal_replayed_batches: replayed_batches,
@@ -184,9 +197,10 @@ impl PersistentStore {
         Arc::clone(&self.published.lock())
     }
 
-    /// Records appended since the last checkpoint.
+    /// Records appended since the last checkpoint. Never waits for an
+    /// append or a checkpoint in progress.
     pub fn dirty_records(&self) -> u64 {
-        self.state.lock().dirty
+        self.dirty.load(Ordering::Relaxed)
     }
 
     /// Durably appends a batch of ratings (WAL fsync, then in-memory apply
@@ -197,58 +211,64 @@ impl PersistentStore {
         if drafts.is_empty() {
             return Ok(self.db().epoch());
         }
-        let mut state = self.state.lock();
+        let mut writer = self.wal.lock();
         let current = self.db();
         // Validate first: a draft the in-memory apply would reject must
         // never be made durable, or replay would fail on it.
         current.check_ratings(drafts)?;
-        state.wal.append_batch(drafts)?;
-        // Clone-mutate-publish: holders of the old Arc keep their epoch.
-        let mut next = SubjectiveDb::clone(&current);
-        next.append_ratings(drafts).expect("drafts validated above");
+        writer.append_batch(drafts)?;
+        // Build the next epoch beside the current one and publish it:
+        // holders of the old Arc keep their epoch, and the two share
+        // everything but the rating columns.
+        let next = current
+            .with_appended(drafts)
+            .expect("drafts validated above");
         let epoch = next.epoch();
         *self.published.lock() = Arc::new(next);
-        state.dirty += drafts.len() as u64;
-        self.appended
-            .fetch_add(drafts.len() as u64, Ordering::Relaxed);
+        let n = drafts.len() as u64;
+        self.dirty.fetch_add(n, Ordering::Relaxed);
+        self.appended.fetch_add(n, Ordering::Relaxed);
         Ok(epoch)
     }
 
     /// Folds every logged batch into a fresh snapshot and resets the WAL.
-    /// Appends block for the duration; readers keep their `Arc`s and
-    /// [`db`](Self::db) stays responsive. Returns the new snapshot size.
+    /// Appends block for the duration; readers keep their `Arc`s, and
+    /// [`db`](Self::db), [`stats`](Self::stats) and
+    /// [`dirty_records`](Self::dirty_records) stay responsive. Returns the
+    /// new snapshot size.
     ///
     /// Crash safety: the snapshot lands via temp-file + rename, and the log
     /// reset also lands via rename. Dying between the two leaves the old
     /// log in place — its batch sequences are all `<= last_seq` of the new
     /// snapshot, so the next open replays none of them.
     pub fn compact(&self) -> Result<u64, StoreError> {
-        let mut state = self.state.lock();
+        let mut writer = self.wal.lock();
         let db = self.db();
-        let seq = state.wal.seq();
+        let seq = writer.seq();
         let bytes = snapshot::write_snapshot(&db, seq, &self.dir.join(SNAPSHOT_FILE))?;
-        state.wal = wal::WalWriter::create_seeded(
+        *writer = wal::WalWriter::create_seeded(
             &self.dir.join(WAL_FILE),
             db.ratings().dim_count(),
             db.ratings().scale(),
             seq,
         )?;
-        state.dirty = 0;
+        self.dirty.store(0, Ordering::Relaxed);
         self.snapshot_bytes.store(bytes, Ordering::Relaxed);
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         Ok(bytes)
     }
 
-    /// A consistent snapshot of the persistence counters.
+    /// The persistence counters as of now. Never waits for an append or a
+    /// checkpoint in progress, so each counter is current but a call racing
+    /// one may see, say, the new epoch before the new dirty count.
     pub fn stats(&self) -> PersistStats {
-        let dirty = self.state.lock().dirty;
         PersistStats {
             snapshot_bytes: self.snapshot_bytes.load(Ordering::Relaxed),
             load_micros: self.load_micros,
             wal_replayed_batches: self.wal_replayed_batches,
             wal_replayed_records: self.wal_replayed_records,
             appended_records: self.appended.load(Ordering::Relaxed),
-            dirty_records: dirty,
+            dirty_records: self.dirty_records(),
             checkpoints: self.checkpoints.load(Ordering::Relaxed),
             epoch: self.db().epoch(),
         }
@@ -307,6 +327,33 @@ mod tests {
         assert_eq!(store.db().epoch(), 1);
         assert_eq!(store.stats().wal_replayed_batches, 1);
         assert_eq!(store.stats().wal_replayed_records, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stats_and_dirty_records_do_not_wait_for_the_write_lock() {
+        // A checkpoint holds the write lock across the whole snapshot
+        // write; hold it here and read the counters from another thread.
+        let dir = temp_dir("lockfree-stats");
+        let store = Arc::new(PersistentStore::create(&dir, small_db()).unwrap());
+        store
+            .append_ratings(&[RatingDraft::new(0, 1, vec![5])])
+            .unwrap();
+        let held = store.wal.lock();
+        let reader = Arc::clone(&store);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            tx.send((reader.stats(), reader.dirty_records())).unwrap();
+        });
+        let (stats, dirty) = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("stats() / dirty_records() must not take the write lock");
+        drop(held);
+        handle.join().unwrap();
+        assert_eq!(dirty, 1);
+        assert_eq!(stats.dirty_records, 1);
+        assert_eq!(stats.appended_records, 1);
+        assert_eq!(stats.epoch, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

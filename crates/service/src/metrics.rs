@@ -26,6 +26,7 @@ pub const LATENCY_BUCKETS_US: [u64; 8] = [
 pub struct ServiceMetrics {
     served: AtomicU64,
     rejected: AtomicU64,
+    panicked: AtomicU64,
     queue_depth_hwm: AtomicU64,
     latency_buckets: [AtomicU64; LATENCY_BUCKETS_US.len()],
     /// Cumulative time steps spent in phase scans, in microseconds.
@@ -81,6 +82,12 @@ impl ServiceMetrics {
     /// Records one submission rejected by backpressure.
     pub fn record_rejected(&self) {
         self.rejected.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one step that panicked (contained by its worker; the session
+    /// was removed).
+    pub fn record_panicked(&self) {
+        self.panicked.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Accumulates the phase-scan component of one served step
@@ -145,6 +152,7 @@ impl ServiceMetrics {
         MetricsSnapshot {
             requests_served: self.served.load(Ordering::Relaxed),
             requests_rejected: self.rejected.load(Ordering::Relaxed),
+            steps_panicked: self.panicked.load(Ordering::Relaxed),
             queue_depth_hwm: self.queue_depth_hwm.load(Ordering::Relaxed) as usize,
             latency_buckets: LATENCY_BUCKETS_US
                 .iter()
@@ -182,6 +190,9 @@ pub struct MetricsSnapshot {
     pub requests_served: u64,
     /// Submissions refused because the queue was full.
     pub requests_rejected: u64,
+    /// Steps that panicked; each cost its request and its session, not the
+    /// worker that ran it.
+    pub steps_panicked: u64,
     /// Deepest the submit queue has ever been.
     pub queue_depth_hwm: usize,
     /// `(upper bound in µs, count)` per latency bucket; the final bound is
@@ -215,9 +226,10 @@ impl std::fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "served {} | rejected {} | queue hwm {} | scan {}µs",
+            "served {} | rejected {} | panicked {} | queue hwm {} | scan {}µs",
             self.requests_served,
             self.requests_rejected,
+            self.steps_panicked,
             self.queue_depth_hwm,
             self.scan_time_total.as_micros()
         )?;

@@ -13,6 +13,7 @@
 //! the queue and joins the workers, draining every job already accepted —
 //! accepted work is never dropped.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -97,6 +98,9 @@ pub enum StepRequest {
     Operation(SelectionQuery),
     /// Take the `idx`-th recommendation offered by the session's last step.
     Recommendation(usize),
+    /// Fault injection: panic inside the step, with the session locked.
+    #[cfg(test)]
+    Panic,
 }
 
 /// Why a submission was not accepted.
@@ -144,6 +148,10 @@ pub enum ServiceError {
     Persist(StoreError),
     /// A persistence-only call on a service started without a store.
     NotPersistent,
+    /// The step panicked. The worker survived, but the session may have
+    /// been left half-updated, so it was removed from the registry; other
+    /// sessions are unaffected.
+    StepPanicked,
 }
 
 impl From<SubmitError> for ServiceError {
@@ -167,6 +175,9 @@ impl std::fmt::Display for ServiceError {
             ServiceError::Persist(e) => write!(f, "persist error: {e}"),
             ServiceError::NotPersistent => {
                 write!(f, "service was started without a persistent store")
+            }
+            ServiceError::StepPanicked => {
+                write!(f, "step panicked; its session was removed")
             }
         }
     }
@@ -218,6 +229,9 @@ pub struct SubdexService {
     submit_tx: Mutex<Option<Sender<Job>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     checkpointer: Mutex<Option<Checkpointer>>,
+    /// The workers' stepping-now counter, for tests to watch.
+    #[cfg(test)]
+    busy: Arc<AtomicUsize>,
 }
 
 impl SubdexService {
@@ -300,6 +314,8 @@ impl SubdexService {
             submit_tx: Mutex::new(Some(tx)),
             workers: Mutex::new(workers),
             checkpointer: Mutex::new(None),
+            #[cfg(test)]
+            busy,
         }
     }
 
@@ -537,33 +553,57 @@ fn worker_loop(
     cores: usize,
     budget_override: usize,
 ) {
+    /// Counts a worker as stepping for as long as it lives — dropped on
+    /// return and on unwind alike, so a panicking step cannot leave `busy`
+    /// raised and shrink every later step's thread budget.
+    struct Stepping<'a>(&'a AtomicUsize);
+    impl Drop for Stepping<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
     while let Ok(job) = rx.recv() {
-        // Split the core budget across whoever is stepping right now; a
-        // fixed configured budget overrides the division.
-        let busy_now = busy.fetch_add(1, Ordering::Relaxed) + 1;
-        let budget = if budget_override > 0 {
-            budget_override
-        } else {
-            (cores / busy_now).max(1)
-        };
-        let outcome = registry.with_session(job.session, |session| {
-            session.set_thread_budget(budget);
-            match &job.request {
-                StepRequest::Operation(query) => Ok(session.apply_operation(query).clone()),
-                StepRequest::Recommendation(idx) => session
-                    .apply_recommendation(*idx)
-                    .cloned()
-                    .map_err(ServiceError::Session),
-            }
-        });
-        busy.fetch_sub(1, Ordering::Relaxed);
+        // A panicking step costs its own request, not the worker: the
+        // unwind stops here, releasing the session lock on its way.
+        // `AssertUnwindSafe`: the only state the closure can leave torn is
+        // the session, which is discarded below without being read again.
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            // Split the core budget across whoever is stepping right now;
+            // a fixed configured budget overrides the division.
+            let busy_now = busy.fetch_add(1, Ordering::Relaxed) + 1;
+            let _stepping = Stepping(busy);
+            let budget = if budget_override > 0 {
+                budget_override
+            } else {
+                (cores / busy_now).max(1)
+            };
+            registry.with_session(job.session, |session| {
+                session.set_thread_budget(budget);
+                match &job.request {
+                    StepRequest::Operation(query) => Ok(session.apply_operation(query).clone()),
+                    StepRequest::Recommendation(idx) => session
+                        .apply_recommendation(*idx)
+                        .cloned()
+                        .map_err(ServiceError::Session),
+                    #[cfg(test)]
+                    StepRequest::Panic => panic!("injected step fault"),
+                }
+            })
+        }));
         let result = match outcome {
-            None => Err(ServiceError::UnknownSession(job.session)),
-            Some(Ok(step)) => {
+            Ok(None) => Err(ServiceError::UnknownSession(job.session)),
+            Ok(Some(Ok(step))) => {
                 metrics.record_step(job.submitted.elapsed(), &step.stats);
                 Ok(step)
             }
-            Some(Err(e)) => Err(e),
+            Ok(Some(Err(e))) => Err(e),
+            Err(_panic) => {
+                // Its normalizers / `ExecContext` may be half-updated.
+                registry.remove(job.session);
+                metrics.record_panicked();
+                Err(ServiceError::StepPanicked)
+            }
         };
         // A client that dropped its ticket just doesn't read the result.
         let _ = job.reply.send(result);
@@ -959,6 +999,49 @@ mod tests {
         }
         assert!(store.stats().checkpoints >= 1, "nudge compacted the WAL");
         assert_eq!(store.dirty_records(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn panicking_step_costs_one_request_not_a_worker() {
+        let dir = persist_dir("panic");
+        let db = Arc::unwrap_or_clone(test_db());
+        let store = Arc::new(PersistentStore::create(&dir, db).unwrap());
+        // One worker: had the panic killed it, nothing below would be served.
+        let config = ServiceConfig {
+            workers: 1,
+            ..quick_config()
+        };
+        let service = SubdexService::start_persistent(store, config);
+        let victim = service.create_session();
+        let bystander = service.create_session();
+        service
+            .run_step(bystander, StepRequest::Operation(SelectionQuery::all()))
+            .unwrap();
+
+        assert_eq!(
+            service.run_step(victim, StepRequest::Panic).unwrap_err(),
+            ServiceError::StepPanicked
+        );
+        assert_eq!(service.busy.load(Ordering::Relaxed), 0, "budget restored");
+        assert!(!service.registry().contains(victim), "session quarantined");
+        assert_eq!(
+            service
+                .run_step(victim, StepRequest::Operation(SelectionQuery::all()))
+                .unwrap_err(),
+            ServiceError::UnknownSession(victim)
+        );
+
+        // The same worker keeps serving other sessions, and writes go on.
+        let step = service
+            .run_step(bystander, StepRequest::Recommendation(0))
+            .unwrap();
+        assert_eq!(step.step, 1);
+        assert_eq!(service.append_ratings(&drafts(3)).unwrap(), 1);
+        let m = service.metrics();
+        assert_eq!(m.steps_panicked, 1);
+        assert_eq!(m.requests_served, 2);
+        assert!(m.to_string().contains("panicked 1"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

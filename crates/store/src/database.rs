@@ -59,8 +59,8 @@ pub enum GroupRoute {
 }
 
 /// Lifetime query counters of one database's index layer. Shared across
-/// database clones through an `Arc`, so the persistence layer's
-/// clone-and-swap publish does not reset them.
+/// database clones and epochs through an `Arc`, so the persistence layer's
+/// publish of a new epoch does not reset them.
 #[derive(Debug, Default)]
 struct IndexCounters {
     /// Conjunctive container intersections served by `select_group`.
@@ -99,14 +99,19 @@ pub struct IndexStats {
 /// is [`append_ratings`](Self::append_ratings), which requires `&mut self`
 /// and bumps the [`epoch`](Self::epoch). Holders of an `Arc<SubjectiveDb>`
 /// therefore always see an epoch-consistent view: the persistence layer
-/// publishes appends by cloning, mutating the clone, and swapping the `Arc`.
+/// publishes an append by building the next epoch beside the current one
+/// ([`with_appended`](Self::with_appended)) and swapping the `Arc`.
+///
+/// Appends add ratings, never entities, so the entity tables and their
+/// posting indexes sit behind `Arc`s that every epoch (and every `clone`)
+/// of one database shares; only the rating table is per-epoch.
 #[derive(Debug, Clone)]
 pub struct SubjectiveDb {
-    reviewers: EntityTable,
-    items: EntityTable,
+    reviewers: Arc<EntityTable>,
+    items: Arc<EntityTable>,
     ratings: RatingTable,
-    reviewer_index: CompressedIndex,
-    item_index: CompressedIndex,
+    reviewer_index: Arc<CompressedIndex>,
+    item_index: Arc<CompressedIndex>,
     /// Lifetime query counters, shared across clones (see [`IndexCounters`]).
     counters: Arc<IndexCounters>,
     /// Bumped on every rating append; group and distance caches key their
@@ -133,11 +138,11 @@ impl SubjectiveDb {
         let reviewer_index = CompressedIndex::from_inverted(&InvertedIndex::build(&reviewers));
         let item_index = CompressedIndex::from_inverted(&InvertedIndex::build(&items));
         Self {
-            reviewers,
-            items,
+            reviewers: Arc::new(reviewers),
+            items: Arc::new(items),
             ratings,
-            reviewer_index,
-            item_index,
+            reviewer_index: Arc::new(reviewer_index),
+            item_index: Arc::new(item_index),
             counters: Arc::new(IndexCounters::default()),
             epoch: 0,
         }
@@ -175,18 +180,19 @@ impl SubjectiveDb {
             ));
         }
         Ok(Self {
-            reviewers,
-            items,
+            reviewers: Arc::new(reviewers),
+            items: Arc::new(items),
             ratings,
-            reviewer_index,
-            item_index,
+            reviewer_index: Arc::new(reviewer_index),
+            item_index: Arc::new(item_index),
             counters: Arc::new(IndexCounters::default()),
             epoch,
         })
     }
 
     /// The append epoch: 0 for a freshly built database, bumped by every
-    /// [`append_ratings`](Self::append_ratings). Caches of derived group
+    /// [`append_ratings`](Self::append_ratings) /
+    /// [`with_appended`](Self::with_appended). Caches of derived group
     /// state are valid only for the epoch they were built against.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -203,9 +209,13 @@ impl SubjectiveDb {
             .check_drafts(drafts, self.reviewers.len(), self.items.len())
     }
 
-    /// Appends rating records, rebuilding the adjacency indexes and bumping
-    /// the epoch. The entity-side inverted indexes are untouched — appends
-    /// add ratings, not entities — but any cached rating-group
+    /// Appends rating records in place and bumps the epoch (the WAL-replay
+    /// path; a published database grows through
+    /// [`with_appended`](Self::with_appended) instead). The new records join
+    /// the rating table's adjacency tail — see
+    /// [`RatingTable::append_drafts`] for when the adjacency base is
+    /// rebuilt. The entity tables and their posting indexes are untouched —
+    /// appends add ratings, not entities — but any cached rating-group
     /// materialization is stale after this returns; callers invalidate
     /// their `GroupCache`/`DistanceCache` via the new epoch.
     pub fn append_ratings(
@@ -217,6 +227,31 @@ impl SubjectiveDb {
             .append_drafts(drafts, self.reviewers.len(), self.items.len());
         self.epoch += 1;
         Ok(())
+    }
+
+    /// Copy-on-append: the next epoch of this database — its records
+    /// followed by `drafts` — leaving `self` untouched for whoever still
+    /// reads it. Costs one exact-size copy of the flat rating columns plus
+    /// O(`drafts`): both entity tables, both posting indexes, the query
+    /// counters and (until the tail outgrows it) the adjacency base are
+    /// shared with `self`, not copied. The result equals `clone()` followed
+    /// by [`append_ratings`](Self::append_ratings), column for column.
+    pub fn with_appended(
+        &self,
+        drafts: &[crate::ratings::RatingDraft],
+    ) -> Result<Self, crate::error::StoreError> {
+        self.check_ratings(drafts)?;
+        Ok(Self {
+            reviewers: Arc::clone(&self.reviewers),
+            items: Arc::clone(&self.items),
+            ratings: self
+                .ratings
+                .with_appended(drafts, self.reviewers.len(), self.items.len()),
+            reviewer_index: Arc::clone(&self.reviewer_index),
+            item_index: Arc::clone(&self.item_index),
+            counters: Arc::clone(&self.counters),
+            epoch: self.epoch + 1,
+        })
     }
 
     /// The reviewer table `U`.
@@ -461,6 +496,17 @@ impl SubjectiveDb {
             }
         }
         records.sort_unstable();
+        // Records appended since the adjacency base was built are in no
+        // adjacency list. Their ids exceed every base id and ascend, so
+        // filtering them in order after the sort keeps the canonical order
+        // — and byte-identity with the probe, which scans them in place.
+        for rec in self.ratings.indexed_len() as u32..self.ratings.len() as u32 {
+            if g_u.contains(self.ratings.reviewer_of(rec))
+                && g_i.contains(self.ratings.item_of(rec))
+            {
+                records.push(rec);
+            }
+        }
         (records, GroupRoute::Walk)
     }
 
@@ -978,25 +1024,44 @@ mod tests {
     }
 
     #[test]
-    fn clone_and_append_share_the_packed_code_matrices() {
-        // The persistence layer publishes an append as clone → mutate →
-        // swap; the derived packed matrices must ride along as the same
-        // allocation, not be rebuilt or copied per epoch — whether the
-        // clone was taken before the first use (reviewers here) or after
-        // it (items).
+    fn with_appended_shares_everything_an_append_cannot_change() {
+        use crate::ratings::{RatingDraft, RatingTable};
         let db = figure2_db();
+        // Built before the append (items) or after it (reviewers): the
+        // packed matrix lives in the shared table either way.
         db.items().packed_codes();
-        let mut next = db.clone();
         let dims = db.ratings().dim_count();
-        next.append_ratings(&[crate::ratings::RatingDraft::new(3, 3, vec![1; dims])])
-            .unwrap();
+        let draft = RatingDraft::new(3, 3, vec![1; dims]);
+
+        let shares_entities = |next: &SubjectiveDb| {
+            Arc::ptr_eq(&next.reviewers, &db.reviewers)
+                && Arc::ptr_eq(&next.items, &db.items)
+                && Arc::ptr_eq(&next.reviewer_index, &db.reviewer_index)
+                && Arc::ptr_eq(&next.item_index, &db.item_index)
+                && Arc::ptr_eq(&next.counters, &db.counters)
+                && [Entity::Reviewer, Entity::Item]
+                    .into_iter()
+                    .all(|e| std::ptr::eq(next.table(e).packed_codes(), db.table(e).packed_codes()))
+        };
+
+        // Below the re-index threshold the adjacency base is shared too.
+        let next = db.with_appended(std::slice::from_ref(&draft)).unwrap();
         assert_eq!(next.epoch(), db.epoch() + 1);
-        for entity in [Entity::Reviewer, Entity::Item] {
-            assert!(std::ptr::eq(
-                next.table(entity).packed_codes(),
-                db.table(entity).packed_codes()
-            ));
-        }
+        assert_eq!(next.ratings().len(), db.ratings().len() + 1);
+        assert_eq!(next.ratings().indexed_len(), db.ratings().len());
+        assert!(shares_entities(&next));
+        assert!(next.ratings().shares_adjacency_with(db.ratings()));
+
+        // Above it only the adjacency is new.
+        let big = vec![draft; RatingTable::tail_limit(db.ratings().len()) + 1];
+        let next = db.with_appended(&big).unwrap();
+        assert_eq!(next.ratings().indexed_len(), next.ratings().len());
+        assert!(shares_entities(&next));
+        assert!(!next.ratings().shares_adjacency_with(db.ratings()));
+
+        // The parent is untouched by either.
+        assert_eq!(db.epoch(), 0);
+        assert_eq!(db.ratings().len(), 4);
     }
 
     #[test]

@@ -7,6 +7,16 @@
 //! contiguous byte walk. CSR adjacency (reviewer → records, item → records)
 //! supports fast rating-group materialization when one side of the
 //! selection is small.
+//!
+//! The adjacency is *base + tail*: the two CSRs cover records
+//! `[0, indexed_len)` and sit behind `Arc`s, so a table grown by an append
+//! shares them with its predecessor; records appended since are the tail
+//! `[indexed_len, len)`, which a walk filters row by row. The base is
+//! rebuilt only once the tail outgrows a fixed fraction of it
+//! ([`RatingTable::tail_limit`]), so indexing costs amortized O(1) per
+//! appended record instead of two counting sorts per batch.
+
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -52,19 +62,21 @@ impl RatingDraft {
 /// The rating table `R`.
 #[derive(Debug, Clone)]
 pub struct RatingTable {
-    dim_names: Vec<String>,
+    dim_names: Arc<[String]>,
     scale: u8,
     reviewers: Vec<u32>,
     items: Vec<u32>,
     /// `scores[d][rec]` — score of record `rec` on dimension `d`.
     scores: Vec<Vec<u8>>,
-    /// CSR reviewer → record ids.
-    by_reviewer: Csr,
-    /// CSR item → record ids.
-    by_item: Csr,
+    /// CSR reviewer → record ids, over records `[0, indexed_len)`.
+    by_reviewer: Arc<Csr>,
+    /// CSR item → record ids, over records `[0, indexed_len)`.
+    by_item: Arc<Csr>,
+    /// Records below this are in the adjacency base; the rest are the tail.
+    indexed_len: usize,
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 struct Csr {
     offsets: Vec<u32>,
     records: Vec<RecordId>,
@@ -173,20 +185,47 @@ impl RatingTable {
         &self.items
     }
 
-    /// Record ids rated by `reviewer`.
+    /// Number of records the adjacency base covers: records below it are
+    /// reachable through [`records_of_reviewer`](Self::records_of_reviewer)
+    /// / [`records_of_item`](Self::records_of_item), records
+    /// `indexed_len()..len()` are the unindexed tail appended since the
+    /// base was built. Equal to `len()` for a freshly built or loaded table.
+    pub fn indexed_len(&self) -> usize {
+        self.indexed_len
+    }
+
+    /// Base-adjacency record ids rated by `reviewer`, ascending. Tail
+    /// records (see [`indexed_len`](Self::indexed_len)) are not listed.
     pub fn records_of_reviewer(&self, reviewer: u32) -> &[RecordId] {
         self.by_reviewer.records_of(reviewer)
     }
 
-    /// Record ids rating `item`.
+    /// Base-adjacency record ids rating `item`, ascending. Tail records
+    /// (see [`indexed_len`](Self::indexed_len)) are not listed.
     pub fn records_of_item(&self, item: u32) -> &[RecordId] {
         self.by_item.records_of(item)
     }
 
+    /// Largest tail a base over `indexed` records tolerates before the
+    /// next append re-indexes. A constant fraction of the base makes the
+    /// rebuild amortized O(1) per appended record; the floor keeps small
+    /// tables from re-sorting on every batch. What the tail costs is one
+    /// filter pass over it per adjacency walk, a few ns a record.
+    pub fn tail_limit(indexed: usize) -> usize {
+        (indexed / 8).max(4096)
+    }
+
+    /// Whether both adjacency bases are the very allocations `other` uses.
+    #[cfg(test)]
+    pub(crate) fn shares_adjacency_with(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.by_reviewer, &other.by_reviewer)
+            && Arc::ptr_eq(&self.by_item, &other.by_item)
+    }
+
     /// Reassembles a table from its raw columns (the snapshot-load path),
     /// validating column agreement, id ranges and the score scale, then
-    /// rebuilding both adjacency indexes (cheaper to rebuild in one `O(R)`
-    /// pass than to store).
+    /// rebuilding both adjacency indexes over every record (cheaper to
+    /// rebuild in one `O(R)` pass than to store).
     pub fn from_parts(
         dim_names: Vec<String>,
         scale: u8,
@@ -229,17 +268,37 @@ impl RatingTable {
                 "rating score outside 1..={scale}"
             )));
         }
-        let by_reviewer = Csr::build(&reviewers, reviewer_count);
-        let by_item = Csr::build(&items, item_count);
-        Ok(Self {
+        Ok(Self::indexed(
             dim_names,
             scale,
             reviewers,
             items,
             scores,
-            by_reviewer,
-            by_item,
-        })
+            reviewer_count,
+            item_count,
+        ))
+    }
+
+    /// Assembles a table from validated columns with a full adjacency base.
+    fn indexed(
+        dim_names: Vec<String>,
+        scale: u8,
+        reviewers: Vec<u32>,
+        items: Vec<u32>,
+        scores: Vec<Vec<u8>>,
+        reviewer_count: usize,
+        item_count: usize,
+    ) -> Self {
+        Self {
+            dim_names: dim_names.into(),
+            scale,
+            by_reviewer: Arc::new(Csr::build(&reviewers, reviewer_count)),
+            by_item: Arc::new(Csr::build(&items, item_count)),
+            indexed_len: reviewers.len(),
+            reviewers,
+            items,
+            scores,
+        }
     }
 
     /// Validates a batch of drafts against this table's shape without
@@ -282,10 +341,11 @@ impl RatingTable {
         Ok(())
     }
 
-    /// Appends validated drafts, extending every column and rebuilding both
-    /// adjacency indexes. Callers must have run
-    /// [`check_drafts`](Self::check_drafts) (re-checked here in debug
-    /// builds).
+    /// Appends validated drafts in place: extends every column, leaving the
+    /// new records in the adjacency tail, and rebuilds the base only when
+    /// the tail has outgrown [`tail_limit`](Self::tail_limit). Callers must
+    /// have run [`check_drafts`](Self::check_drafts) (re-checked here in
+    /// debug builds).
     pub fn append_drafts(
         &mut self,
         drafts: &[RatingDraft],
@@ -302,8 +362,42 @@ impl RatingTable {
                 col.push(s);
             }
         }
-        self.by_reviewer = Csr::build(&self.reviewers, reviewer_count);
-        self.by_item = Csr::build(&self.items, item_count);
+        if self.len() - self.indexed_len > Self::tail_limit(self.indexed_len) {
+            self.by_reviewer = Arc::new(Csr::build(&self.reviewers, reviewer_count));
+            self.by_item = Arc::new(Csr::build(&self.items, item_count));
+            self.indexed_len = self.len();
+        }
+    }
+
+    /// Copy-on-append: a new table holding this one's records followed by
+    /// `drafts`, leaving `self` untouched. Each column is allocated once at
+    /// its final size and the adjacency base is shared, not copied; the
+    /// drafts then go through [`append_drafts`](Self::append_drafts), so
+    /// the result equals `clone()` + `append_drafts` field for field.
+    pub fn with_appended(
+        &self,
+        drafts: &[RatingDraft],
+        reviewer_count: usize,
+        item_count: usize,
+    ) -> Self {
+        fn grown<T: Copy>(col: &[T], extra: usize) -> Vec<T> {
+            let mut next = Vec::with_capacity(col.len() + extra);
+            next.extend_from_slice(col);
+            next
+        }
+        let extra = drafts.len();
+        let mut next = Self {
+            dim_names: Arc::clone(&self.dim_names),
+            scale: self.scale,
+            reviewers: grown(&self.reviewers, extra),
+            items: grown(&self.items, extra),
+            scores: self.scores.iter().map(|col| grown(col, extra)).collect(),
+            by_reviewer: Arc::clone(&self.by_reviewer),
+            by_item: Arc::clone(&self.by_item),
+            indexed_len: self.indexed_len,
+        };
+        next.append_drafts(drafts, reviewer_count, item_count);
+        next
     }
 }
 
@@ -406,17 +500,15 @@ impl RatingTableBuilder {
         for &i in &self.items {
             assert!((i as usize) < item_count, "item id {i} out of range");
         }
-        let by_reviewer = Csr::build(&self.reviewers, reviewer_count);
-        let by_item = Csr::build(&self.items, item_count);
-        RatingTable {
-            dim_names: self.dim_names,
-            scale: self.scale,
-            reviewers: self.reviewers,
-            items: self.items,
-            scores: self.scores,
-            by_reviewer,
-            by_item,
-        }
+        RatingTable::indexed(
+            self.dim_names,
+            self.scale,
+            self.reviewers,
+            self.items,
+            self.scores,
+            reviewer_count,
+            item_count,
+        )
     }
 }
 

@@ -10,7 +10,7 @@
 //! scan that needs several attributes of one row reads one short contiguous
 //! run instead of one slot in each attribute's column.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use crate::column::{Column, CsrColumn};
 use crate::schema::{AttrId, Schema};
@@ -59,9 +59,9 @@ impl From<Vec<Value>> for Cell {
 /// Derived data: a pure function of the columns, so it is never persisted.
 /// It is built on first use rather than with the table (a transposition of
 /// every packed column; opening a snapshot should not pay for scans it may
-/// never run), in a cell that every clone of the table shares — tables are
-/// immutable, and the persistence layer clones the whole database per
-/// append — so it is built at most once however many epochs follow.
+/// never run), in a cell of the table itself — tables are immutable and every
+/// epoch of a database shares one `Arc<EntityTable>`, so it is built at most
+/// once however many appends follow.
 #[derive(Debug)]
 pub struct PackedCodes {
     stride: usize,
@@ -126,16 +126,16 @@ impl PackedCodes {
     }
 }
 
-/// A fully built, immutable entity table.
-#[derive(Debug, Clone)]
+/// A fully built, immutable entity table. Not `Clone`: a database shares
+/// its tables behind `Arc`s instead of copying them.
+#[derive(Debug)]
 pub struct EntityTable {
     schema: Schema,
     dicts: Vec<Dictionary>,
     columns: Vec<Column>,
     rows: usize,
-    /// Built by the first [`packed_codes`](Self::packed_codes) call on any
-    /// clone.
-    packed: Arc<OnceLock<PackedCodes>>,
+    /// Built by the first [`packed_codes`](Self::packed_codes) call.
+    packed: OnceLock<PackedCodes>,
 }
 
 impl EntityTable {
@@ -197,7 +197,7 @@ impl EntityTable {
             dicts,
             columns,
             rows,
-            packed: Arc::default(),
+            packed: OnceLock::new(),
         })
     }
 
@@ -227,8 +227,7 @@ impl EntityTable {
     }
 
     /// The row-major packed code matrix of the narrow single-valued
-    /// attributes: one allocation shared by every clone of this table,
-    /// built by whichever clone asks first.
+    /// attributes, built by the first call.
     pub fn packed_codes(&self) -> &PackedCodes {
         self.packed
             .get_or_init(|| PackedCodes::build(&self.dicts, &self.columns, self.rows))
@@ -359,7 +358,7 @@ impl EntityTableBuilder {
             dicts: self.dicts,
             columns,
             rows: self.rows,
-            packed: Arc::default(),
+            packed: OnceLock::new(),
         }
     }
 }
@@ -442,7 +441,7 @@ mod tests {
                 );
             }
         }
-        assert!(std::ptr::eq(packed, t.clone().packed_codes()));
+        assert!(std::ptr::eq(packed, t.packed_codes()), "built once");
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! These are the byte-identity contracts the group cache and the snapshot
 //! format rely on: every materialization route — walk, index probe, and
 //! multi-predicate derivation from an ancestor's columns — must produce
-//! the same canonical ascending record order.
+//! the same canonical ascending record order — also after appends, when the
+//! walk reads an adjacency base plus an unindexed tail.
 
 use proptest::prelude::*;
 use proptest::strategy::Just;
@@ -14,8 +15,8 @@ use std::collections::BTreeSet;
 
 use subdex_stats::kernels::KernelPath;
 use subdex_store::{
-    AttrValue, Cell, Entity, EntityTableBuilder, GroupRoute, RatingTableBuilder, Schema,
-    SelectionQuery, SubjectiveDb, Value,
+    AttrValue, Cell, Entity, EntityTableBuilder, GroupColumns, GroupRoute, RatingDraft,
+    RatingTable, RatingTableBuilder, Schema, SelectionQuery, SubjectiveDb, Value,
 };
 
 /// Random database whose reviewer attributes are laid out to provoke every
@@ -141,8 +142,164 @@ fn naive_rows(spec: &Spec, p: &AttrValue, db: &SubjectiveDb) -> Vec<u32> {
         .collect()
 }
 
+/// One appended batch: how its size relates to the re-index threshold,
+/// and the seed its drafts are drawn from.
+#[derive(Debug, Clone, Copy)]
+enum BatchSize {
+    /// A handful of drafts: stays in the tail.
+    Small(usize),
+    /// Grows the tail to exactly its limit: the largest tail never indexed.
+    FillTail,
+    /// Pushes the tail this far past its limit: the base is rebuilt.
+    Overflow(usize),
+}
+
+fn batch_plan() -> impl Strategy<Value = Vec<(BatchSize, u64)>> {
+    prop::collection::vec((0u8..4, 1usize..48, 0u64..u64::MAX), 0..5).prop_map(|raw| {
+        raw.into_iter()
+            .map(|(kind, n, seed)| {
+                let size = match kind {
+                    0 | 1 => BatchSize::Small(n),
+                    2 => BatchSize::FillTail,
+                    _ => BatchSize::Overflow(n),
+                };
+                (size, seed)
+            })
+            .collect()
+    })
+}
+
+/// Seeded drafts over the whole reviewer × item grid, so they land on
+/// entities with and without earlier ratings (a spec rates at most 200 of
+/// up to 96 × 10 pairs), repeats included.
+fn drafts_for(db: &SubjectiveDb, size: BatchSize, seed: u64) -> Vec<RatingDraft> {
+    let ratings = db.ratings();
+    let tail = ratings.len() - ratings.indexed_len();
+    let room = RatingTable::tail_limit(ratings.indexed_len()) - tail;
+    let n = match size {
+        BatchSize::Small(n) => n,
+        BatchSize::FillTail => room,
+        BatchSize::Overflow(n) => room + n,
+    };
+    let mut state = seed;
+    let mut next = |span: usize| {
+        // SplitMix64.
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % span as u64) as u32
+    };
+    (0..n)
+        .map(|_| {
+            let reviewer = next(db.reviewers().len());
+            let item = next(db.items().len());
+            RatingDraft::new(reviewer, item, vec![1 + next(5) as u8])
+        })
+        .collect()
+}
+
+/// Row-at-a-time reference for a rating group: every record, in id order,
+/// whose reviewer row and item row carry every predicate's value — read
+/// from the entity columns, not from any index or adjacency list.
+fn filtered_rows(db: &SubjectiveDb, q: &SelectionQuery) -> Vec<u32> {
+    let ratings = db.ratings();
+    (0..ratings.len() as u32)
+        .filter(|&rec| {
+            q.preds().iter().all(|p| {
+                let row = match p.entity {
+                    Entity::Reviewer => ratings.reviewer_of(rec),
+                    Entity::Item => ratings.item_of(rec),
+                };
+                db.table(p.entity).row_has(row, p.attr, p.value)
+            })
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Appends leave new records in an unindexed adjacency tail until it
+    /// outgrows a fraction of the base. Whatever mix of batches came
+    /// before — tail empty, partly full, full to the limit, just rebuilt —
+    /// the walk (base + tail), the probe and a row-at-a-time filter name
+    /// the same ascending records, a derivation from a parent walked
+    /// across the tail equals the child's own walk, and the copy-on-append
+    /// constructor builds what clone-then-append-in-place builds.
+    #[test]
+    fn walk_probe_and_row_filter_agree_across_appended_tails(
+        sp in spec(),
+        plan in batch_plan(),
+        queries in prop::collection::vec(
+            prop::collection::vec((0u8..5, 0u8..32), 0..5), 1..4),
+        mask in 0u8..16,
+    ) {
+        let mut db = build(&sp);
+        for step in 0..=plan.len() {
+            if step > 0 {
+                let (size, seed) = plan[step - 1];
+                let drafts = drafts_for(&db, size, seed);
+                let mut in_place = db.clone();
+                in_place.append_ratings(&drafts).expect("valid drafts");
+                let next = db.with_appended(&drafts).expect("valid drafts");
+
+                let (a, b) = (next.ratings(), in_place.ratings());
+                prop_assert_eq!(next.epoch(), db.epoch() + 1);
+                prop_assert_eq!(next.epoch(), in_place.epoch());
+                prop_assert_eq!(a.len(), db.ratings().len() + drafts.len());
+                prop_assert_eq!(a.reviewer_column(), b.reviewer_column());
+                prop_assert_eq!(a.item_column(), b.item_column());
+                for dim in a.dims() {
+                    prop_assert_eq!(a.score_column(dim), b.score_column(dim));
+                }
+                prop_assert_eq!(a.indexed_len(), b.indexed_len());
+                for r in 0..next.reviewers().len() as u32 {
+                    prop_assert_eq!(a.records_of_reviewer(r), b.records_of_reviewer(r));
+                }
+                for i in 0..next.items().len() as u32 {
+                    prop_assert_eq!(a.records_of_item(i), b.records_of_item(i));
+                }
+                // The base is rebuilt exactly when the tail outgrows its limit.
+                let before = db.ratings();
+                let tail = a.len() - before.indexed_len();
+                let expect_indexed = if tail > RatingTable::tail_limit(before.indexed_len()) {
+                    a.len()
+                } else {
+                    before.indexed_len()
+                };
+                prop_assert_eq!(a.indexed_len(), expect_indexed, "batch {:?}", size);
+                db = next;
+            }
+
+            for picks in &queries {
+                let preds = pick_preds(&db, picks);
+                let q = SelectionQuery::from_preds(preds.clone());
+                let expect = filtered_rows(&db, &q);
+                let (walked, _) = db.collect_group_records_routed(&q, Some(GroupRoute::Walk));
+                let (probed, _) = db.collect_group_records_routed(&q, Some(GroupRoute::Probe));
+                prop_assert_eq!(&walked, &expect, "walk vs row filter, step {}", step);
+                prop_assert_eq!(&probed, &expect, "probe vs row filter, step {}", step);
+                prop_assert!(walked.windows(2).all(|w| w[0] < w[1]), "canonical ascending");
+
+                let (kept, added): (Vec<_>, Vec<_>) = preds
+                    .iter()
+                    .enumerate()
+                    .partition(|(i, _)| mask & (1 << (i % 4)) != 0);
+                let added: Vec<AttrValue> = added.into_iter().map(|(_, p)| *p).collect();
+                if added.is_empty() {
+                    continue;
+                }
+                let parent_q = SelectionQuery::from_preds(
+                    kept.into_iter().map(|(_, p)| *p).collect::<Vec<_>>());
+                let (parent, _) =
+                    db.collect_group_records_routed(&parent_q, Some(GroupRoute::Walk));
+                let parent = GroupColumns::gather(db.ratings(), parent);
+                let derived = db.derive_refinement_columns_multi(&parent, &added);
+                prop_assert_eq!(derived, GroupColumns::gather(db.ratings(), walked));
+            }
+        }
+    }
 
     /// The walk route, the probe route, and the planner's own choice all
     /// produce the identical canonical ascending record list for every
