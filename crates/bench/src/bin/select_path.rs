@@ -28,7 +28,7 @@ use std::time::Duration;
 use subdex_bench::harness::{yelp_at, Scale};
 use subdex_core::generator::{self, CriterionNormalizers, GeneratorConfig};
 use subdex_core::ratingmap::ScoredRatingMap;
-use subdex_core::recommend::{recommend_with_stats, RecommendConfig};
+use subdex_core::recommend::{recommend, RecommendConfig, RecommendScratch};
 use subdex_core::selector::{select_diverse_tracked, SelectionStrategy};
 use subdex_core::{DistanceEngine, MapKey, SeenContext, SelectionStats};
 use subdex_store::{DistanceCache, SelectionQuery, SubjectiveDb};
@@ -114,8 +114,18 @@ fn main() {
         for _ in 0..4 {
             let maps: Vec<ScoredRatingMap> =
                 generate_pool(&db, &query, 9).into_iter().take(9).collect();
-            let (recs, _, _) = recommend_with_stats(
-                &db, &query, &maps, &seen, &norms, &gen_cfg, &rec_cfg, 7, None, None, None,
+            let (recs, _, _) = recommend(
+                &db,
+                &query,
+                &maps,
+                &seen,
+                &norms,
+                &gen_cfg,
+                &rec_cfg,
+                7,
+                None,
+                None,
+                &mut RecommendScratch::default(),
             );
             let next = recs.first().map(|r| r.query.clone());
             queries.push(query.clone());

@@ -1,6 +1,6 @@
 //! Service throughput: aggregate steps/sec of the multi-session server as
-//! a function of worker-pool size and the shared group cache, plus a
-//! steady-state allocation probe for the per-session `ExecContext`.
+//! a function of worker-pool size and thread budget, plus a steady-state
+//! allocation probe for the per-session `ExecContext`.
 //!
 //! ```text
 //! service_throughput [--quick] [--out BENCH_service.json]
@@ -8,12 +8,10 @@
 //!
 //! For every cell of workers {1, 2, 4} (clamped to the host's available
 //! cores — oversubscribed cells measure scheduler noise, not scaling) ×
-//! thread budget {1, auto} × cache {off, on}, the benchmark starts a fresh
-//! `SubdexService` over the same Yelp-like database, drives 16
-//! recommendation-powered sessions (overlapping scripts, so the cache has
-//! real sharing to exploit) from 8 client threads, and reports steps/sec,
-//! the observed cache hit rate, the scaling efficiency against the
-//! 1-worker cell of the same budget × cache configuration
+//! thread budget {1, auto}, the benchmark starts a fresh `SubdexService`
+//! over the same Yelp-like database, drives 16 recommendation-powered
+//! sessions from 8 client threads, and reports steps/sec, the scaling
+//! efficiency against the 1-worker cell of the same budget
 //! (`steps_per_sec / (workers × steps_per_sec₁)`), and the process CPU
 //! utilization over the cell (utime + stime from `/proc/self/stat` divided
 //! by wall time × host cores).
@@ -137,12 +135,10 @@ fn main() {
     );
 
     println!(
-        "| {:>7} | {:>6} | {:>5} | {:>9} | {:>9} | {:>6} | {:>7} | {:>8} | {:>8} |",
-        "workers", "budget", "cache", "steps/sec", "hit rate", "eff", "cpu", "rejects", "q hwm"
+        "| {:>7} | {:>6} | {:>9} | {:>6} | {:>7} | {:>8} | {:>8} |",
+        "workers", "budget", "steps/sec", "eff", "cpu", "rejects", "q hwm"
     );
-    println!(
-        "|---------|--------|-------|-----------|-----------|--------|---------|----------|----------|"
-    );
+    println!("|---------|--------|-----------|--------|---------|----------|----------|");
 
     // Clamp the worker axis to the host: a cell with more workers than
     // cores measures oversubscription noise, not scaling. Dedup keeps the
@@ -151,22 +147,20 @@ fn main() {
     worker_grid.dedup();
 
     // Sweep the grid first, then derive scaling efficiency against the
-    // 1-worker cell of the same budget × cache configuration.
-    let mut cells: Vec<(usize, usize, bool, Cell)> = Vec::new();
+    // 1-worker cell of the same budget.
+    let mut cells: Vec<(usize, usize, Cell)> = Vec::new();
     for &workers in &worker_grid {
         for &thread_budget in &[1usize, 0] {
-            for &cache_enabled in &[false, true] {
-                let cell = run_cell(&db, workers, thread_budget, cache_enabled, steps);
-                cells.push((workers, thread_budget, cache_enabled, cell));
-            }
+            let cell = run_cell(&db, workers, thread_budget, steps);
+            cells.push((workers, thread_budget, cell));
         }
     }
     let mut json_rows: Vec<String> = Vec::new();
-    for &(workers, thread_budget, cache_enabled, ref cell) in &cells {
+    for &(workers, thread_budget, ref cell) in &cells {
         let base = cells
             .iter()
-            .find(|&&(w, b, c, _)| w == 1 && b == thread_budget && c == cache_enabled)
-            .map(|(_, _, _, c)| c.steps_per_sec)
+            .find(|&&(w, b, _)| w == 1 && b == thread_budget)
+            .map(|(_, _, c)| c.steps_per_sec)
             .unwrap_or(cell.steps_per_sec);
         let efficiency = if base > 0.0 {
             cell.steps_per_sec / (workers as f64 * base)
@@ -179,18 +173,14 @@ fn main() {
             .cpu_secs
             .map(|cpu| cpu / (cell.wall_secs * host_cores as f64));
         println!(
-            "| {:>7} | {:>6} | {:>5} | {:>9.1} | {:>9} | {:>6.2} | {:>7} | {:>8} | {:>8} |",
+            "| {:>7} | {:>6} | {:>9.1} | {:>6.2} | {:>7} | {:>8} | {:>8} |",
             workers,
             if thread_budget == 0 {
                 "auto".to_string()
             } else {
                 thread_budget.to_string()
             },
-            if cache_enabled { "on" } else { "off" },
             cell.steps_per_sec,
-            cell.hit_rate
-                .map(|r| format!("{:.1}%", 100.0 * r))
-                .unwrap_or_else(|| "—".into()),
             efficiency,
             cpu_util
                 .map(|u| format!("{:.1}%", 100.0 * u))
@@ -199,7 +189,7 @@ fn main() {
             cell.queue_hwm,
         );
         json_rows.push(format!(
-            "    {{\"workers\": {workers}, \"thread_budget\": {thread_budget}, \"cache\": {cache_enabled}, \"steps_per_sec\": {:.3}, \"scaling_efficiency\": {:.4}, \"cpu_secs\": {}, \"cpu_utilization\": {}, \"rejected\": {}, \"queue_hwm\": {}}}",
+            "    {{\"workers\": {workers}, \"thread_budget\": {thread_budget}, \"steps_per_sec\": {:.3}, \"scaling_efficiency\": {:.4}, \"cpu_secs\": {}, \"cpu_utilization\": {}, \"rejected\": {}, \"queue_hwm\": {}}}",
             cell.steps_per_sec,
             efficiency,
             cell.cpu_secs
@@ -291,22 +281,14 @@ struct Cell {
     /// Process CPU time the cell consumed (utime + stime delta around the
     /// run); `None` where `/proc/self/stat` is unavailable.
     cpu_secs: Option<f64>,
-    hit_rate: Option<f64>,
     rejected: u64,
     queue_hwm: usize,
 }
 
-fn run_cell(
-    db: &Arc<SubjectiveDb>,
-    workers: usize,
-    thread_budget: usize,
-    cache_enabled: bool,
-    steps: usize,
-) -> Cell {
+fn run_cell(db: &Arc<SubjectiveDb>, workers: usize, thread_budget: usize, steps: usize) -> Cell {
     let config = ServiceConfig {
         workers,
         queue_capacity: 8,
-        cache_enabled,
         // Intra-step parallelism on, governed by the budget: 1 pins steps
         // to one thread, 0 lets the service divide cores across busy
         // workers.
@@ -357,7 +339,6 @@ fn run_cell(
         steps_per_sec: (SESSIONS * steps) as f64 / elapsed.as_secs_f64(),
         wall_secs: elapsed.as_secs_f64(),
         cpu_secs,
-        hit_rate: m.cache.map(|c| c.hit_rate()),
         rejected: m.requests_rejected,
         queue_hwm: m.queue_depth_hwm,
     }

@@ -19,7 +19,7 @@ use crate::selector::SelectionStrategy;
 use crate::utility::UtilityCombiner;
 use std::sync::Arc;
 use subdex_stats::normalize::NormalizerKind;
-use subdex_store::{DistanceCache, GroupCache, SelectionQuery, SubjectiveDb};
+use subdex_store::{DistanceCache, SelectionQuery, SubjectiveDb};
 
 /// Full engine configuration (defaults follow Table 3 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -190,7 +190,6 @@ impl EngineConfig {
             change_fanout: 2,
             parallel: self.parallel,
             threads: self.threads,
-            derive_candidates: true,
         }
     }
 }
@@ -223,7 +222,6 @@ pub struct SdeEngine {
     seen: SeenContext,
     normalizers: CriterionNormalizers,
     step_counter: usize,
-    group_cache: Option<Arc<GroupCache>>,
     dist_cache: Option<Arc<DistanceCache>>,
     /// Pooled execution scratch reused across steps so steady-state steps
     /// allocate ~nothing on the hot path (see [`ExecContext`]).
@@ -240,31 +238,9 @@ impl SdeEngine {
             normalizers: CriterionNormalizers::new(config.normalizer),
             config,
             step_counter: 0,
-            group_cache: None,
             dist_cache: None,
             ctx: ExecContext::new(),
         }
-    }
-
-    /// Attaches a shared rating-group cache: group materialization (both
-    /// the stepped query and every recommendation candidate) is looked up
-    /// there first. Results are byte-identical with or without a cache —
-    /// the cache stores pre-shuffle gather columns, and the per-step seed
-    /// is applied after lookup (see
-    /// [`SubjectiveDb::group_for_query_cached`]).
-    pub fn with_group_cache(mut self, cache: Arc<GroupCache>) -> Self {
-        self.group_cache = Some(cache);
-        self
-    }
-
-    /// Attaches or detaches the shared rating-group cache in place.
-    pub fn set_group_cache(&mut self, cache: Option<Arc<GroupCache>>) {
-        self.group_cache = cache;
-    }
-
-    /// The attached rating-group cache, if any.
-    pub fn group_cache(&self) -> Option<&Arc<GroupCache>> {
-        self.group_cache.as_ref()
     }
 
     /// Attaches a shared map-distance cache: every exact EMD the selection
@@ -335,7 +311,6 @@ impl SdeEngine {
         let plan = StepPlan::compile(&self.config, query);
         StepExecutor {
             db: &self.db,
-            group_cache: self.group_cache.as_deref(),
             dist_cache: self.dist_cache.as_ref(),
             seen: &mut self.seen,
             normalizers: &mut self.normalizers,
@@ -421,45 +396,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_steps_match_uncached_byte_for_byte() {
-        use subdex_store::GroupCache;
-        let db = db();
-        let cfg = EngineConfig {
-            parallel: false,
-            ..EngineConfig::default()
-        };
-        let queries = [
-            SelectionQuery::all(),
-            SelectionQuery::from_preds(vec![db
-                .pred(Entity::Item, "city", &Value::str("NYC"))
-                .unwrap()]),
-            SelectionQuery::all(), // revisit: must hit the cache
-        ];
-        let run = |cache: Option<Arc<GroupCache>>| {
-            let mut engine = SdeEngine::new(db.clone(), cfg);
-            engine.set_group_cache(cache);
-            queries
-                .iter()
-                .map(|q| {
-                    let r = engine.step(q);
-                    let keys: Vec<_> = r.maps.iter().map(|m| m.map.key).collect();
-                    let utils: Vec<_> = r.maps.iter().map(|m| m.dw_utility.to_bits()).collect();
-                    let recs: Vec<_> = r.recommendations.iter().map(|x| x.query.clone()).collect();
-                    (r.group_size, keys, utils, recs)
-                })
-                .collect::<Vec<_>>()
-        };
-        let cache = Arc::new(GroupCache::new(1 << 20));
-        let cached = run(Some(cache.clone()));
-        let uncached = run(None);
-        assert_eq!(cached, uncached);
-        let stats = cache.stats();
-        assert!(stats.hits > 0, "revisited queries must hit: {stats:?}");
-    }
-
-    #[test]
-    fn parallel_and_cache_variants_are_byte_identical() {
-        use subdex_store::GroupCache;
+    fn parallel_variants_are_byte_identical() {
         let db = db();
         let queries = [
             SelectionQuery::all(),
@@ -476,14 +413,13 @@ mod tests {
             ]),
             SelectionQuery::all(),
         ];
-        let run = |parallel: bool, cache: Option<Arc<GroupCache>>| {
+        let run = |parallel: bool| {
             let cfg = EngineConfig {
                 parallel,
                 threads: if parallel { 4 } else { 0 },
                 ..EngineConfig::default()
             };
             let mut engine = SdeEngine::new(db.clone(), cfg);
-            engine.set_group_cache(cache);
             queries
                 .iter()
                 .map(|q| {
@@ -491,57 +427,30 @@ mod tests {
                     let keys: Vec<_> = r.maps.iter().map(|m| m.map.key).collect();
                     let utils: Vec<_> = r.maps.iter().map(|m| m.dw_utility.to_bits()).collect();
                     let recs: Vec<_> = r.recommendations.iter().map(|x| x.query.clone()).collect();
-                    (r.group_size, keys, utils, recs)
+                    (r.group_size, keys, utils, recs, r.stats.materialization)
                 })
                 .collect::<Vec<_>>()
         };
-        let reference = run(false, None);
-        for parallel in [false, true] {
-            for cached in [false, true] {
-                let cache = cached.then(|| Arc::new(GroupCache::new(1 << 20)));
-                assert_eq!(
-                    run(parallel, cache),
-                    reference,
-                    "parallel={parallel} cached={cached} diverged"
-                );
-            }
-        }
+        assert_eq!(run(true), run(false));
     }
 
     #[test]
     fn step_reports_materialization_paths() {
-        use subdex_store::GroupCache;
         let db = db();
         let cfg = EngineConfig {
             parallel: false,
             ..EngineConfig::default()
         };
-
-        // Without a cache: the parent group is walked, every add-predicate
-        // candidate is derived from it, and no path reports cache hits.
-        let mut engine = SdeEngine::new(db.clone(), cfg);
+        // The stepped group comes from the index, every add-predicate
+        // candidate is derived from it, and nothing is served from another
+        // session.
+        let mut engine = SdeEngine::new(db, cfg);
         let r = engine.step(&SelectionQuery::all());
         let m = r.stats.materialization;
         assert!(m.walked >= 1, "{m:?}");
         assert!(m.derived > 0, "drill-down candidates derive: {m:?}");
-        assert!(m.records_filtered > 0, "{m:?}");
+        assert_eq!(m.records_filtered, m.derived * r.group_size as u64, "{m:?}");
         assert_eq!(m.cached, 0, "{m:?}");
-
-        // A sibling engine sharing the cache replays the same step and is
-        // served the derived entries straight from the cache.
-        let cache = Arc::new(GroupCache::new(1 << 20));
-        let mut first = SdeEngine::new(db.clone(), cfg);
-        first.set_group_cache(Some(cache.clone()));
-        let warm = first.step(&SelectionQuery::all()).stats.materialization;
-        assert!(warm.derived > 0, "{warm:?}");
-
-        let mut second = SdeEngine::new(db, cfg);
-        second.set_group_cache(Some(cache));
-        let hot = second.step(&SelectionQuery::all()).stats.materialization;
-        assert_eq!(hot.derived, 0, "{hot:?}");
-        assert_eq!(hot.walked, 0, "{hot:?}");
-        assert!(hot.cached > 0, "{hot:?}");
-        assert_eq!(warm.total(), hot.total(), "same groups needed");
     }
 
     #[test]

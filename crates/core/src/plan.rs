@@ -14,7 +14,7 @@
 //!   loop — so tooling can inspect, render ([`StepPlan::describe`]), and
 //!   eventually re-order or shard what a step will do without running it.
 //! * [`StepExecutor`] interprets a plan against borrowed session state
-//!   (seen-context, normalizers, caches) and a session-owned
+//!   (seen-context, normalizers, distance cache) and a session-owned
 //!   [`ExecContext`] that pools *all* step scratch — scan gather blocks,
 //!   distance cost matrices, GMM bookkeeping arrays, per-worker candidate
 //!   evaluation buffers, and the candidate-query vector — so steps 2..n of
@@ -30,10 +30,11 @@
 //! [`PhaseOp::PruneCi`] / [`PhaseOp::PruneMab`] run inside the generator's
 //! phase-scan loop (a pruned candidate must stop scanning mid-run, so
 //! pruning cannot be a post-pass), and [`PhaseOp::DeriveCandidates`] is the
-//! materialization strategy of [`PhaseOp::RecommendOps`] (each candidate
-//! group is derived from the parent's columns at the moment the candidate
-//! is evaluated). The plan still records them as distinct nodes because
-//! they are logically distinct phases with their own dependencies.
+//! materialization strategy of [`PhaseOp::RecommendOps`] (each drill-down
+//! candidate's group is derived from the step's own columns at the moment
+//! the candidate is evaluated, through `recommend::materialize`). The
+//! plan still records them as distinct nodes because they are logically
+//! distinct phases with their own dependencies.
 //!
 //! Every engine variant executes byte-identically through the executor and
 //! through the pre-refactor monolithic step — pinned by the property tests
@@ -48,15 +49,13 @@ use crate::recommend::{self, Materialization, RecommendConfig, RecommendScratch,
 use crate::selector::{select_diverse_with, SelectScratch, SelectionStrategy};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use subdex_store::{
-    DistanceCache, GroupCache, GroupColumns, RatingGroup, SelectionQuery, SubjectiveDb,
-};
+use subdex_store::{DistanceCache, RatingGroup, SelectionQuery, SubjectiveDb};
 
 /// One typed phase operation of a step plan.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PhaseOp {
-    /// Materialize the stepped query's rating group (cache lookup or
-    /// posting-list walk) and run the `n`-phase candidate scan over it.
+    /// Materialize the stepped query's rating group (index walk or probe)
+    /// and run the `n`-phase candidate scan over it.
     ScanGroups {
         /// Phase count `n` of the incremental scan.
         phases: usize,
@@ -77,8 +76,9 @@ pub enum PhaseOp {
         /// Maps to display.
         k: usize,
     },
-    /// Derive add-predicate candidate groups from the parent's gathered
-    /// columns instead of re-walking the database.
+    /// Derive add-predicate candidate groups from the stepped query's
+    /// gathered columns instead of re-walking the database. Present
+    /// whenever [`PhaseOp::RecommendOps`] is.
     DeriveCandidates {
         /// Whether *every* enumerated candidate is derivable: true when
         /// the stepped query is the root (no predicates to remove or
@@ -181,19 +181,16 @@ impl StepPlan {
             deps: select_deps,
         });
         if config.recommendations {
-            let mut rec_deps = vec![select];
-            if rec_cfg.derive_candidates {
-                rec_deps.push(nodes.len());
-                nodes.push(PlanNode {
-                    op: PhaseOp::DeriveCandidates {
-                        all_candidates: query.is_empty(),
-                    },
-                    deps: vec![scan],
-                });
-            }
+            let derive = nodes.len();
+            nodes.push(PlanNode {
+                op: PhaseOp::DeriveCandidates {
+                    all_candidates: query.is_empty(),
+                },
+                deps: vec![scan],
+            });
             nodes.push(PlanNode {
                 op: PhaseOp::RecommendOps { o: config.o },
-                deps: rec_deps,
+                deps: vec![select, derive],
             });
         }
         Self {
@@ -275,8 +272,8 @@ impl StepPlan {
 /// fields are disjoint.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
-    /// Materializing the stepped query's rating group (cache lookup or
-    /// posting-list walk + gather).
+    /// Materializing the stepped query's rating group (index walk or probe
+    /// + gather).
     pub scan_groups: Duration,
     /// The phase scans inside generation: block gathers + count kernels.
     /// This is the component the service surfaces as its `scan` metric.
@@ -328,8 +325,8 @@ pub struct StepStats {
     pub generator: GeneratorStats,
     /// How this step's rating groups (the stepped query plus every
     /// recommendation candidate) were materialized: derived from the
-    /// parent's columns, fully walked, served from the shared cache, or
-    /// skipped outright as provably empty.
+    /// step's own columns, walked or probed through the index, or skipped
+    /// outright as provably empty.
     pub materialization: Materialization,
     /// How this step's diverse selections (the displayed maps plus every
     /// recommendation candidate's preview) resolved their distance
@@ -457,8 +454,6 @@ impl ExecContext {
 pub struct StepExecutor<'a> {
     /// The database to execute against.
     pub db: &'a SubjectiveDb,
-    /// Shared rating-group cache, if attached.
-    pub group_cache: Option<&'a GroupCache>,
     /// Shared map-distance cache, if attached.
     pub dist_cache: Option<&'a Arc<DistanceCache>>,
     /// The session's seen-context (mutated: displayed maps are recorded).
@@ -479,10 +474,10 @@ impl StepExecutor<'_> {
         // oversubscription budget (no-op when the budget is 0/unset).
         let (gen_cfg, rec_cfg, dist_threads) = plan.with_thread_budget(self.ctx.thread_budget());
         let mut stats = StepStats::default();
-        // Keep the parent's pre-shuffle columns alive past the group build:
+        // Keep the step's pre-shuffle columns alive past the group build:
         // every add-predicate recommendation candidate derives its group by
         // filtering them, skipping the posting-list walk entirely.
-        let mut parent_cols: Option<Arc<GroupColumns>> = None;
+        let mut parent_cols = None;
         let mut group_size = 0usize;
         let mut pool: Vec<ScoredRatingMap> = Vec::new();
         let mut maps: Vec<ScoredRatingMap> = Vec::new();
@@ -493,7 +488,8 @@ impl StepExecutor<'_> {
             match node.op {
                 PhaseOp::ScanGroups { .. } => {
                     let t = Instant::now();
-                    let cols = self.materialize_parent(query, &mut stats.materialization);
+                    let cols =
+                        recommend::materialize(self.db, query, None, &mut stats.materialization);
                     stats.phases.scan_groups = t.elapsed();
                     let group = RatingGroup::from_columns(&cols, seed);
                     group_size = group.len();
@@ -559,7 +555,7 @@ impl StepExecutor<'_> {
                     // attribute-value pair") is not limited to displayed
                     // maps either.
                     let t = Instant::now();
-                    let (recs, rec_stats, rec_sel) = recommend::recommend_with_stats_in(
+                    let (recs, rec_stats, rec_sel) = recommend::recommend(
                         self.db,
                         query,
                         &pool,
@@ -568,8 +564,7 @@ impl StepExecutor<'_> {
                         &gen_cfg,
                         &rec_cfg,
                         seed,
-                        self.group_cache,
-                        parent_cols.as_deref(),
+                        parent_cols.as_ref(),
                         dist_engine.as_ref(),
                         &mut self.ctx.recommend,
                     );
@@ -591,43 +586,6 @@ impl StepExecutor<'_> {
             maps,
             recommendations,
             stats,
-        }
-    }
-
-    /// Materializes the stepped query's pre-shuffle columns through the
-    /// shared cache when one is attached, counting the path taken (the
-    /// planner's walk-vs-probe route decision included).
-    fn materialize_parent(
-        &mut self,
-        query: &SelectionQuery,
-        m: &mut Materialization,
-    ) -> Arc<GroupColumns> {
-        let count_route = |m: &mut Materialization, route| {
-            if route == subdex_store::GroupRoute::Probe {
-                m.probed += 1;
-            } else {
-                m.walked += 1;
-            }
-        };
-        match self.group_cache {
-            Some(cache) => {
-                let mut computed = None;
-                let arc = cache.get_or_insert_with(query, self.db.epoch(), || {
-                    let (cols, route) = self.db.collect_group_columns_routed(query);
-                    computed = Some(route);
-                    cols
-                });
-                match computed {
-                    Some(route) => count_route(m, route),
-                    None => m.cached += 1,
-                }
-                arc
-            }
-            None => {
-                let (cols, route) = self.db.collect_group_columns_routed(query);
-                count_route(m, route);
-                Arc::new(cols)
-            }
         }
     }
 }

@@ -19,8 +19,7 @@ use crate::ratingmap::ScoredRatingMap;
 use crate::selector::{select_diverse_with, SelectScratch, SelectionStrategy};
 use std::collections::HashSet;
 use subdex_store::{
-    AttrValue, Entity, GroupCache, GroupColumns, GroupRoute, RatingGroup, SelectionQuery,
-    SubjectiveDb,
+    AttrValue, Entity, GroupColumns, GroupRoute, RatingGroup, SelectionQuery, SubjectiveDb,
 };
 
 /// One recommended next-step operation.
@@ -38,15 +37,15 @@ pub struct Recommendation {
     pub maps: Vec<ScoredRatingMap>,
 }
 
-/// How candidate rating groups were materialized during one recommendation
-/// (or engine-step) pass. `derived + walked + probed + cached +
-/// skipped_empty` equals the number of groups the pass needed;
-/// `records_filtered` counts ancestor rows the derivation path scanned
-/// instead of re-walking the database.
+/// How rating groups were materialized during one recommendation (or
+/// engine-step) pass. `derived + walked + probed + skipped_empty` equals
+/// the number of groups the pass needed; `records_filtered` counts parent
+/// rows the derivation path scanned instead of re-walking the database.
+/// Every counter is a function of the step's inputs, never of scheduling.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Materialization {
-    /// Groups built by filtering an ancestor's gathered columns (one linear
-    /// pass over ancestor rows; no adjacency walk, no re-gather).
+    /// Groups built by filtering the parent's gathered columns (one linear
+    /// pass over parent rows; no adjacency walk, no re-gather).
     pub derived: u64,
     /// Groups built by the adjacency walk + column gather
     /// ([`GroupRoute::Walk`] / [`GroupRoute::Full`]).
@@ -54,12 +53,13 @@ pub struct Materialization {
     /// Groups built by the index-driven rating-column probe
     /// ([`GroupRoute::Probe`]).
     pub probed: u64,
-    /// Groups served straight from the shared [`GroupCache`].
+    /// Always 0: no group is shared across sessions. Kept only because
+    /// `benchmark/README.md` lists it as public surface.
     pub cached: u64,
     /// Candidates skipped *before* any materialization because their index
     /// cardinality upper bound was zero.
     pub skipped_empty: u64,
-    /// Ancestor rows examined by the derivation passes.
+    /// Parent rows examined by the derivation passes.
     pub records_filtered: u64,
 }
 
@@ -169,10 +169,6 @@ pub struct RecommendConfig {
     pub parallel: bool,
     /// Worker threads (`0` = all cores).
     pub threads: usize,
-    /// Derive add-predicate candidate groups from the parent's columns
-    /// instead of re-walking the database (results are byte-identical
-    /// either way; disable only to measure the walk path).
-    pub derive_candidates: bool,
 }
 
 impl Default for RecommendConfig {
@@ -185,9 +181,39 @@ impl Default for RecommendConfig {
             change_fanout: 2,
             parallel: true,
             threads: 0,
-            derive_candidates: true,
         }
     }
+}
+
+/// Materializes `q`'s pre-shuffle gather columns, counting the path taken.
+///
+/// `parent` is a query and its gathered columns. When `q` only adds
+/// predicates to that query, `q`'s columns are *derived* by one filter
+/// pass over the parent's rows; otherwise the index answers `q` by the
+/// walk or the probe its route planner picks
+/// ([`SubjectiveDb::collect_group_columns_routed`]). Every path returns
+/// canonical ascending record order, so the result is byte-identical
+/// whichever one ran.
+pub(crate) fn materialize(
+    db: &SubjectiveDb,
+    q: &SelectionQuery,
+    parent: Option<(&SelectionQuery, &GroupColumns)>,
+    m: &mut Materialization,
+) -> GroupColumns {
+    if let Some((pq, cols)) = parent {
+        if let Some(added) = pq.added_preds(q) {
+            m.derived += 1;
+            m.records_filtered += cols.len() as u64;
+            return db.derive_refinement_columns_multi(cols, &added);
+        }
+    }
+    let (cols, route) = db.collect_group_columns_routed(q);
+    if route == GroupRoute::Probe {
+        m.probed += 1;
+    } else {
+        m.walked += 1;
+    }
+    cols
 }
 
 /// Enumerates candidate operations for `query` given the displayed maps.
@@ -336,13 +362,24 @@ pub fn enumerate_candidates_into(
 /// engine-level "recommendation builder in parallel" optimization whose
 /// absence is the paper's *No-Parallelism* baseline.
 ///
-/// When `cache` is given, candidate rating groups are looked up in the
-/// shared [`GroupCache`] first; candidate queries recur heavily across
-/// sessions (everyone exploring the same region is offered the same
-/// drill-downs), which is where the cache earns most of its hits.
+/// Each candidate's group comes from `materialize`: `parent`, the
+/// pre-shuffle [`GroupColumns`] of `query` itself (the engine has them from
+/// the step's own group), lets every pure drill-down be *derived* by one
+/// filter over the parent rows; every other candidate, and every candidate
+/// when `parent` is `None`, is walked or probed through the index. Output
+/// is byte-identical either way. Candidates whose index cardinality upper
+/// bound (min posting-list size over their predicates) is zero are skipped
+/// before any materialization. The returned [`Materialization`] counts the
+/// paths taken.
 ///
-/// Thin wrapper over [`recommend_with_stats`] for callers that have no
-/// parent columns at hand and do not need materialization counters.
+/// `dist` configures the [`DistanceEngine`] behind each candidate's
+/// diverse-selection preview; candidates already run one per worker thread,
+/// so the engine is forced serial per candidate ([`DistanceEngine::serial`])
+/// to avoid nested thread pools, while keeping its bounds and shared cache.
+/// The returned [`SelectionStats`] aggregate those previews.
+///
+/// `scratch` pools the candidate vector and the per-worker generate and
+/// select buffers across calls; it recycles containers, never values.
 #[allow(clippy::too_many_arguments)]
 pub fn recommend(
     db: &SubjectiveDb,
@@ -353,89 +390,6 @@ pub fn recommend(
     gen_cfg: &GeneratorConfig,
     cfg: &RecommendConfig,
     seed: u64,
-    cache: Option<&GroupCache>,
-) -> Vec<Recommendation> {
-    recommend_with_stats(
-        db,
-        query,
-        displayed,
-        seen,
-        normalizers,
-        gen_cfg,
-        cfg,
-        seed,
-        cache,
-        None,
-        None,
-    )
-    .0
-}
-
-/// [`recommend`] with the parent query's gathered columns and
-/// materialization accounting.
-///
-/// `parent` must be the pre-shuffle [`GroupColumns`] of `query` itself (the
-/// engine has them from the step's own group materialization). When given
-/// and `cfg.derive_candidates` is set, every pure add-predicate candidate
-/// is *derived* — one linear filter over the parent rows — instead of
-/// re-walking the database; derived columns are inserted into `cache` so
-/// sibling sessions benefit. Candidates whose index cardinality upper bound
-/// (min posting-list size over their predicates) is zero are skipped before
-/// any materialization. Output is byte-identical to the walk path for every
-/// `(query, seed)` — that contract is what lets derived entries share the
-/// cache.
-///
-/// `dist` configures the [`DistanceEngine`] behind each candidate's
-/// diverse-selection preview; candidates already run one per worker thread,
-/// so the engine is forced serial per candidate ([`DistanceEngine::serial`])
-/// to avoid nested thread pools, while keeping its bounds and shared cache.
-/// The returned [`SelectionStats`] aggregate those previews.
-#[allow(clippy::too_many_arguments)]
-pub fn recommend_with_stats(
-    db: &SubjectiveDb,
-    query: &SelectionQuery,
-    displayed: &[ScoredRatingMap],
-    seen: &SeenContext,
-    normalizers: &CriterionNormalizers,
-    gen_cfg: &GeneratorConfig,
-    cfg: &RecommendConfig,
-    seed: u64,
-    cache: Option<&GroupCache>,
-    parent: Option<&GroupColumns>,
-    dist: Option<&DistanceEngine>,
-) -> (Vec<Recommendation>, Materialization, SelectionStats) {
-    recommend_with_stats_in(
-        db,
-        query,
-        displayed,
-        seen,
-        normalizers,
-        gen_cfg,
-        cfg,
-        seed,
-        cache,
-        parent,
-        dist,
-        &mut RecommendScratch::default(),
-    )
-}
-
-/// [`recommend_with_stats`] over a caller-pooled [`RecommendScratch`]:
-/// candidate vectors, per-worker gather buffers, and per-worker selection
-/// scratch are re-used across calls instead of reallocated. Output is
-/// byte-identical to the allocating path — the scratch recycles
-/// containers, never values.
-#[allow(clippy::too_many_arguments)]
-pub fn recommend_with_stats_in(
-    db: &SubjectiveDb,
-    query: &SelectionQuery,
-    displayed: &[ScoredRatingMap],
-    seen: &SeenContext,
-    normalizers: &CriterionNormalizers,
-    gen_cfg: &GeneratorConfig,
-    cfg: &RecommendConfig,
-    seed: u64,
-    cache: Option<&GroupCache>,
     parent: Option<&GroupColumns>,
     dist: Option<&DistanceEngine>,
     scratch: &mut RecommendScratch,
@@ -475,6 +429,7 @@ pub fn recommend_with_stats_in(
         ..*gen_cfg
     };
 
+    let parent = parent.map(|cols| (query, cols));
     let evaluate = |q: &SelectionQuery,
                     es: &mut EvalScratch,
                     stats: &mut Materialization,
@@ -487,92 +442,7 @@ pub fn recommend_with_stats_in(
             stats.skipped_empty += 1;
             return None;
         }
-        let group_seed = seed ^ fxhash(q);
-        // A pure drill-down selects a strict subset of an ancestor group:
-        // filter that ancestor's columns instead of re-walking. Sources, in
-        // preference order: the displayed parent's columns against the full
-        // added-predicate set (one or many conjuncts), then any cached
-        // ancestor one predicate away (a non-inserting `peek` — cheap
-        // window-shopping that never evicts to speculate).
-        enum Derive<'d> {
-            Parent(&'d GroupColumns, Vec<AttrValue>),
-            Ancestor(std::sync::Arc<GroupColumns>, AttrValue),
-        }
-        let derivable = if cfg.derive_candidates {
-            parent
-                .and_then(|cols| query.added_preds(q).map(|ps| Derive::Parent(cols, ps)))
-                .or_else(|| {
-                    let c = cache?;
-                    for p in q.preds() {
-                        let mut anc = q.clone();
-                        anc.remove(p);
-                        if let Some(cols) = c.peek(&anc, db.epoch()) {
-                            return Some(Derive::Ancestor(cols, *p));
-                        }
-                    }
-                    None
-                })
-        } else {
-            None
-        };
-        let derive = |d: &Derive<'_>, stats: &mut Materialization| -> GroupColumns {
-            match d {
-                Derive::Parent(cols, ps) => {
-                    stats.records_filtered += cols.len() as u64;
-                    db.derive_refinement_columns_multi(cols, ps)
-                }
-                Derive::Ancestor(cols, p) => {
-                    stats.records_filtered += cols.len() as u64;
-                    db.derive_refinement_columns_multi(cols, std::slice::from_ref(p))
-                }
-            }
-        };
-        let group = match (cache, derivable) {
-            (Some(c), Some(d)) => {
-                let mut computed = false;
-                let arc = c.get_or_insert_with(q, db.epoch(), || {
-                    computed = true;
-                    derive(&d, stats)
-                });
-                if computed {
-                    stats.derived += 1;
-                } else {
-                    stats.cached += 1;
-                }
-                RatingGroup::from_columns(&arc, group_seed)
-            }
-            (Some(c), None) => {
-                let mut computed = false;
-                let mut route = GroupRoute::Walk;
-                let arc = c.get_or_insert_with(q, db.epoch(), || {
-                    computed = true;
-                    let (cols, r) = db.collect_group_columns_routed(q);
-                    route = r;
-                    cols
-                });
-                if !computed {
-                    stats.cached += 1;
-                } else if route == GroupRoute::Probe {
-                    stats.probed += 1;
-                } else {
-                    stats.walked += 1;
-                }
-                RatingGroup::from_columns(&arc, group_seed)
-            }
-            (None, Some(d)) => {
-                stats.derived += 1;
-                RatingGroup::from_columns(&derive(&d, stats), group_seed)
-            }
-            (None, None) => {
-                let (cols, route) = db.collect_group_columns_routed(q);
-                if route == GroupRoute::Probe {
-                    stats.probed += 1;
-                } else {
-                    stats.walked += 1;
-                }
-                RatingGroup::from_columns(&cols, group_seed)
-            }
-        };
+        let group = RatingGroup::from_columns(&materialize(db, q, parent, stats), seed ^ fxhash(q));
         let mut norms = normalizers.clone();
         let out =
             generator::generate_pooled(db, &group, q, seen, &mut norms, gen_cfg, &mut es.generate);
@@ -767,11 +637,16 @@ mod tests {
         assert!(cands.iter().all(|c| c.len() == 1));
     }
 
-    #[test]
-    fn recommend_ranks_by_utility_and_truncates() {
-        let db = db();
-        let q = SelectionQuery::all();
-        let maps = displayed(&db, &q);
+    /// [`recommend`] over fresh session state, a serial unpruned generator
+    /// and a fresh scratch.
+    fn run(
+        db: &SubjectiveDb,
+        q: &SelectionQuery,
+        maps: &[ScoredRatingMap],
+        cfg: &RecommendConfig,
+        seed: u64,
+        parent: Option<&GroupColumns>,
+    ) -> (Vec<Recommendation>, Materialization) {
         let seen = SeenContext::new(2);
         let norms = CriterionNormalizers::new(NormalizerKind::ZLogistic);
         let gen_cfg = GeneratorConfig {
@@ -779,12 +654,36 @@ mod tests {
             parallel: false,
             ..Default::default()
         };
-        let cfg = RecommendConfig {
-            o: 3,
+        let (recs, m, _) = recommend(
+            db,
+            q,
+            maps,
+            &seen,
+            &norms,
+            &gen_cfg,
+            cfg,
+            seed,
+            parent,
+            None,
+            &mut RecommendScratch::default(),
+        );
+        (recs, m)
+    }
+
+    fn serial() -> RecommendConfig {
+        RecommendConfig {
             parallel: false,
             ..Default::default()
-        };
-        let recs = recommend(&db, &q, &maps, &seen, &norms, &gen_cfg, &cfg, 11, None);
+        }
+    }
+
+    #[test]
+    fn recommend_ranks_by_utility_and_truncates() {
+        let db = db();
+        let q = SelectionQuery::all();
+        let maps = displayed(&db, &q);
+        let cfg = RecommendConfig { o: 3, ..serial() };
+        let (recs, _) = run(&db, &q, &maps, &cfg, 11, None);
         assert!(recs.len() <= 3 && !recs.is_empty());
         for w in recs.windows(2) {
             assert!(w[0].utility >= w[1].utility);
@@ -800,24 +699,13 @@ mod tests {
         let db = db();
         let q = SelectionQuery::all();
         let maps = displayed(&db, &q);
-        let seen = SeenContext::new(2);
-        let norms = CriterionNormalizers::new(NormalizerKind::ZLogistic);
-        let gen_cfg = GeneratorConfig {
-            pruning: PruningStrategy::None,
-            parallel: false,
-            ..Default::default()
-        };
-        let seq_cfg = RecommendConfig {
-            parallel: false,
-            ..Default::default()
-        };
         let par_cfg = RecommendConfig {
             parallel: true,
             threads: 4,
             ..Default::default()
         };
-        let a = recommend(&db, &q, &maps, &seen, &norms, &gen_cfg, &seq_cfg, 7, None);
-        let b = recommend(&db, &q, &maps, &seen, &norms, &gen_cfg, &par_cfg, 7, None);
+        let (a, _) = run(&db, &q, &maps, &serial(), 7, None);
+        let (b, _) = run(&db, &q, &maps, &par_cfg, 7, None);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.query, y.query);
@@ -829,7 +717,7 @@ mod tests {
     fn unsatisfiable_candidate_skipped_before_materialization() {
         use crate::ratingmap::{MapKey, RatingMap, Subgroup};
         use crate::utility::CriterionScores;
-        use subdex_store::{AttrId, DimId, GroupCache, ValueId};
+        use subdex_store::{AttrId, DimId, ValueId};
 
         let db = db();
         let q = SelectionQuery::all();
@@ -859,38 +747,18 @@ mod tests {
             std::slice::from_ref(&ghost),
             &RecommendConfig::default(),
         );
-        assert!(cands.contains(&bad), "the ghost drill-down is enumerated");
+        assert_eq!(cands, vec![bad], "the ghost drill-down is the only edit");
 
-        let seen = SeenContext::new(2);
-        let norms = CriterionNormalizers::new(NormalizerKind::ZLogistic);
-        let gen_cfg = GeneratorConfig {
-            pruning: PruningStrategy::None,
-            parallel: false,
-            ..Default::default()
-        };
-        let cfg = RecommendConfig {
-            parallel: false,
-            ..Default::default()
-        };
-        let cache = GroupCache::new(1 << 20);
-        let (recs, stats, _) = recommend_with_stats(
-            &db,
-            &q,
-            &[ghost],
-            &seen,
-            &norms,
-            &gen_cfg,
-            &cfg,
-            11,
-            Some(&cache),
-            None,
-            None,
+        let (recs, stats) = run(&db, &q, &[ghost], &serial(), 11, None);
+        assert!(recs.is_empty());
+        // Skipped before materialization: no group was walked or probed.
+        assert_eq!(
+            stats,
+            Materialization {
+                skipped_empty: 1,
+                ..Materialization::default()
+            }
         );
-        assert!(stats.skipped_empty >= 1, "{stats:?}");
-        assert!(recs.iter().all(|r| r.query != bad));
-        // Skipped before materialization: the empty group was never built,
-        // so it cannot have been inserted into the shared cache.
-        assert!(!cache.contains(&bad), "skip must precede materialization");
     }
 
     #[test]
@@ -900,84 +768,24 @@ mod tests {
         let q = SelectionQuery::from_preds(vec![nyc]);
         let maps = displayed(&db, &q);
         let parent = db.collect_group_columns(&q);
-        let seen = SeenContext::new(2);
-        let norms = CriterionNormalizers::new(NormalizerKind::ZLogistic);
-        let gen_cfg = GeneratorConfig {
-            pruning: PruningStrategy::None,
-            parallel: false,
-            ..Default::default()
-        };
         let fingerprint = |recs: &[Recommendation]| {
             recs.iter()
                 .map(|r| (r.query.clone(), r.utility.to_bits(), r.group_size))
                 .collect::<Vec<_>>()
         };
-        let base_cfg = RecommendConfig {
-            parallel: false,
-            ..Default::default()
-        };
-        let walk_cfg = RecommendConfig {
-            derive_candidates: false,
-            ..base_cfg
-        };
-        let (walked, walked_stats, _) = recommend_with_stats(
-            &db, &q, &maps, &seen, &norms, &gen_cfg, &walk_cfg, 7, None, None, None,
-        );
+        let (walked, walked_stats) = run(&db, &q, &maps, &serial(), 7, None);
         assert_eq!(walked_stats.derived, 0);
-        assert!(walked_stats.walked > 0);
+        assert!(walked_stats.walked + walked_stats.probed > 0);
 
-        let (derived, derived_stats, _) = recommend_with_stats(
-            &db,
-            &q,
-            &maps,
-            &seen,
-            &norms,
-            &gen_cfg,
-            &base_cfg,
-            7,
-            None,
-            Some(&parent),
-            None,
-        );
+        let (derived, derived_stats) = run(&db, &q, &maps, &serial(), 7, Some(&parent));
         assert!(derived_stats.derived > 0, "{derived_stats:?}");
-        assert!(derived_stats.records_filtered > 0);
+        assert_eq!(
+            derived_stats.records_filtered,
+            derived_stats.derived * parent.len() as u64,
+            "every derivation filters the parent's rows once"
+        );
+        assert_eq!(derived_stats.total(), walked_stats.total(), "same groups");
         assert_eq!(fingerprint(&derived), fingerprint(&walked));
-
-        // With a shared cache the derived columns are inserted, so a second
-        // identical pass is served from the cache — still byte-identical.
-        use subdex_store::GroupCache;
-        let cache = GroupCache::new(1 << 20);
-        let (first, first_stats, _) = recommend_with_stats(
-            &db,
-            &q,
-            &maps,
-            &seen,
-            &norms,
-            &gen_cfg,
-            &base_cfg,
-            7,
-            Some(&cache),
-            Some(&parent),
-            None,
-        );
-        assert!(first_stats.derived > 0);
-        let (second, second_stats, _) = recommend_with_stats(
-            &db,
-            &q,
-            &maps,
-            &seen,
-            &norms,
-            &gen_cfg,
-            &base_cfg,
-            7,
-            Some(&cache),
-            Some(&parent),
-            None,
-        );
-        assert_eq!(second_stats.derived, 0, "{second_stats:?}");
-        assert!(second_stats.cached > 0);
-        assert_eq!(fingerprint(&first), fingerprint(&walked));
-        assert_eq!(fingerprint(&second), fingerprint(&walked));
     }
 
     #[test]

@@ -75,8 +75,8 @@ impl ExplorationSession {
     }
 
     /// Wraps a prebuilt engine — the hook the service layer uses to attach
-    /// a shared group cache ([`SdeEngine::with_group_cache`]) before the
-    /// session starts. The User-Driven recommendation skip is *not*
+    /// its shared distance cache ([`SdeEngine::with_distance_cache`]) before
+    /// the session starts. The User-Driven recommendation skip is *not*
     /// re-applied here; the caller owns the final configuration.
     pub fn with_engine(engine: SdeEngine, mode: ExplorationMode) -> Self {
         Self {
@@ -119,7 +119,7 @@ impl ExplorationSession {
     ///
     /// Two sessions over the same database, configuration, and operation
     /// sequence must produce equal signatures — regardless of thread
-    /// interleaving or whether a group cache was attached. The service's
+    /// interleaving or whether a distance cache was attached. The service's
     /// stress test holds exactly this line.
     pub fn path_signature(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -323,11 +323,10 @@ mod tests {
 
     #[test]
     fn with_engine_attaches_cache() {
-        use crate::engine::SdeEngine;
-        use subdex_store::GroupCache;
+        use subdex_store::DistanceCache;
         let db = db();
-        let cache = std::sync::Arc::new(GroupCache::new(1 << 20));
-        let engine = SdeEngine::new(db, quick_cfg()).with_group_cache(cache.clone());
+        let cache = Arc::new(DistanceCache::new(1 << 20));
+        let engine = SdeEngine::new(db, quick_cfg()).with_distance_cache(cache.clone());
         let mut s = ExplorationSession::with_engine(engine, ExplorationMode::UserDriven);
         s.apply_operation(&SelectionQuery::all());
         assert!(cache.stats().misses > 0, "session populated shared cache");

@@ -5,9 +5,9 @@
 //! loop as it existed before the `core::plan` planner/executor split —
 //! the hard-coded phase order, the unpooled scratch, the scattered result
 //! fields. Over randomized databases and query paths, every engine
-//! variant (the five Section 5.1 presets) × group-cache on/off ×
-//! distance-cache on/off must produce bit-exact displayed maps,
-//! recommendations, and counters through both paths.
+//! variant (the five Section 5.1 presets) × distance-cache on/off must
+//! produce bit-exact displayed maps, recommendations, and counters through
+//! both paths.
 
 use std::sync::Arc;
 
@@ -17,12 +17,12 @@ use proptest::strategy::Just;
 use subdex_core::generator::{self, CriterionNormalizers, GenerateScratch, SeenContext};
 use subdex_core::mapdist::DistanceEngine;
 use subdex_core::ratingmap::ScoredRatingMap;
-use subdex_core::recommend::{self, Materialization, Recommendation};
+use subdex_core::recommend::{self, Materialization, RecommendScratch, Recommendation};
 use subdex_core::selector::select_diverse_tracked;
 use subdex_core::{EngineConfig, SdeEngine, SelectionStats, StepResult};
 use subdex_store::{
-    table::EntityTableBuilder, AttrValue, Cell, DistanceCache, Entity, GroupCache, GroupColumns,
-    RatingGroup, Schema, SelectionQuery, SubjectiveDb, Value,
+    table::EntityTableBuilder, AttrValue, Cell, DistanceCache, Entity, RatingGroup, Schema,
+    SelectionQuery, SubjectiveDb, Value,
 };
 
 const SCALE: u8 = 5;
@@ -35,7 +35,6 @@ struct LegacyEngine {
     seen: SeenContext,
     normalizers: CriterionNormalizers,
     step_counter: usize,
-    group_cache: Option<Arc<GroupCache>>,
     dist_cache: Option<Arc<DistanceCache>>,
     scratch: GenerateScratch,
 }
@@ -60,7 +59,6 @@ impl LegacyEngine {
             normalizers: CriterionNormalizers::new(config.normalizer),
             config,
             step_counter: 0,
-            group_cache: None,
             dist_cache: None,
             scratch: GenerateScratch::new(),
         }
@@ -78,33 +76,12 @@ impl LegacyEngine {
         let mut materialization = Materialization::default();
         // Route accounting mirrors the production executor: the planner's
         // walk-vs-probe decision is part of the observable counters now.
-        let count_route = |m: &mut Materialization, route| {
-            if route == subdex_store::GroupRoute::Probe {
-                m.probed += 1;
-            } else {
-                m.walked += 1;
-            }
-        };
-        let parent_cols: Arc<GroupColumns> = match &self.group_cache {
-            Some(cache) => {
-                let mut computed = None;
-                let arc = cache.get_or_insert_with(query, self.db.epoch(), || {
-                    let (cols, route) = self.db.collect_group_columns_routed(query);
-                    computed = Some(route);
-                    cols
-                });
-                match computed {
-                    Some(route) => count_route(&mut materialization, route),
-                    None => materialization.cached += 1,
-                }
-                arc
-            }
-            None => {
-                let (cols, route) = self.db.collect_group_columns_routed(query);
-                count_route(&mut materialization, route);
-                Arc::new(cols)
-            }
-        };
+        let (parent_cols, route) = self.db.collect_group_columns_routed(query);
+        if route == subdex_store::GroupRoute::Probe {
+            materialization.probed += 1;
+        } else {
+            materialization.walked += 1;
+        }
         let group = RatingGroup::from_columns(&parent_cols, seed);
         let gen_cfg = self.config.generator_config();
         let out = generator::generate_pooled(
@@ -146,7 +123,7 @@ impl LegacyEngine {
         }
 
         let recommendations = if self.config.recommendations {
-            let (recs, rec_stats, rec_sel) = recommend::recommend_with_stats(
+            let (recs, rec_stats, rec_sel) = recommend::recommend(
                 &self.db,
                 query,
                 &pool,
@@ -155,9 +132,9 @@ impl LegacyEngine {
                 &gen_cfg,
                 &self.config.recommend_config(),
                 seed,
-                self.group_cache.as_deref(),
                 Some(&parent_cols),
                 Some(&dist_engine),
+                &mut RecommendScratch::default(),
             );
             materialization.merge(&rec_stats);
             selection.merge(&rec_sel);
@@ -252,18 +229,16 @@ fn planned_fp(r: &StepResult) -> Fingerprint {
     )
 }
 
-/// Runs the same query path through both engines under the same caches
+/// Runs the same query path through both engines under the same cache
 /// configuration and asserts bit-exact agreement at every step.
 fn assert_paths_equal(
     db: &Arc<SubjectiveDb>,
     cfg: EngineConfig,
     queries: &[SelectionQuery],
-    group_cache: bool,
     dist_cache: bool,
 ) {
     let run_legacy = || {
         let mut e = LegacyEngine::new(db.clone(), cfg);
-        e.group_cache = group_cache.then(|| Arc::new(GroupCache::new(1 << 20)));
         e.dist_cache = dist_cache.then(|| Arc::new(DistanceCache::new(1 << 20)));
         queries
             .iter()
@@ -272,7 +247,6 @@ fn assert_paths_equal(
     };
     let run_planned = || {
         let mut e = SdeEngine::new(db.clone(), cfg);
-        e.set_group_cache(group_cache.then(|| Arc::new(GroupCache::new(1 << 20))));
         e.set_distance_cache(dist_cache.then(|| Arc::new(DistanceCache::new(1 << 20))));
         queries
             .iter()
@@ -282,7 +256,7 @@ fn assert_paths_equal(
     assert_eq!(
         run_planned(),
         run_legacy(),
-        "group_cache={group_cache} dist_cache={dist_cache} cfg={cfg:?}"
+        "dist_cache={dist_cache} cfg={cfg:?}"
     );
 }
 
@@ -362,7 +336,7 @@ fn candidate_preds(db: &SubjectiveDb) -> Vec<AttrValue> {
 }
 
 /// A 3-step path: the root, one drill-down picked by the mask, the root
-/// again (revisits make the caches and seen-context state matter).
+/// again (revisits make the distance cache and seen-context state matter).
 fn query_path(db: &SubjectiveDb, pick: usize) -> Vec<SelectionQuery> {
     let preds = candidate_preds(db);
     let mut path = vec![SelectionQuery::all()];
@@ -399,12 +373,12 @@ proptest! {
         for mut cfg in presets() {
             cfg.seed = seed;
             cfg.max_candidates = 8;
-            assert_paths_equal(&db, cfg, &queries, false, false);
+            assert_paths_equal(&db, cfg, &queries, false);
         }
     }
 
-    /// Cache configurations (group × distance) agree too: pooled scratch
-    /// must not perturb cache hit/miss accounting or results.
+    /// Distance-cache configurations agree too: pooled scratch must not
+    /// perturb cache hit/miss accounting or results.
     #[test]
     fn planned_equals_legacy_across_caches(
         spec in db_spec(),
@@ -416,18 +390,16 @@ proptest! {
             max_candidates: 8,
             ..EngineConfig::subdex()
         };
-        for group_cache in [false, true] {
-            for dist_cache in [false, true] {
-                assert_paths_equal(&db, cfg, &queries, group_cache, dist_cache);
-            }
+        for dist_cache in [false, true] {
+            assert_paths_equal(&db, cfg, &queries, dist_cache);
         }
     }
 }
 
 /// Deterministic (non-property) pin: the naive preset and the
 /// recommendations-off / diversity-only variants over a fixed database,
-/// exercised with both caches on — the exhaustive corner the proptests
-/// sample around.
+/// exercised with the distance cache on — the exhaustive corner the
+/// proptests sample around.
 #[test]
 fn pinned_variants_on_fixed_db() {
     let spec = DbSpec {
@@ -460,6 +432,6 @@ fn pinned_variants_on_fixed_db() {
         ..EngineConfig::subdex()
     });
     for cfg in variants {
-        assert_paths_equal(&db, cfg, &queries, true, true);
+        assert_paths_equal(&db, cfg, &queries, true);
     }
 }

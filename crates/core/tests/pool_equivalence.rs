@@ -3,13 +3,14 @@
 //!
 //! The engine's parallel phases (phase scan, candidate evaluation, GMM row
 //! pass) now run on the process-wide task pool under an oversubscription
-//! thread budget, and the shared caches are sharded. None of those knobs
-//! may change results: over randomized databases and drill-down paths,
-//! every thread count {1, 2, 4, 8} × shard count {1, 4, 16} × thread
-//! budget must produce bit-exact displayed maps, recommendations, and
-//! counters against the serial single-shard baseline (the scoped-spawn
-//! path's serial fallback, which the `plan_equivalence` suite pins against
-//! the pre-refactor engine).
+//! thread budget, and the shared distance cache is sharded. None of those
+//! knobs may change results: over randomized databases and drill-down
+//! paths, every thread count {1, 2, 4, 8} × distance-cache shard count
+//! {1, 4, 16} × thread budget must produce bit-exact displayed maps,
+//! recommendations, and counters — materialization counters included —
+//! against the serial single-shard baseline (the scoped-spawn path's serial
+//! fallback, which the `plan_equivalence` suite pins against the
+//! pre-refactor engine).
 
 use std::sync::Arc;
 
@@ -20,22 +21,15 @@ use subdex_core::ratingmap::ScoredRatingMap;
 use subdex_core::recommend::{Materialization, Recommendation};
 use subdex_core::{EngineConfig, SdeEngine, SelectionStats, StepResult};
 use subdex_store::{
-    table::EntityTableBuilder, AttrValue, Cell, DistanceCache, Entity, GroupCache, Schema,
-    SelectionQuery, SubjectiveDb, Value,
+    table::EntityTableBuilder, AttrValue, Cell, DistanceCache, Entity, Schema, SelectionQuery,
+    SubjectiveDb, Value,
 };
 
 const SCALE: u8 = 5;
 
 /// Everything observable about a step except wall-clock times (which can
-/// never match across runs) and one schedule-dependent counter. Selection
-/// counters are compared without `select_time` for the same reason.
-///
-/// `Materialization.records_filtered` is zeroed before comparison: with a
-/// shared `GroupCache`, which cached ancestor a recommendation worker's
-/// `peek` finds depends on which sibling worker inserted first, and the
-/// counter is the length of the ancestor that was filtered (22 vs 24 rows
-/// for the same derived group). Results, materialization routes and every
-/// other counter are schedule-independent and stay compared.
+/// never match across runs). Selection counters are compared without
+/// `select_time` for the same reason.
 type Fingerprint = (
     usize,                             // step
     usize,                             // group_size
@@ -80,17 +74,14 @@ fn step_fp(r: &StepResult) -> Fingerprint {
             r.stats.generator.pruned_ci,
             r.stats.generator.pruned_mab,
         ),
-        Materialization {
-            records_filtered: 0,
-            ..r.stats.materialization
-        },
+        r.stats.materialization,
         sel_fp(&r.stats.selection),
         r.stats.db_epoch,
     )
 }
 
-/// Runs the query path with the given cache shard counts and per-step
-/// thread budget, fingerprinting every step.
+/// Runs the query path with the given distance-cache shard count and
+/// per-step thread budget, fingerprinting every step.
 fn run_path(
     db: &Arc<SubjectiveDb>,
     cfg: EngineConfig,
@@ -99,7 +90,6 @@ fn run_path(
     budget: usize,
 ) -> Vec<Fingerprint> {
     let mut e = SdeEngine::new(db.clone(), cfg);
-    e.set_group_cache(Some(Arc::new(GroupCache::with_shards(1 << 20, shards))));
     e.set_distance_cache(Some(Arc::new(DistanceCache::with_shards(1 << 20, shards))));
     e.set_thread_budget(budget);
     queries.iter().map(|q| step_fp(&e.step(q))).collect()
@@ -230,7 +220,7 @@ fn candidate_preds(db: &SubjectiveDb) -> Vec<AttrValue> {
 }
 
 /// A 3-step path: the root, one drill-down picked by the mask, the root
-/// again (revisits make the caches and seen-context state matter).
+/// again (revisits make the distance cache and seen-context state matter).
 fn query_path(db: &SubjectiveDb, pick: usize) -> Vec<SelectionQuery> {
     let preds = candidate_preds(db);
     let mut path = vec![SelectionQuery::all()];
@@ -320,7 +310,6 @@ fn pooled_fixed_db_grid_and_midpath_rebudget() {
         ..cfg
     };
     let mut e = SdeEngine::new(db.clone(), pooled);
-    e.set_group_cache(Some(Arc::new(GroupCache::with_shards(1 << 20, 4))));
     e.set_distance_cache(Some(Arc::new(DistanceCache::with_shards(1 << 20, 4))));
     let budgets = [4usize, 1, 2];
     let got: Vec<Fingerprint> = queries

@@ -4,20 +4,19 @@
 //! posting-list walk for any added predicate on either entity side,
 //! (2) `collect_group_records` must emit ascending record ids no matter
 //! which entity side drives the walk, and (3) the recommendation builder
-//! must produce identical output across derive × cache × parallel
-//! configurations.
+//! must produce identical output with and without the parent's columns,
+//! serially and in parallel.
 
 use proptest::prelude::*;
 use proptest::strategy::Just;
 
 use subdex_core::generator::{self, CriterionNormalizers, GeneratorConfig};
 use subdex_core::ratingmap::ScoredRatingMap;
-use subdex_core::recommend::{recommend_with_stats, RecommendConfig, Recommendation};
+use subdex_core::recommend::{recommend, RecommendConfig, RecommendScratch, Recommendation};
 use subdex_core::{PruningStrategy, SeenContext};
 use subdex_stats::normalize::NormalizerKind;
 use subdex_store::{
-    table::EntityTableBuilder, AttrValue, Cell, Entity, GroupCache, Schema, SelectionQuery,
-    SubjectiveDb, Value,
+    table::EntityTableBuilder, AttrValue, Cell, Entity, Schema, SelectionQuery, SubjectiveDb, Value,
 };
 
 const SCALE: u8 = 5;
@@ -186,11 +185,13 @@ proptest! {
     }
 
     /// The recommendation builder's full output (queries, bit-exact
-    /// utilities, group sizes) is identical with candidate derivation on or
-    /// off, with or without a shared cache (cold and warm), and sequential
-    /// or parallel.
+    /// utilities, group sizes) is identical with and without the parent's
+    /// columns (derived vs walked/probed candidate groups), sequential or
+    /// parallel, and over a fresh or a reused scratch. Its materialization
+    /// counters do not depend on the schedule, and derivation changes only
+    /// which path built each group, never how many groups were needed.
     #[test]
-    fn recommend_identical_across_derive_cache_parallel(
+    fn recommend_identical_across_derive_parallel(
         spec in db_spec(),
         mask in prop::collection::vec(prop::bool::ANY, 9),
         seed in 0u64..1000,
@@ -209,15 +210,14 @@ proptest! {
             phases: 4,
             ..GeneratorConfig::default()
         };
-        let run = |derive: bool, parallel: bool, cache: Option<&GroupCache>| {
+        let run = |derive: bool, parallel: bool, scratch: &mut RecommendScratch| {
             let cfg = RecommendConfig {
                 max_candidates: 16,
                 parallel,
                 threads: if parallel { 3 } else { 0 },
-                derive_candidates: derive,
                 ..RecommendConfig::default()
             };
-            recommend_with_stats(
+            let (recs, m, _) = recommend(
                 &db,
                 &query,
                 &maps,
@@ -226,42 +226,32 @@ proptest! {
                 &gen_cfg,
                 &cfg,
                 seed,
-                cache,
                 derive.then_some(&parent_cols),
                 None,
-            )
+                scratch,
+            );
+            (fingerprint(&recs), m)
         };
 
-        let (reference, _, _) = run(false, false, None);
+        let (reference, walked) = run(false, false, &mut RecommendScratch::default());
+        prop_assert_eq!(walked.derived, 0);
+        let mut reused = RecommendScratch::default();
         for derive in [false, true] {
+            let (_, serial) = run(derive, false, &mut RecommendScratch::default());
             for parallel in [false, true] {
-                let cache = GroupCache::new(1 << 20);
-                let (plain, _, _) = run(derive, parallel, None);
-                prop_assert_eq!(
-                    fingerprint(&plain),
-                    fingerprint(&reference),
-                    "derive={} parallel={} uncached",
-                    derive,
-                    parallel
-                );
-                let (cold, _, _) = run(derive, parallel, Some(&cache));
-                prop_assert_eq!(
-                    fingerprint(&cold),
-                    fingerprint(&reference),
-                    "derive={} parallel={} cold cache",
-                    derive,
-                    parallel
-                );
-                let (warm, warm_stats, _) = run(derive, parallel, Some(&cache));
-                prop_assert_eq!(
-                    fingerprint(&warm),
-                    fingerprint(&reference),
-                    "derive={} parallel={} warm cache",
-                    derive,
-                    parallel
-                );
-                prop_assert_eq!(warm_stats.derived + warm_stats.walked, 0,
-                    "warm pass must be fully cache-served: {:?}", warm_stats);
+                for pass in 0..2 {
+                    let (fp, m) = run(derive, parallel, &mut reused);
+                    prop_assert_eq!(
+                        &fp,
+                        &reference,
+                        "derive={} parallel={} pass={}",
+                        derive,
+                        parallel,
+                        pass
+                    );
+                    prop_assert_eq!(m, serial, "counters depend on the schedule");
+                    prop_assert_eq!(m.total(), walked.total(), "same groups needed");
+                }
             }
         }
     }

@@ -94,7 +94,6 @@ fn resident_scratch_drops_after_large_to_small_sequence() {
     let mut ctx = ExecContext::new();
     let mut exec = StepExecutor {
         db: &db,
-        group_cache: None,
         dist_cache: None,
         seen: &mut seen,
         normalizers: &mut normalizers,
@@ -153,7 +152,6 @@ fn steady_large_workload_is_never_trimmed() {
     let mut ctx = ExecContext::new();
     let mut exec = StepExecutor {
         db: &db,
-        group_cache: None,
         dist_cache: None,
         seen: &mut seen,
         normalizers: &mut normalizers,

@@ -205,8 +205,7 @@ impl PersistentStore {
 
     /// Durably appends a batch of ratings (WAL fsync, then in-memory apply
     /// and publish). Returns the new database epoch; callers use it to
-    /// invalidate `GroupCache` / `DistanceCache` entries built against
-    /// older epochs.
+    /// invalidate `DistanceCache` entries built against older epochs.
     pub fn append_ratings(&self, drafts: &[RatingDraft]) -> Result<u64, StoreError> {
         if drafts.is_empty() {
             return Ok(self.db().epoch());

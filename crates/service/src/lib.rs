@@ -2,8 +2,9 @@
 //!
 //! Hosts many [`subdex_core::ExplorationSession`]s behind a thread-safe
 //! registry, executes exploration steps on a bounded worker pool with
-//! explicit backpressure, and shares materialized rating groups across
-//! sessions through [`subdex_store::GroupCache`].
+//! explicit backpressure, and shares exact map distances across sessions
+//! through [`subdex_store::DistanceCache`]. Rating groups are not shared:
+//! every step materializes its own.
 
 pub mod metrics;
 pub mod registry;

@@ -36,7 +36,6 @@ pub struct ServiceMetrics {
     groups_derived: AtomicU64,
     groups_walked: AtomicU64,
     groups_probed: AtomicU64,
-    groups_cached: AtomicU64,
     groups_skipped: AtomicU64,
     records_filtered: AtomicU64,
     /// Selection-phase distance breakdown across served steps (see
@@ -99,14 +98,13 @@ impl ServiceMetrics {
     }
 
     /// Accumulates one served step's group-materialization counters
-    /// (`StepStats::materialization`): how many candidate groups were
-    /// derived from ancestor columns, walked, index-probed, cache-served,
-    /// or skipped as provably empty.
+    /// (`StepStats::materialization`): how many groups were derived from
+    /// the step's own columns, walked, index-probed, or skipped as provably
+    /// empty.
     fn record_materialization(&self, m: &Materialization) {
         self.groups_derived.fetch_add(m.derived, Ordering::Relaxed);
         self.groups_walked.fetch_add(m.walked, Ordering::Relaxed);
         self.groups_probed.fetch_add(m.probed, Ordering::Relaxed);
-        self.groups_cached.fetch_add(m.cached, Ordering::Relaxed);
         self.groups_skipped
             .fetch_add(m.skipped_empty, Ordering::Relaxed);
         self.records_filtered
@@ -136,15 +134,13 @@ impl ServiceMetrics {
             .fetch_max(depth as u64, Ordering::Relaxed);
     }
 
-    /// A snapshot of the counters; `cache` carries the shared group cache's
-    /// statistics and `dist_cache` the shared distance cache's, when the
-    /// service runs with the respective cache enabled. `persist` carries the
-    /// durable store's counters when the service was warm-started from one,
-    /// and `index` the current database's compressed-index census and
-    /// routing counters.
+    /// A snapshot of the counters; `dist_cache` carries the shared distance
+    /// cache's statistics when the service runs with it enabled. `persist`
+    /// carries the durable store's counters when the service was
+    /// warm-started from one, and `index` the current database's
+    /// compressed-index census and routing counters.
     pub fn snapshot(
         &self,
-        cache: Option<CacheStats>,
         dist_cache: Option<CacheStats>,
         persist: Option<PersistStats>,
         index: Option<IndexStats>,
@@ -164,7 +160,7 @@ impl ServiceMetrics {
                 derived: self.groups_derived.load(Ordering::Relaxed),
                 walked: self.groups_walked.load(Ordering::Relaxed),
                 probed: self.groups_probed.load(Ordering::Relaxed),
-                cached: self.groups_cached.load(Ordering::Relaxed),
+                cached: 0,
                 skipped_empty: self.groups_skipped.load(Ordering::Relaxed),
                 records_filtered: self.records_filtered.load(Ordering::Relaxed),
             },
@@ -175,7 +171,7 @@ impl ServiceMetrics {
                 cache_hits: self.dist_cache_hits.load(Ordering::Relaxed),
                 select_time: Duration::from_micros(self.select_time_us.load(Ordering::Relaxed)),
             },
-            cache,
+            cache: None,
             dist_cache,
             persist,
             index,
@@ -204,7 +200,8 @@ pub struct MetricsSnapshot {
     pub materialization: Materialization,
     /// Aggregate selection-phase distance breakdown across served steps.
     pub selection: SelectionStats,
-    /// Shared group-cache statistics (None when caching is disabled).
+    /// Always `None`: no rating group is shared across sessions. Kept only
+    /// because `benchmark/README.md` lists it as public surface.
     pub cache: Option<CacheStats>,
     /// Shared distance-cache statistics (None when disabled).
     pub dist_cache: Option<CacheStats>,
@@ -237,9 +234,9 @@ impl std::fmt::Display for MetricsSnapshot {
         if m.total() > 0 {
             writeln!(
                 f,
-                "groups: {} derived / {} walked / {} probed / {} cached / {} skipped \
+                "groups: {} derived / {} walked / {} probed / {} skipped \
                  ({} records filtered)",
-                m.derived, m.walked, m.probed, m.cached, m.skipped_empty, m.records_filtered
+                m.derived, m.walked, m.probed, m.skipped_empty, m.records_filtered
             )?;
         }
         let s = &self.selection;
@@ -253,20 +250,6 @@ impl std::fmt::Display for MetricsSnapshot {
                 s.pruned_matrix,
                 s.cache_hits,
                 s.select_time.as_micros()
-            )?;
-        }
-        if let Some(c) = &self.cache {
-            writeln!(
-                f,
-                "cache: {} hits / {} misses ({:.1}% hit rate), {} entries, {} bytes, \
-                 {} evicted, {} rejected",
-                c.hits,
-                c.misses,
-                100.0 * c.hit_rate(),
-                c.entries,
-                c.resident_bytes,
-                c.evictions,
-                c.rejected_inserts
             )?;
         }
         if let Some(c) = &self.dist_cache {
@@ -334,7 +317,7 @@ mod tests {
         let m = ServiceMetrics::new();
         m.record_served(Duration::from_micros(500));
         m.record_served(Duration::from_secs(10)); // overflow bucket
-        let snap = m.snapshot(None, None, None, None);
+        let snap = m.snapshot(None, None, None);
         assert_eq!(snap.requests_served, 2);
         assert_eq!(snap.latency_count(), 2);
         assert_eq!(snap.latency_buckets[1], (1_000, 1));
@@ -346,7 +329,7 @@ mod tests {
         let m = ServiceMetrics::new();
         m.record_scan_time(Duration::from_micros(300));
         m.record_scan_time(Duration::from_micros(700));
-        let snap = m.snapshot(None, None, None, None);
+        let snap = m.snapshot(None, None, None);
         assert_eq!(snap.scan_time_total, Duration::from_micros(1_000));
         assert!(snap.to_string().contains("scan 1000µs"));
     }
@@ -365,7 +348,7 @@ mod tests {
                 derived: 3,
                 walked: 1,
                 probed: 1,
-                cached: 2,
+                cached: 0,
                 skipped_empty: 0,
                 records_filtered: 40,
             },
@@ -379,7 +362,7 @@ mod tests {
             ..StepStats::default()
         };
         m.record_step(Duration::from_micros(500), &stats);
-        let snap = m.snapshot(None, None, None, None);
+        let snap = m.snapshot(None, None, None);
         assert_eq!(snap.requests_served, 1);
         assert_eq!(snap.latency_buckets[1], (1_000, 1));
         assert_eq!(snap.scan_time_total, Duration::from_micros(800));
@@ -394,7 +377,7 @@ mod tests {
         m.observe_queue_depth(3);
         m.observe_queue_depth(9);
         m.observe_queue_depth(5);
-        assert_eq!(m.snapshot(None, None, None, None).queue_depth_hwm, 9);
+        assert_eq!(m.snapshot(None, None, None).queue_depth_hwm, 9);
     }
 
     #[test]
@@ -402,7 +385,7 @@ mod tests {
         let m = ServiceMetrics::new();
         m.record_rejected();
         m.record_rejected();
-        let snap = m.snapshot(None, None, None, None);
+        let snap = m.snapshot(None, None, None);
         assert_eq!(snap.requests_rejected, 2);
         assert_eq!(snap.requests_served, 0);
     }
@@ -410,7 +393,7 @@ mod tests {
     #[test]
     fn selection_accumulates_and_renders() {
         let m = ServiceMetrics::new();
-        let snap = m.snapshot(None, None, None, None);
+        let snap = m.snapshot(None, None, None);
         assert_eq!(snap.selection, SelectionStats::default());
         assert!(!snap.to_string().contains("selection:"));
 
@@ -428,7 +411,7 @@ mod tests {
             cache_hits: 0,
             select_time: Duration::from_micros(30),
         });
-        let snap = m.snapshot(None, None, None, None);
+        let snap = m.snapshot(None, None, None);
         assert_eq!(snap.selection.exact_solves, 5);
         assert_eq!(snap.selection.pruned(), 5);
         assert_eq!(snap.selection.cache_hits, 3);
@@ -441,7 +424,7 @@ mod tests {
     #[test]
     fn materialization_accumulates_and_renders() {
         let m = ServiceMetrics::new();
-        let snap = m.snapshot(None, None, None, None);
+        let snap = m.snapshot(None, None, None);
         assert_eq!(snap.materialization, Materialization::default());
         assert!(!snap.to_string().contains("groups:"));
 
@@ -449,7 +432,7 @@ mod tests {
             derived: 5,
             walked: 2,
             probed: 1,
-            cached: 1,
+            cached: 0,
             skipped_empty: 3,
             records_filtered: 400,
         });
@@ -457,30 +440,28 @@ mod tests {
             derived: 1,
             walked: 0,
             probed: 2,
-            cached: 4,
+            cached: 0,
             skipped_empty: 0,
             records_filtered: 50,
         });
-        let snap = m.snapshot(None, None, None, None);
+        let snap = m.snapshot(None, None, None);
         assert_eq!(snap.materialization.derived, 6);
         assert_eq!(snap.materialization.walked, 2);
         assert_eq!(snap.materialization.probed, 3);
-        assert_eq!(snap.materialization.cached, 5);
         assert_eq!(snap.materialization.skipped_empty, 3);
         assert_eq!(snap.materialization.records_filtered, 450);
         assert!(snap.to_string().contains(
-            "groups: 6 derived / 2 walked / 3 probed / 5 cached / 3 skipped (450 records filtered)"
+            "groups: 6 derived / 2 walked / 3 probed / 3 skipped (450 records filtered)"
         ));
     }
 
     #[test]
     fn display_renders_index_line_only_when_present() {
         let m = ServiceMetrics::new();
-        let without = m.snapshot(None, None, None, None).to_string();
+        let without = m.snapshot(None, None, None).to_string();
         assert!(!without.contains("index:"));
         let with = m
             .snapshot(
-                None,
                 None,
                 None,
                 Some(IndexStats {
@@ -507,18 +488,10 @@ mod tests {
     #[test]
     fn display_renders_cache_line_only_when_present() {
         let m = ServiceMetrics::new();
-        let without = m.snapshot(None, None, None, None).to_string();
+        let without = m.snapshot(None, None, None).to_string();
         assert!(!without.contains("cache:"));
         let with = m
             .snapshot(
-                Some(CacheStats {
-                    hits: 3,
-                    misses: 1,
-                    evictions: 0,
-                    rejected_inserts: 0,
-                    entries: 1,
-                    resident_bytes: 64,
-                }),
                 Some(CacheStats {
                     hits: 9,
                     misses: 1,
@@ -531,7 +504,6 @@ mod tests {
                 None,
             )
             .to_string();
-        assert!(with.contains("cache: 3 hits / 1 misses (75.0% hit rate)"));
         assert!(with.contains("dist-cache: 9 hits / 1 misses (90.0% hit rate)"));
     }
 }

@@ -28,9 +28,7 @@ use subdex_core::{
     EngineConfig, ExplorationMode, ExplorationSession, SdeEngine, SessionError, StepResult,
 };
 use subdex_persist::PersistentStore;
-use subdex_store::{
-    DistanceCache, GroupCache, RatingDraft, SelectionQuery, StoreError, SubjectiveDb,
-};
+use subdex_store::{DistanceCache, RatingDraft, SelectionQuery, StoreError, SubjectiveDb};
 
 /// Service-level configuration.
 #[derive(Debug, Clone, Copy)]
@@ -42,12 +40,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Idle time after which [`SubdexService::evict_idle`] drops a session.
     pub session_ttl: Duration,
-    /// Byte budget of the shared group cache.
-    pub cache_capacity_bytes: usize,
-    /// Whether sessions share a group cache at all (off reproduces the
-    /// independent-sessions baseline the throughput benchmark compares
-    /// against).
-    pub cache_enabled: bool,
     /// Byte budget of the shared map-distance cache.
     pub dist_cache_capacity_bytes: usize,
     /// Whether sessions share a map-distance cache: exact EMDs computed by
@@ -78,8 +70,6 @@ impl Default for ServiceConfig {
             workers: 2,
             queue_capacity: 64,
             session_ttl: Duration::from_secs(300),
-            cache_capacity_bytes: 64 << 20,
-            cache_enabled: true,
             dist_cache_capacity_bytes: 8 << 20,
             dist_cache_enabled: true,
             engine: EngineConfig::default(),
@@ -223,7 +213,6 @@ pub struct SubdexService {
     config: ServiceConfig,
     registry: Arc<SessionRegistry>,
     metrics: Arc<ServiceMetrics>,
-    cache: Option<Arc<GroupCache>>,
     dist_cache: Option<Arc<DistanceCache>>,
     store: Option<Arc<PersistentStore>>,
     submit_tx: Mutex<Option<Sender<Job>>>,
@@ -279,9 +268,6 @@ impl SubdexService {
         assert!(config.queue_capacity > 0, "need a nonzero queue");
         let registry = Arc::new(SessionRegistry::new());
         let metrics = Arc::new(ServiceMetrics::new());
-        let cache = config
-            .cache_enabled
-            .then(|| Arc::new(GroupCache::new(config.cache_capacity_bytes)));
         let dist_cache = config
             .dist_cache_enabled
             .then(|| Arc::new(DistanceCache::new(config.dist_cache_capacity_bytes)));
@@ -308,7 +294,6 @@ impl SubdexService {
             config,
             registry,
             metrics,
-            cache,
             dist_cache,
             store,
             submit_tx: Mutex::new(Some(tx)),
@@ -351,18 +336,15 @@ impl SubdexService {
         &self.registry
     }
 
-    /// The shared group cache (None when caching is disabled).
-    pub fn cache(&self) -> Option<&Arc<GroupCache>> {
-        self.cache.as_ref()
-    }
-
     /// The shared map-distance cache (None when disabled).
     pub fn distance_cache(&self) -> Option<&Arc<DistanceCache>> {
         self.dist_cache.as_ref()
     }
 
     /// Creates a session with the service's engine configuration (and the
-    /// shared cache, when enabled), returning its handle.
+    /// shared distance cache, when enabled), returning its handle. Sessions
+    /// share no rating groups: each step materializes its own from the
+    /// index, and its recommendation candidates from that step's columns.
     pub fn create_session(&self) -> SessionId {
         let mut engine_cfg = self.config.engine;
         if self.config.mode == ExplorationMode::UserDriven {
@@ -371,9 +353,6 @@ impl SubdexService {
             engine_cfg.recommendations = false;
         }
         let mut engine = SdeEngine::new(self.current_db(), engine_cfg);
-        if let Some(cache) = &self.cache {
-            engine = engine.with_group_cache(Arc::clone(cache));
-        }
         if let Some(cache) = &self.dist_cache {
             engine = engine.with_distance_cache(Arc::clone(cache));
         }
@@ -432,22 +411,19 @@ impl SubdexService {
     }
 
     /// Durably appends ratings through the store's WAL, publishes the new
-    /// database version, and invalidates the shared caches up to the new
-    /// epoch (cached groups and distances may describe superseded data).
+    /// database version, and invalidates the shared distance cache up to
+    /// the new epoch (cached distances may describe superseded data).
     /// Sessions created before the append keep their epoch-consistent view;
     /// sessions created after see the new ratings. Returns the new epoch.
     ///
     /// Fails with [`ServiceError::NotPersistent`] on an in-memory service
     /// and never partially applies: a rejected batch leaves database, WAL
-    /// and caches untouched.
+    /// and cache untouched.
     pub fn append_ratings(&self, drafts: &[RatingDraft]) -> Result<u64, ServiceError> {
         let store = self.store.as_ref().ok_or(ServiceError::NotPersistent)?;
         let epoch = store
             .append_ratings(drafts)
             .map_err(ServiceError::Persist)?;
-        if let Some(cache) = &self.cache {
-            cache.bump_epoch(epoch);
-        }
         if let Some(cache) = &self.dist_cache {
             cache.bump_epoch(epoch);
         }
@@ -472,12 +448,12 @@ impl SubdexService {
         self.registry.evict_idle(self.config.session_ttl)
     }
 
-    /// Current metrics, including cache statistics when caching is on,
-    /// persistence counters when the service runs over a durable store, and
-    /// the current database's compressed-index census and routing counters.
+    /// Current metrics, including distance-cache statistics when that
+    /// cache is on, persistence counters when the service runs over a
+    /// durable store, and the current database's compressed-index census
+    /// and routing counters.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.metrics.snapshot(
-            self.cache.as_ref().map(|c| c.stats()),
             self.dist_cache.as_ref().map(|c| c.stats()),
             self.store.as_ref().map(|s| s.stats()),
             Some(self.current_db().index_stats()),
@@ -685,8 +661,7 @@ mod tests {
         let m = service.metrics();
         assert_eq!(m.requests_served, 2);
         assert_eq!(m.requests_rejected, 0);
-        let cache = m.cache.expect("cache enabled by default");
-        assert!(cache.misses > 0);
+        assert!(m.cache.is_none(), "no group is shared across sessions");
         // Candidate groups were materialized somehow — and with displayed
         // maps anchoring drill-downs, at least one was derived from its
         // parent's columns rather than walked.
@@ -840,21 +815,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_disabled_service_has_no_cache_stats() {
-        let config = ServiceConfig {
-            cache_enabled: false,
-            ..quick_config()
-        };
-        let service = SubdexService::start(test_db(), config);
-        let id = service.create_session();
-        service
-            .run_step(id, StepRequest::Operation(SelectionQuery::all()))
-            .unwrap();
-        assert!(service.cache().is_none());
-        assert!(service.metrics().cache.is_none());
-    }
-
-    #[test]
     fn sessions_share_one_distance_cache() {
         let service = SubdexService::start(test_db(), quick_config());
         let a = service.create_session();
@@ -970,13 +930,19 @@ mod tests {
         service
             .run_step(id, StepRequest::Operation(SelectionQuery::all()))
             .unwrap();
-        let cache = service.cache().unwrap();
-        assert!(cache.stats().entries > 0, "step populated the group cache");
+        let cache = service.distance_cache().unwrap();
+        assert!(
+            cache.stats().entries > 0,
+            "step populated the distance cache"
+        );
 
         service.append_ratings(&drafts(3)).unwrap();
-        assert_eq!(cache.stats().entries, 0, "append invalidated cached groups");
+        assert_eq!(
+            cache.stats().entries,
+            0,
+            "append invalidated cached distances"
+        );
         assert_eq!(cache.epoch(), 1);
-        assert_eq!(service.distance_cache().unwrap().epoch(), 1);
         let _ = std::fs::remove_dir_all(service.store().unwrap().dir());
     }
 
@@ -1078,23 +1044,88 @@ mod tests {
         let _ = std::fs::remove_dir_all(service.store().unwrap().dir());
     }
 
+    /// What a client can rely on: sessions stepping concurrently on one
+    /// service get exactly the steps — results and materialization
+    /// counters — the same scripts get on standalone sessions.
     #[test]
-    fn sessions_share_one_cache() {
-        let service = SubdexService::start(test_db(), quick_config());
-        let a = service.create_session();
-        let b = service.create_session();
-        service
-            .run_step(a, StepRequest::Operation(SelectionQuery::all()))
-            .unwrap();
-        let misses_after_first = service.metrics().cache.unwrap().misses;
-        service
-            .run_step(b, StepRequest::Operation(SelectionQuery::all()))
-            .unwrap();
-        let cache = service.metrics().cache.unwrap();
-        assert!(
-            cache.hits > 0,
-            "second session re-running the same query must hit: {cache:?}"
+    fn concurrent_sessions_step_like_standalone_sessions() {
+        const SESSIONS: usize = 4;
+        const STEPS: usize = 4;
+        type StepFp = (
+            SelectionQuery,
+            usize,
+            Vec<(u64, u64)>,
+            Vec<(SelectionQuery, u64, usize)>,
+            subdex_core::Materialization,
         );
-        assert!(cache.misses >= misses_after_first, "counters monotone");
+        fn fp(step: &StepResult) -> StepFp {
+            (
+                step.query.clone(),
+                step.group_size,
+                step.maps
+                    .iter()
+                    .map(|m| (m.utility.to_bits(), m.dw_utility.to_bits()))
+                    .collect(),
+                step.recommendations
+                    .iter()
+                    .map(|r| (r.query.clone(), r.utility.to_bits(), r.group_size))
+                    .collect(),
+                step.stats.materialization,
+            )
+        }
+        /// Session `s` takes recommendation `(s + step) % n` each step, or
+        /// restarts from the root when none is on offer.
+        fn pick(s: usize, step: usize, last: &StepResult) -> Option<usize> {
+            match last.recommendations.len() {
+                0 => None,
+                n => Some((s + step) % n),
+            }
+        }
+
+        let db = test_db();
+        let config = quick_config();
+        let service = Arc::new(SubdexService::start(Arc::clone(&db), config));
+        let ids: Vec<SessionId> = (0..SESSIONS).map(|_| service.create_session()).collect();
+        // Every client submits its first step at once, so both workers run
+        // sessions side by side from the start.
+        let start = Arc::new(std::sync::Barrier::new(SESSIONS));
+        let clients: Vec<_> = ids
+            .iter()
+            .enumerate()
+            .map(|(s, &id)| {
+                let service = Arc::clone(&service);
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    let mut last = service
+                        .run_step(id, StepRequest::Operation(SelectionQuery::all()))
+                        .unwrap();
+                    let mut fps = vec![fp(&last)];
+                    for step in 1..STEPS {
+                        let request = match pick(s, step, &last) {
+                            Some(i) => StepRequest::Recommendation(i),
+                            None => StepRequest::Operation(SelectionQuery::all()),
+                        };
+                        last = service.run_step(id, request).unwrap();
+                        fps.push(fp(&last));
+                    }
+                    fps
+                })
+            })
+            .collect();
+        let served: Vec<Vec<StepFp>> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+
+        for (s, served) in served.iter().enumerate() {
+            let mut alone = ExplorationSession::new(Arc::clone(&db), config.engine, config.mode);
+            let mut fps = vec![fp(alone.apply_operation(&SelectionQuery::all()))];
+            for step in 1..STEPS {
+                let next = match pick(s, step, alone.current().unwrap()) {
+                    Some(i) => alone.apply_recommendation(i).unwrap(),
+                    None => alone.apply_operation(&SelectionQuery::all()),
+                };
+                fps.push(fp(next));
+            }
+            assert_eq!(served, &fps, "session {s}");
+        }
     }
 }

@@ -1,8 +1,9 @@
 //! Concurrency acceptance test: many client threads driving many sessions
-//! through the service (shared cache ON) must produce *byte-identical*
-//! exploration paths to the same scripts replayed single-threaded with the
-//! cache OFF. This is the service's core correctness contract — neither
-//! thread interleaving nor the shared group cache may leak into results.
+//! through the service (shared distance cache ON) must produce
+//! *byte-identical* exploration paths to the same scripts replayed
+//! single-threaded on standalone sessions. This is the service's core
+//! correctness contract — neither thread interleaving nor the shared cache
+//! may leak into results.
 //!
 //! Each session's script is deterministic: step 0 applies the full-database
 //! query, and every later step takes recommendation
@@ -59,7 +60,7 @@ fn drive(service: &SubdexService, session: SessionId, session_idx: usize) {
     }
 }
 
-/// Replays one session's script directly, single-threaded, cache disabled.
+/// Replays one session's script directly, single-threaded, no cache.
 fn reference_signature(db: &Arc<SubjectiveDb>, session_idx: usize) -> u64 {
     let engine = SdeEngine::new(Arc::clone(db), engine_config());
     let mut s = ExplorationSession::with_engine(engine, ExplorationMode::RecommendationPowered);
@@ -77,12 +78,11 @@ fn reference_signature(db: &Arc<SubjectiveDb>, session_idx: usize) -> u64 {
 }
 
 #[test]
-fn concurrent_cached_service_matches_single_threaded_uncached() {
+fn concurrent_service_matches_single_threaded_sessions() {
     let db = study_db();
     let config = ServiceConfig {
         workers: 4,
         queue_capacity: 8, // small on purpose: exercise backpressure under load
-        cache_enabled: true,
         engine: engine_config(),
         mode: ExplorationMode::RecommendationPowered,
         ..ServiceConfig::default()
@@ -119,14 +119,14 @@ fn concurrent_cached_service_matches_single_threaded_uncached() {
         (SESSIONS * STEPS) as u64,
         "every scripted step served exactly once (rejections were retried)"
     );
-    let cache = m.cache.expect("cache enabled");
+    let cache = m.dist_cache.expect("distance cache enabled by default");
     assert!(
         cache.hits > 0,
         "16 sessions sharing a start query must hit the cache: {cache:?}"
     );
 
-    // Byte-identity: the concurrent cached paths equal the sequential
-    // uncached replays, session by session.
+    // Byte-identity: the concurrent paths equal the sequential replays,
+    // session by session.
     for (idx, &id) in sessions.iter().enumerate() {
         let concurrent = service
             .registry()
@@ -138,8 +138,8 @@ fn concurrent_cached_service_matches_single_threaded_uncached() {
         let reference = reference_signature(&db, idx);
         assert_eq!(
             concurrent, reference,
-            "session {idx}: concurrent+cached path diverged from \
-             single-threaded uncached reference"
+            "session {idx}: concurrent path diverged from \
+             single-threaded reference"
         );
     }
 

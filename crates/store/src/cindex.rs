@@ -1,7 +1,7 @@
 //! Compressed hybrid posting index — roaring-style containers per
 //! (attribute, value) pair.
 //!
-//! The flat [`InvertedIndex`](crate::index::InvertedIndex) stores every
+//! The flat [`InvertedIndex`] stores every
 //! posting as a sorted `Vec<u32>`, which costs 4 bytes per posting no
 //! matter how dense the value is. At Yelp scale the posting mass
 //! concentrates in a few very dense values (every reviewer has *some*

@@ -14,7 +14,6 @@ use std::sync::Arc;
 
 use subdex_stats::kernels;
 
-use crate::cache::GroupCache;
 use crate::cindex::CompressedIndex;
 use crate::group::{EntityGroup, RatingGroup};
 use crate::index::InvertedIndex;
@@ -114,8 +113,8 @@ pub struct SubjectiveDb {
     item_index: Arc<CompressedIndex>,
     /// Lifetime query counters, shared across clones (see [`IndexCounters`]).
     counters: Arc<IndexCounters>,
-    /// Bumped on every rating append; group and distance caches key their
-    /// validity to this.
+    /// Bumped on every rating append; the distance cache keys its validity
+    /// to this.
     epoch: u64,
 }
 
@@ -215,9 +214,9 @@ impl SubjectiveDb {
     /// the rating table's adjacency tail — see
     /// [`RatingTable::append_drafts`] for when the adjacency base is
     /// rebuilt. The entity tables and their posting indexes are untouched —
-    /// appends add ratings, not entities — but any cached rating-group
-    /// materialization is stale after this returns; callers invalidate
-    /// their `GroupCache`/`DistanceCache` via the new epoch.
+    /// appends add ratings, not entities — but gather columns built before
+    /// this returns describe superseded data; callers holding a
+    /// `DistanceCache` invalidate it via the new epoch.
     pub fn append_ratings(
         &mut self,
         drafts: &[crate::ratings::RatingDraft],
@@ -361,24 +360,6 @@ impl SubjectiveDb {
         RatingGroup::from_columns(&self.collect_group_columns(query), seed)
     }
 
-    /// Like [`scan_group`](Self::scan_group), but looks the gather columns
-    /// up in (and populates) a shared [`GroupCache`] first. The phase order
-    /// still comes from `seed`, applied after the lookup, so for any given
-    /// `(query, seed)` the returned group is byte-identical to the uncached
-    /// path — the cache stores only the walk-order gather columns, which
-    /// are a pure function of the query; each session permutes them with
-    /// its own seed.
-    pub fn group_for_query_cached(
-        &self,
-        query: &SelectionQuery,
-        seed: u64,
-        cache: &GroupCache,
-    ) -> RatingGroup {
-        let columns =
-            cache.get_or_insert_with(query, self.epoch(), || self.collect_group_columns(query));
-        RatingGroup::from_columns(&columns, seed)
-    }
-
     /// The record ids matched by `query`, in **canonical ascending order**
     /// (the pre-shuffle order [`rating_group`](Self::rating_group) starts
     /// from). Convenience wrapper over
@@ -410,9 +391,9 @@ impl SubjectiveDb {
     /// `index_path` bench).
     ///
     /// Byte-identity: both routes produce canonical ascending record-id
-    /// order — a pure function of the query — so either result can seed
-    /// the shared [`GroupCache`]. Pinned by the `index_equivalence`
-    /// proptests.
+    /// order — a pure function of the query — so either result can be the
+    /// parent a refinement is derived from. Pinned by the
+    /// `index_equivalence` proptests.
     pub fn collect_group_records_routed(
         &self,
         query: &SelectionQuery,
@@ -475,8 +456,8 @@ impl SubjectiveDb {
         // it, so the result is sorted before returning: ascending record-id
         // order is a pure function of the query, is preserved by subset
         // filtering ([`GroupColumns::derive_refinement`] relies on this),
-        // and keeps [`GroupCache`] entries order-stable no matter which
-        // side happened to be cheaper when the entry was built.
+        // and keeps the result independent of which side happened to be
+        // cheaper.
         let mut records: Vec<RecordId> = Vec::new();
         if reviewer_cost <= item_cost {
             for r in g_u.members().iter() {
@@ -534,8 +515,8 @@ impl SubjectiveDb {
     /// the added predicates' container intersections (one word mask per
     /// constrained side) — the generalization of
     /// [`derive_refinement_columns`](Self::derive_refinement_columns) from
-    /// "one predicate from the direct parent" to "any predicate set from
-    /// any cached ancestor". No adjacency walk, no re-gather.
+    /// one added predicate to any added predicate set. No adjacency walk,
+    /// no re-gather.
     ///
     /// Byte-identity contract: the result equals
     /// [`collect_group_columns`](Self::collect_group_columns) on the
@@ -584,7 +565,7 @@ impl SubjectiveDb {
 
     /// The gather columns for `query`: the walk-order record list plus both
     /// entity-row columns resolved once ([`GroupColumns::gather`]). This is
-    /// what the [`GroupCache`] stores and what
+    /// what refinements are derived from and what
     /// [`scan_group`](Self::scan_group) shuffles per session.
     pub fn collect_group_columns(&self, query: &SelectionQuery) -> GroupColumns {
         GroupColumns::gather(&self.ratings, self.collect_group_records(query))

@@ -9,33 +9,63 @@
 //! two maps, so a distance computed once is reused by every later step and
 //! session that meets the same pair.
 //!
-//! The cache lives in the store crate (alongside [`GroupCache`]) so it can
-//! be shared service-wide behind an `Arc` without the storage layer
-//! depending on the exploration engine; the engine supplies 128-bit content
-//! hashes and receives `f64` distances. Keys are **content** hashes — two
-//! maps with different identities but identical subgroup histograms
-//! legitimately share an entry, because the distance depends only on the
-//! histograms. The pair key is order-normalized (smaller hash first), and
-//! the engine computes distances in the same canonical order, so cached
-//! and freshly computed values agree bitwise regardless of argument order.
+//! The cache lives in the store crate so it can be shared service-wide
+//! behind an `Arc` without the storage layer depending on the exploration
+//! engine; the engine supplies 128-bit content hashes and receives `f64`
+//! distances. Keys are **content** hashes — two maps with different
+//! identities but identical subgroup histograms legitimately share an
+//! entry, because the distance depends only on the histograms. The pair key
+//! is order-normalized (smaller hash first), and the engine computes
+//! distances in the same canonical order, so cached and freshly computed
+//! values agree bitwise regardless of argument order.
 //!
-//! Like [`GroupCache`], the map is split into power-of-two **shards** —
-//! selected by an FNV-1a hash of the 32-byte pair key — each with its own
-//! lock and its own slice of the entry budget, so the per-pair lookups the
-//! GMM loop issues from concurrent sessions stop serializing on one global
-//! mutex. Eviction is least-recently-used per shard under the shard's
-//! budget slice; entries are tiny and uniform, so the budget is in effect
-//! an entry-count bound.
-//!
-//! [`GroupCache`]: crate::cache::GroupCache
+//! The map is split into power-of-two **shards** — selected by an FNV-1a
+//! hash of the 32-byte pair key — each with its own lock and its own slice
+//! of the entry budget, so the per-pair lookups the GMM loop issues from
+//! concurrent sessions stop serializing on one global mutex. Eviction is
+//! least-recently-used per shard under the shard's budget slice; entries
+//! are tiny and uniform, so the budget is in effect an entry-count bound.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 
-use crate::cache::{CacheStats, DEFAULT_CACHE_SHARDS};
 use crate::pad::CachePadded;
+
+/// Default shard count of a [`DistanceCache`]. Must be a power of two;
+/// eight is enough that a handful of service workers rarely collide while
+/// keeping the per-shard budget slices coarse.
+pub const DEFAULT_CACHE_SHARDS: usize = 8;
+
+/// Counters describing cache effectiveness; see [`DistanceCache::stats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Lookups answered from the cache.
+    pub hits: u64,
+    /// Lookups that found no entry.
+    pub misses: u64,
+    /// Entries evicted to stay within the byte budget.
+    pub evictions: u64,
+    /// Racing inserts that lost to an incumbent entry.
+    pub rejected_inserts: u64,
+    /// Entries currently resident.
+    pub entries: usize,
+    /// Bytes currently charged against the budget.
+    pub resident_bytes: usize,
+}
+
+impl CacheStats {
+    /// Fraction of lookups served from the cache (0 when none yet).
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
 
 /// What one memoized distance charges against the byte budget: the pair key
 /// (32 bytes), the value, LRU clock, and amortized hash-map slot overhead.
@@ -90,8 +120,9 @@ pub struct DistanceCache {
     /// Entry budget per shard (the byte budget split evenly, floored at one
     /// entry so a tiny cache still memoizes something).
     shard_budget_entries: usize,
-    // Aggregate counters on private cache lines — bumped on every lookup
-    // from every thread (see the field comments on `GroupCache`).
+    // Aggregate counters, each on its own cache line: every lookup from
+    // every thread bumps one of these, and packed together a hit on one
+    // core would invalidate the miss counter's line on every other.
     hits: CachePadded<AtomicU64>,
     misses: CachePadded<AtomicU64>,
     evictions: CachePadded<AtomicU64>,
@@ -178,10 +209,9 @@ impl DistanceCache {
     /// Invalidates every resident entry if `db_epoch` is newer than the
     /// epoch the entries were computed against. Keys are content hashes of
     /// rating maps, and appending ratings changes which maps exist for a
-    /// query, so the persistence layer clears this cache alongside the
-    /// [`GroupCache`](crate::cache::GroupCache) when it publishes an
-    /// append. Counters are kept. Returns whether the epoch advanced
-    /// (racing bumps to the same epoch advance once).
+    /// query, so the service clears this cache when it publishes an append.
+    /// Counters are kept. Returns whether the epoch advanced (racing bumps
+    /// to the same epoch advance once).
     pub fn bump_epoch(&self, db_epoch: u64) -> bool {
         if self.epoch.fetch_max(db_epoch, Ordering::Relaxed) >= db_epoch {
             return false;
@@ -204,9 +234,9 @@ impl DistanceCache {
 
     /// Looks up the memoized distance for a hash pair, counting a hit or a
     /// miss. The caller computes and [`insert`](Self::insert)s on a miss —
-    /// lookup and insert are split (unlike `GroupCache::get_or_insert_with`)
-    /// because the GMM update loop often *prunes* the pair via bounds after
-    /// a miss, in which case there is no exact value to insert.
+    /// lookup and insert are split because the GMM update loop often
+    /// *prunes* the pair via bounds after a miss, in which case there is no
+    /// exact value to insert.
     pub fn get(&self, key: DistPairKey) -> Option<f64> {
         let mut inner = self.shard_of(&key).inner.write();
         inner.tick += 1;

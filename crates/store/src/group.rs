@@ -106,8 +106,7 @@ impl RatingGroup {
     /// through it; because the vendored Fisher–Yates draws depend only on
     /// slice length, the resulting record order is byte-identical to
     /// [`RatingGroup::new`] with the same records and seed. This is what
-    /// lets the group cache share one gather across sessions while each
-    /// session keeps its own phase order.
+    /// lets one gather (walked, probed or derived) serve any step seed.
     pub fn from_columns(cols: &GroupColumns, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut perm: Vec<u32> = (0..cols.records.len() as u32).collect();
@@ -264,7 +263,7 @@ mod tests {
 
     #[test]
     fn from_columns_matches_in_place_shuffle() {
-        // The keystone of the cache refactor: permuting an index vector and
+        // The keystone of gathered columns: permuting an index vector and
         // gathering must produce byte-identical record order to shuffling
         // the records in place with the same seed.
         for n in [0usize, 1, 2, 17, 100, 257] {

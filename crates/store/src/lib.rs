@@ -30,7 +30,6 @@
 //!   allocate nothing.
 
 pub mod bitset;
-pub mod cache;
 pub mod cindex;
 pub mod column;
 pub mod csv;
@@ -48,11 +47,10 @@ pub mod schema;
 pub mod table;
 pub mod value;
 
-pub use cache::{CacheStats, GroupCache, DEFAULT_CACHE_SHARDS};
 pub use cindex::{CompressedIndex, Container, ContainerStats, MemberSet};
 pub use column::{Column, CsrColumn};
 pub use database::{AttributeSummary, DbStats, GroupRoute, IndexStats, SubjectiveDb};
-pub use distcache::{DistPairKey, DistanceCache};
+pub use distcache::{CacheStats, DistPairKey, DistanceCache, DEFAULT_CACHE_SHARDS};
 pub use error::{StoreError, StoreErrorKind};
 pub use group::{EntityGroup, RatingGroup};
 pub use index::InvertedIndex;
@@ -66,12 +64,12 @@ pub use table::{Cell, EntityTable, EntityTableBuilder, PackedCodes};
 pub use value::{Dictionary, Value, ValueId};
 
 /// Compile-time proof that the shared query substrate is safe to use from
-/// many threads: the service hands `Arc<SubjectiveDb>` and `Arc<GroupCache>`
-/// to every worker, which requires `Send + Sync` on both.
+/// many threads: the service hands `Arc<SubjectiveDb>` and
+/// `Arc<DistanceCache>` to every worker, which requires `Send + Sync` on
+/// both.
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<SubjectiveDb>();
-    assert_send_sync::<GroupCache>();
     assert_send_sync::<DistanceCache>();
     assert_send_sync::<RatingGroup>();
     assert_send_sync::<SelectionQuery>();

@@ -1,6 +1,6 @@
 //! Cache-line padding for concurrently-touched fields.
 //!
-//! The sharded caches put each shard's lock word and LRU state behind a
+//! The sharded distance cache puts each shard's lock word and LRU state behind a
 //! [`CachePadded`] wrapper so adjacent shards never share a cache line:
 //! without padding, a `Box<[Shard]>` packs the `RwLock` words of all eight
 //! shards into one or two lines, and every lock acquisition invalidates the

@@ -62,7 +62,7 @@ impl SelectionQuery {
     /// invariant already, so this is a no-op on queries built through the
     /// public API; it exists so code that obtains a query from elsewhere
     /// (deserialization, manual construction) can re-establish the
-    /// invariant before using the query as a cache key.
+    /// invariant before comparing or hashing the query.
     pub fn canonicalize(&mut self) {
         self.preds.sort_unstable();
         self.preds.dedup();
@@ -73,10 +73,10 @@ impl SelectionQuery {
         self.preds.windows(2).all(|w| w[0] < w[1])
     }
 
-    /// A stable 64-bit digest of the canonical predicate list, suitable as
-    /// a cross-session cache key. Equal queries always collide; unequal
-    /// queries collide with probability ~2⁻⁶⁴ (FNV-1a over the encoded
-    /// predicates).
+    /// A stable 64-bit digest of the canonical predicate list, suitable for
+    /// result fingerprints and path signatures. Equal queries always
+    /// collide; unequal queries collide with probability ~2⁻⁶⁴ (FNV-1a over
+    /// the encoded predicates).
     pub fn fingerprint(&self) -> u64 {
         debug_assert!(self.is_canonical());
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -182,45 +182,11 @@ impl SelectionQuery {
         Some(q)
     }
 
-    /// If `child` is exactly `self` plus one extra predicate (a pure
-    /// drill-down edit), returns that predicate. Returns `None` for any
-    /// other relationship — removals, changes, multi-predicate diffs, or
-    /// equality — so callers can decide whether a candidate group can be
-    /// derived by filtering the parent's columns.
-    ///
-    /// Both queries are canonical (sorted, deduplicated), so this is a
-    /// single two-pointer merge pass.
-    pub fn single_added_pred(&self, child: &Self) -> Option<AttrValue> {
-        if child.preds.len() != self.preds.len() + 1 {
-            return None;
-        }
-        let mut added = None;
-        let mut mine = self.preds.iter().peekable();
-        for p in &child.preds {
-            match mine.peek() {
-                Some(&m) if m == p => {
-                    mine.next();
-                }
-                _ => {
-                    if added.replace(*p).is_some() {
-                        return None;
-                    }
-                }
-            }
-        }
-        // Every parent predicate must have been matched in order.
-        if mine.next().is_some() {
-            return None;
-        }
-        added
-    }
-
-    /// If `child` is a **strict superset** of `self`, returns the added
-    /// predicates (at least one) — the multi-predicate generalization of
-    /// [`single_added_pred`](Self::single_added_pred), used to derive a
-    /// candidate's group from *any* cached ancestor's columns, not just
-    /// the direct parent's. Returns `None` if any of `self`'s predicates
-    /// is missing from `child`, or if the queries are equal.
+    /// If `child` is a **strict superset** of `self` (a pure drill-down
+    /// edit), returns the added predicates (at least one), so callers can
+    /// derive the child's group by filtering the parent's columns. Returns
+    /// `None` if any of `self`'s predicates is missing from `child`, or if
+    /// the queries are equal.
     ///
     /// Both queries are canonical (sorted, deduplicated), so this is a
     /// single two-pointer merge pass.
@@ -379,41 +345,15 @@ mod tests {
             .with_changed(Entity::Item, AttrId(0), ValueId(3))
             .unwrap();
         assert_eq!(ancestor.added_preds(&changed), None);
-        // Agreement with the single-pred special case.
-        let one = ancestor.with_added(a);
-        assert_eq!(ancestor.added_preds(&one), Some(vec![a]));
-    }
-
-    #[test]
-    fn single_added_pred_detects_pure_drill_down() {
-        let parent = SelectionQuery::from_preds(vec![p(Entity::Item, 0, 0)]);
-        let extra = p(Entity::Reviewer, 1, 5);
-        let child = parent.with_added(extra);
-        assert_eq!(parent.single_added_pred(&child), Some(extra));
-
-        // Adding a predicate that sorts before the existing one.
+        // One addition, sorting before the existing predicate.
         let early = p(Entity::Reviewer, 0, 0);
         assert_eq!(
-            parent.single_added_pred(&parent.with_added(early)),
-            Some(early)
+            ancestor.added_preds(&ancestor.with_added(early)),
+            Some(vec![early])
         );
-
-        // From the empty query.
-        let root = SelectionQuery::all();
-        assert_eq!(root.single_added_pred(&parent), Some(p(Entity::Item, 0, 0)));
-
-        // Not a drill-down: equal, removal, change, two additions.
-        assert_eq!(parent.single_added_pred(&parent), None);
-        assert_eq!(child.single_added_pred(&parent), None);
-        let changed = parent
-            .with_changed(Entity::Item, AttrId(0), ValueId(3))
-            .unwrap();
-        assert_eq!(parent.single_added_pred(&changed), None);
-        let two = child.with_added(p(Entity::Item, 2, 2));
-        assert_eq!(parent.single_added_pred(&two), None);
-        // Same length as a drill-down but a predicate was swapped.
-        let swapped = SelectionQuery::from_preds(vec![p(Entity::Item, 0, 1), extra]);
-        assert_eq!(parent.single_added_pred(&swapped), None);
+        // Same length plus one, but a predicate was swapped.
+        let swapped = SelectionQuery::from_preds(vec![p(Entity::Item, 0, 1), a, b]);
+        assert_eq!(ancestor.added_preds(&swapped), None);
     }
 
     #[test]

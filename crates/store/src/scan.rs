@@ -7,10 +7,10 @@
 //! per-phase **gathered block** built once and shared by every consumer:
 //!
 //! * [`GroupColumns`] — a rating group's record ids plus its pre-resolved
-//!   reviewer-row and item-row columns, in pre-shuffle walk order. This is
-//!   what the group cache stores: the gather is a pure function of the
-//!   query, so it can be shared across sessions, while the phase-order
-//!   shuffle stays per-session (each caller permutes with its own seed via
+//!   reviewer-row and item-row columns, in pre-shuffle walk order. The
+//!   gather is a pure function of the query, so a refinement's columns can
+//!   be derived by filtering its parent's, while the phase-order shuffle is
+//!   applied per step (each caller permutes with its own seed via
 //!   [`RatingGroup::from_columns`]).
 //! * [`ScanScratch`] — reusable gather buffers. Steady-state steps reuse
 //!   the same scratch, so building a block allocates nothing once the
@@ -34,9 +34,9 @@ use crate::schema::Entity;
 /// A rating group's records with both entity-row columns pre-resolved, in
 /// deterministic pre-shuffle walk order.
 ///
-/// Built once per query (see `SubjectiveDb::collect_group_columns`) and
-/// shareable across sessions: the phase-order shuffle is applied later,
-/// per caller, by [`RatingGroup::from_columns`].
+/// Built once per query (see `SubjectiveDb::collect_group_columns`), or
+/// derived from a parent's columns; the phase-order shuffle is applied
+/// later, per caller, by [`RatingGroup::from_columns`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupColumns {
     /// Record ids in walk order.
@@ -104,11 +104,9 @@ impl GroupColumns {
     /// Because the canonical walk order is ascending record id — a pure
     /// function of the query, preserved by subset filtering — the result is
     /// byte-identical to a full `collect_group_columns` on the refined
-    /// query, so derived columns are safe to insert into the shared group
-    /// cache. The probe kernel compacts positions branchlessly
+    /// query. The probe kernel compacts positions branchlessly
     /// (near-50%-selectivity predicates would stall a branchy loop), and
-    /// the gather kernel sizes each column exactly (`reserve_exact`) — the
-    /// cache's byte budget relies on capacities not being padded.
+    /// the gather kernel sizes each column exactly (`reserve_exact`).
     pub fn derive_refinement_multi(
         &self,
         reviewer_words: Option<&[u64]>,
@@ -145,14 +143,6 @@ impl GroupColumns {
     /// Whether the group is empty.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
-    }
-
-    /// Heap bytes of the three columns — what a cache entry charges against
-    /// its byte budget (excluding fixed per-entry overhead).
-    pub fn resident_bytes(&self) -> usize {
-        self.records.len() * std::mem::size_of::<RecordId>()
-            + self.reviewer_rows.len() * std::mem::size_of::<u32>()
-            + self.item_rows.len() * std::mem::size_of::<u32>()
     }
 }
 
@@ -263,8 +253,7 @@ impl ScanScratch {
 
     /// Resolves the whole-group entity-row columns when `group` lacks
     /// pre-gathered ones. A no-op for groups built via
-    /// [`RatingGroup::from_columns`], which already carry both columns —
-    /// the gather the cache shares.
+    /// [`RatingGroup::from_columns`], which already carry both columns.
     pub fn prepare_group(&mut self, ratings: &RatingTable, group: &RatingGroup) {
         if group.has_entity_rows() {
             return;
@@ -359,7 +348,6 @@ mod tests {
         assert_eq!(cols.len(), 3);
         assert_eq!(cols.reviewer_rows, vec![2, 0, 1]);
         assert_eq!(cols.item_rows, vec![3, 3, 1]);
-        assert_eq!(cols.resident_bytes(), 3 * 12);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! serve_many: 16 concurrent exploration sessions through the service.
 //!
 //! Starts a `SubdexService` over a `subdex-sim` study workload (a Yelp-like
-//! insight-extraction task; shared group cache on, bounded submit queue),
+//! insight-extraction task; shared distance cache on, bounded submit queue),
 //! then drives 16 sessions from 8 client threads. Each client follows a
 //! recommendation-powered script seeded by its session index, retrying when
 //! the service sheds load. Finishes with the service metrics snapshot:
-//! requests served vs rejected, queue high-water mark, cache hit rate, and
-//! the step-latency histogram.
+//! requests served vs rejected, queue high-water mark, how groups were
+//! materialized, distance-cache hit rate, and the step-latency histogram.
 //!
 //! Run with: `cargo run --release --example serve_many`
 
@@ -45,7 +45,6 @@ fn main() {
     let config = ServiceConfig {
         workers: 4,
         queue_capacity: 8,
-        cache_enabled: true,
         engine: EngineConfig {
             parallel: false, // the worker pool is the parallelism
             max_candidates: 12,
@@ -55,10 +54,8 @@ fn main() {
         ..ServiceConfig::default()
     };
     println!(
-        "service: {} workers, queue capacity {}, cache {}",
-        config.workers,
-        config.queue_capacity,
-        if config.cache_enabled { "on" } else { "off" }
+        "service: {} workers, queue capacity {}",
+        config.workers, config.queue_capacity
     );
 
     let service = Arc::new(SubdexService::start(Arc::clone(&db), config));

@@ -22,7 +22,7 @@
 //! * [`sim`] — the simulated user-study harness;
 //! * [`stats`] — the numeric substrate (distributions, EMD, bounds, ANOVA);
 //! * [`service`] — a concurrent multi-session exploration server with a
-//!   shared group cache and bounded-queue backpressure;
+//!   shared map-distance cache and bounded-queue backpressure;
 //! * [`persist`] — versioned columnar snapshots and a rating write-ahead
 //!   log: durable databases with crash recovery and warm start.
 //!
@@ -61,6 +61,6 @@ pub mod prelude {
     pub use subdex_persist::{PersistStats, PersistentStore};
     pub use subdex_service::{ServiceConfig, SessionId, StepRequest, SubdexService, SubmitError};
     pub use subdex_store::{
-        AttrValue, Entity, GroupCache, RatingDraft, SelectionQuery, StoreError, SubjectiveDb, Value,
+        AttrValue, Entity, RatingDraft, SelectionQuery, StoreError, SubjectiveDb, Value,
     };
 }
