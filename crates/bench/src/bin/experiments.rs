@@ -678,6 +678,10 @@ fn fig11(ctx: &Ctx, which: char) {
         println!();
     }
     if which == 'b' {
-        println!("(note: on a single-core host the parallel variants cannot be flat; see EXPERIMENTS.md)");
+        println!(
+            "(note: measured on {} cores, which bound the parallel variants' advantage; \
+             see EXPERIMENTS.md)",
+            subdex_core::resolve_threads(0)
+        );
     }
 }

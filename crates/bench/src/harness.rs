@@ -1,4 +1,4 @@
-//! Shared helpers for the experiment binary and Criterion benches.
+//! Shared helpers for the experiment binary.
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -1,6 +1,6 @@
-//! Bench-harness crate: see `src/bin/experiments.rs` and `benches/`.
+//! Experiment-harness crate: see `src/bin/experiments.rs`.
 //!
-//! The library target exists so Criterion benches and the experiment
-//! binary can share helpers.
+//! The library target holds the dataset, workload and timing helpers the
+//! experiment binary shares with its tests.
 
 pub mod harness;

@@ -19,7 +19,6 @@
 //!   displayed maps; it rewards maps that show a facet of the data the user
 //!   has not seen yet (the multi-step diversity facet).
 
-use serde::{Deserialize, Serialize};
 use subdex_stats::distance::{kl_divergence, total_variation};
 use subdex_stats::kernels::BatchScratch;
 use subdex_stats::{distance, distribution, RatingDistribution};
@@ -28,8 +27,9 @@ use subdex_stats::{distance, distribution, RatingDistribution};
 ///
 /// The paper's prototype uses the total variation distance and names the
 /// KL divergence and the Outlier Function of \[39\] as alternatives
-/// (Section 4.1); all three are provided and ablated in the benches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// (Section 4.1); all three are provided and ablated by
+/// `experiments ablation-pec`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PeculiarityMeasure {
     /// Total variation distance (the paper's choice).
     #[default]
@@ -137,7 +137,7 @@ pub fn max_distance(vals: &[f64]) -> f64 {
 }
 
 /// The four criteria composing utility.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Criterion {
     /// Compaction gain.
     Conciseness,

@@ -61,11 +61,6 @@ use subdex_store::DistanceCache;
 /// margin is meaningful.
 pub const BOUND_MARGIN: f64 = 1e-9;
 
-/// Serial fallback threshold: GMM rows shorter than this are evaluated on
-/// the calling thread even when the engine is configured parallel (the
-/// spawn overhead would dwarf the row).
-const PAR_MIN_ITEMS: usize = 16;
-
 /// Precomputed distance state of one [`RatingMap`]: everything the engine
 /// needs to build ground-cost matrices, evaluate bounds, and key caches,
 /// derived once per map instead of once per pair.
@@ -430,15 +425,14 @@ pub fn upper_bound(a: &MapSignature, b: &MapSignature, scratch: &mut DistScratch
 
 /// The bounded, cached map-distance evaluator used by the selection phase.
 ///
-/// Configuration is three orthogonal switches — lower-bound pruning, a
-/// shared cross-step [`DistanceCache`], and a thread count for GMM row
-/// evaluation — every combination of which produces byte-identical
-/// selections (enforced by the selector's equivalence tests).
+/// Configuration is two orthogonal switches — lower-bound pruning and a
+/// shared cross-step [`DistanceCache`] — every combination of which
+/// produces byte-identical selections (enforced by the selector's
+/// equivalence tests).
 #[derive(Debug, Clone)]
 pub struct DistanceEngine {
     bounds: bool,
     cache: Option<Arc<DistanceCache>>,
-    threads: usize,
 }
 
 impl Default for DistanceEngine {
@@ -448,12 +442,11 @@ impl Default for DistanceEngine {
 }
 
 impl DistanceEngine {
-    /// Bounds on, no cache, serial — the safe default for library callers.
+    /// Bounds on, no cache — the safe default for library callers.
     pub fn new() -> Self {
         Self {
             bounds: true,
             cache: None,
-            threads: 1,
         }
     }
 
@@ -468,27 +461,6 @@ impl DistanceEngine {
     pub fn with_cache(mut self, cache: Option<Arc<DistanceCache>>) -> Self {
         self.cache = cache;
         self
-    }
-
-    /// Sets the GMM row-evaluation thread count (`0` = all cores).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// A copy of this engine that evaluates serially — used inside already
-    /// parallel sections (the per-candidate recommendation previews) to
-    /// avoid nested thread pools.
-    pub fn serial(&self) -> Self {
-        Self {
-            threads: 1,
-            ..self.clone()
-        }
-    }
-
-    /// The configured thread count (`0` = all cores).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Whether bound pruning is enabled.
@@ -606,9 +578,7 @@ impl DistanceEngine {
 
     /// Evaluates one GMM row in place: for every index with `!picked[i]`,
     /// lowers `min_dist[i]` to `d(pivot, i)` when the pair cannot be
-    /// pruned. Rows are chunked across the engine's threads (each chunk
-    /// owns a disjoint `min_dist` slice plus private scratch and stats, so
-    /// the merge is deterministic); short rows stay on the calling thread.
+    /// pruned.
     pub fn update_row(
         &self,
         sigs: &[MapSignature],
@@ -646,65 +616,18 @@ impl DistanceEngine {
             );
             scratch.mix_stage = stage;
         }
-        let hint = |i: usize| if use_hints { Some(mix_lb[i]) } else { None };
-        let threads = crate::parallel::resolve_threads(self.threads).min(n.max(1));
-        if threads <= 1 || n < PAR_MIN_ITEMS {
-            for i in 0..n {
-                if picked[i] {
-                    continue;
-                }
-                if let Some(d) = self.evaluate_with_hint(
-                    &sigs[pivot],
-                    &sigs[i],
-                    min_dist[i],
-                    hint(i),
-                    scratch,
-                    stats,
-                ) {
-                    if d < min_dist[i] {
-                        min_dist[i] = d;
-                    }
+        for i in 0..n {
+            if picked[i] {
+                continue;
+            }
+            let hint = use_hints.then(|| mix_lb[i]);
+            if let Some(d) =
+                self.evaluate_with_hint(&sigs[pivot], &sigs[i], min_dist[i], hint, scratch, stats)
+            {
+                if d < min_dist[i] {
+                    min_dist[i] = d;
                 }
             }
-            scratch.mix_lb = mix_lb;
-            return;
-        }
-        let chunk = n.div_ceil(threads);
-        let jobs = n.div_ceil(chunk);
-        let pivot_sig = &sigs[pivot];
-        // Each pooled task owns the disjoint `min_dist[base..end]` range
-        // plus private scratch and stats; the pool returns locals in chunk
-        // order, so the stats merge below matches the old join order.
-        let lanes = crate::parallel::DisjointSlots::new(min_dist);
-        let locals: Vec<SelectionStats> = crate::parallel::task_pool().run(jobs, |c| {
-            let base = c * chunk;
-            let end = (base + chunk).min(n);
-            // Safety: chunk `c` is the only task touching `base..end`.
-            let slots = unsafe { lanes.range(base, end) };
-            let mut scratch = DistScratch::default();
-            let mut local = SelectionStats::default();
-            for (off, slot) in slots.iter_mut().enumerate() {
-                let i = base + off;
-                if picked[i] {
-                    continue;
-                }
-                if let Some(d) = self.evaluate_with_hint(
-                    pivot_sig,
-                    &sigs[i],
-                    *slot,
-                    hint(i),
-                    &mut scratch,
-                    &mut local,
-                ) {
-                    if d < *slot {
-                        *slot = d;
-                    }
-                }
-            }
-            local
-        });
-        for local in &locals {
-            stats.merge(local);
         }
         scratch.mix_lb = mix_lb;
     }

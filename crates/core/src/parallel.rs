@@ -1,9 +1,9 @@
 //! Thread-count resolution and the persistent step-worker pool shared by
 //! every parallel code path.
 //!
-//! The generator's phase scan, the recommendation evaluator, the selection
-//! distance pass, the simulation study runner, and the service worker pool
-//! all accept a thread count where `0` means "use every available core".
+//! The generator's phase scan, the recommendation evaluator, the
+//! simulation study runner, and the service worker pool all accept a
+//! thread count where `0` means "use every available core".
 //! This module is the single home of that convention, of the
 //! oversubscription budget that clamps it, and of the process-wide
 //! [`TaskPool`] that executes the per-phase fan-outs without re-spawning OS
@@ -228,8 +228,8 @@ pub fn task_pool() -> &'static TaskPool {
     POOL.get_or_init(TaskPool::new)
 }
 
-/// Shared view over a mutable slice whose elements (or disjoint ranges) are
-/// each owned by exactly one pooled task. The closures handed to
+/// Shared view over a mutable slice whose elements are each owned by
+/// exactly one pooled task. The closures handed to
 /// [`TaskPool::run`] are `Fn + Sync`, so they cannot capture `iter_mut`
 /// lanes directly; this wrapper carries the provenance across instead.
 pub(crate) struct DisjointSlots<'a, T> {
@@ -254,20 +254,11 @@ impl<'a, T> DisjointSlots<'a, T> {
 
     /// # Safety
     /// At most one live reference per index: each index must be accessed by
-    /// exactly one task, and never while `range` overlaps it.
+    /// exactly one task.
     #[allow(clippy::mut_from_ref)]
     pub(crate) unsafe fn slot(&self, index: usize) -> &mut T {
         assert!(index < self.len, "slot index out of bounds");
         &mut *self.ptr.add(index)
-    }
-
-    /// # Safety
-    /// Ranges handed to concurrent tasks must not overlap each other or any
-    /// live `slot` reference.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn range(&self, start: usize, end: usize) -> &mut [T] {
-        assert!(start <= end && end <= self.len, "slot range out of bounds");
-        std::slice::from_raw_parts_mut(self.ptr.add(start), end - start)
     }
 }
 

@@ -130,7 +130,6 @@ pub struct StepPlan {
     k: usize,
     selection: SelectionStrategy,
     distance_bounds: bool,
-    dist_threads: usize,
     base_seed: u64,
 }
 
@@ -200,7 +199,6 @@ impl StepPlan {
             k: config.k,
             selection: config.selection,
             distance_bounds: config.distance_bounds,
-            dist_threads: if config.parallel { config.threads } else { 1 },
             base_seed: config.seed,
         }
     }
@@ -225,16 +223,14 @@ impl StepPlan {
     /// through). The budget only clamps *how many* workers each phase may
     /// use — results are byte-identical across budgets because every
     /// parallel phase merges in deterministic task-index order.
-    pub fn with_thread_budget(&self, budget: usize) -> (GeneratorConfig, RecommendConfig, usize) {
+    pub fn with_thread_budget(&self, budget: usize) -> (GeneratorConfig, RecommendConfig) {
         let mut gen_cfg = self.gen_cfg;
         let mut rec_cfg = self.rec_cfg;
-        let mut dist_threads = self.dist_threads;
         if budget > 0 {
             gen_cfg.threads = crate::parallel::budget_threads(gen_cfg.threads, budget);
             rec_cfg.threads = crate::parallel::budget_threads(rec_cfg.threads, budget);
-            dist_threads = crate::parallel::budget_threads(dist_threads, budget);
         }
-        (gen_cfg, rec_cfg, dist_threads)
+        (gen_cfg, rec_cfg)
     }
 
     /// Whether the plan contains a [`PhaseOp::RecommendOps`] node.
@@ -472,7 +468,7 @@ impl StepExecutor<'_> {
         let seed = plan.step_seed(step);
         // Clamp the compiled per-phase thread counts to the session's
         // oversubscription budget (no-op when the budget is 0/unset).
-        let (gen_cfg, rec_cfg, dist_threads) = plan.with_thread_budget(self.ctx.thread_budget());
+        let (gen_cfg, rec_cfg) = plan.with_thread_budget(self.ctx.thread_budget());
         let mut stats = StepStats::default();
         // Keep the step's pre-shuffle columns alive past the group build:
         // every add-predicate recommendation candidate derives its group by
@@ -522,8 +518,7 @@ impl StepExecutor<'_> {
                 PhaseOp::SelectDiverse { strategy, k } => {
                     let engine = DistanceEngine::new()
                         .with_bounds(plan.distance_bounds)
-                        .with_cache(self.dist_cache.cloned())
-                        .with_threads(dist_threads);
+                        .with_cache(self.dist_cache.cloned());
                     // The pool outlives selection only when a recommend op
                     // will anchor candidates on it.
                     let select_pool = if plan.recommends() {
@@ -642,7 +637,6 @@ mod tests {
             ops(&seq),
             ops(&StepPlan::compile(&EngineConfig::subdex(), &q))
         );
-        assert_eq!(seq.dist_threads, 1);
         assert!(!seq.gen_cfg.parallel);
     }
 

@@ -15,12 +15,11 @@
 //!   best remaining arm into the top-`k′` or *reject* the worst, whichever
 //!   gap is larger.
 
-use serde::{Deserialize, Serialize};
 use subdex_stats::ConfidenceInterval;
 
 /// Which pruning optimizations a generator run uses. The scalability
 /// baselines of Section 5.1 are exactly these variants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PruningStrategy {
     /// No pruning: every candidate is fully evaluated ("No-Pruning").
     None,

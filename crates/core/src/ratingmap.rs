@@ -7,7 +7,6 @@
 //! aggregation, and it is the unit the engine scores, prunes, diversifies
 //! and displays.
 
-use serde::{Deserialize, Serialize};
 use subdex_stats::RatingDistribution;
 use subdex_store::{AttrId, DimId, Entity, SubjectiveDb, ValueId};
 
@@ -15,7 +14,7 @@ use crate::utility::CriterionScores;
 
 /// Identity of a candidate rating map: which attribute partitions the group
 /// and which rating dimension is aggregated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MapKey {
     /// Entity side of the grouping attribute.
     pub entity: Entity,
@@ -34,7 +33,7 @@ impl MapKey {
 
 /// One subgroup of a rating map: a grouping-attribute value, the rating
 /// distribution of matching records, and the average score.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Subgroup {
     /// The grouping-attribute value shared by all records in the subgroup.
     pub value: ValueId,
@@ -47,7 +46,7 @@ pub struct Subgroup {
 /// How a subgroup's aggregated score is computed (Definition 2 uses the
 /// average; the paper notes "other aggregations could be used such as the
 /// highest probability for the rating dimension" — that is [`Self::Mode`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AggregationKind {
     /// Mean rating (the paper's choice).
     #[default]
@@ -67,7 +66,7 @@ impl AggregationKind {
 }
 
 /// A materialized rating map.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RatingMap {
     /// Identity (grouping attribute + dimension).
     pub key: MapKey,
@@ -170,7 +169,7 @@ impl RatingMap {
 }
 
 /// A rating map together with its scores, as produced by the RM-Generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScoredRatingMap {
     /// The map itself.
     pub map: RatingMap,

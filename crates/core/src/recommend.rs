@@ -373,10 +373,9 @@ pub fn enumerate_candidates_into(
 /// paths taken.
 ///
 /// `dist` configures the [`DistanceEngine`] behind each candidate's
-/// diverse-selection preview; candidates already run one per worker thread,
-/// so the engine is forced serial per candidate ([`DistanceEngine::serial`])
-/// to avoid nested thread pools, while keeping its bounds and shared cache.
-/// The returned [`SelectionStats`] aggregate those previews.
+/// diverse-selection preview (its bounds and shared cache; the default
+/// engine when `None`). The returned [`SelectionStats`] aggregate those
+/// previews.
 ///
 /// `scratch` pools the candidate vector and the per-worker generate and
 /// select buffers across calls; it recycles containers, never values.
@@ -407,18 +406,12 @@ pub fn recommend(
         );
     }
 
-    // Each candidate is evaluated inside an (optionally) already-parallel
-    // worker, so the per-candidate selection runs the engine serially while
-    // keeping its bounds setting and shared cache.
-    let dist_engine = match dist {
-        Some(engine) => engine.serial(),
-        None => DistanceEngine::new(),
-    };
-    let dist_engine = &dist_engine;
+    let dist_engine = &dist.cloned().unwrap_or_default();
 
-    // Likewise the generator: when the fan-out gives every pool worker a
-    // candidate, a parallel phase scan inside each would only re-enter the
-    // pool once per phase. Chunk merges are exact, so the serial scan
+    // Each candidate is evaluated inside an (optionally) already-parallel
+    // worker. When the fan-out gives every pool worker a candidate, a
+    // parallel phase scan inside each would only re-enter the pool once
+    // per phase. Chunk merges are exact, so the serial scan
     // produces the same bits. Fewer candidates than workers (a lone
     // candidate included) or a serial recommender leave cores idle, so the
     // generator keeps its own parallelism there.

@@ -14,10 +14,9 @@
 //! Distance evaluations go through [`DistanceEngine`]: map signatures are
 //! built once per pool, the per-pick update `min_dist[i] = min(min_dist[i],
 //! d(next, i))` skips exact transportation solves that a lower bound proves
-//! irrelevant, exact values can be served from a shared cross-step cache,
-//! and rows are evaluated in parallel chunks with a deterministic merge.
-//! Every engine configuration returns byte-identical selections (see the
-//! equivalence tests in `tests/proptests.rs`).
+//! irrelevant, and exact values can be served from a shared cross-step
+//! cache. Every engine configuration returns byte-identical selections
+//! (see the equivalence tests in `tests/proptests.rs`).
 
 use crate::mapdist::{DistScratch, DistanceEngine, MapSignature, SelectionStats};
 use crate::ratingmap::ScoredRatingMap;
@@ -98,7 +97,7 @@ impl SelectScratch {
 }
 
 /// Selects `k` maps from `pool` (already ranked by descending DW utility)
-/// with a default (bounds-on, serial, uncached) engine, discarding stats.
+/// with a default (bounds-on, uncached) engine, discarding stats.
 ///
 /// For [`SelectionStrategy::UtilityOnly`] this is the prefix; otherwise
 /// GMM runs over the pool. Returns at most `k` maps (fewer when the pool is
@@ -347,8 +346,8 @@ mod tests {
     #[test]
     fn gmm_selection_pinned_on_fixed_pool() {
         // Regression pin for the engine rewrite (bound pruning, distance
-        // cache, parallel rows): exact selections on a fixed 6-map pool
-        // must never change, under every engine configuration.
+        // cache): exact selections on a fixed 6-map pool must never
+        // change, under every engine configuration.
         let pool = vec![
             scored(0, &[&[10, 0, 0, 0, 0]], 0.9),
             scored(1, &[&[9, 1, 0, 0, 0]], 0.8),
@@ -404,7 +403,7 @@ mod tests {
         }
     }
 
-    /// Every bounds × cache × threads configuration under test.
+    /// Every bounds × cache configuration under test.
     fn engine_matrix() -> Vec<(&'static str, DistanceEngine)> {
         let cache = || Some(Arc::new(DistanceCache::new(1 << 20)));
         vec![
@@ -415,12 +414,36 @@ mod tests {
                 "no-bounds+cache",
                 DistanceEngine::new().with_bounds(false).with_cache(cache()),
             ),
-            ("bounds+par", DistanceEngine::new().with_threads(4)),
-            (
-                "bounds+cache+par",
-                DistanceEngine::new().with_cache(cache()).with_threads(4),
-            ),
         ]
+    }
+
+    #[test]
+    fn gmm_over_a_wide_pool_matches_the_reference() {
+        // Diversity-Only over 24 maps: rows of at least 16 candidates, the
+        // widest the selector sees, pinned index-for-index against the
+        // exhaustive reference under every engine configuration.
+        let pool: Vec<ScoredRatingMap> = (0..24u64)
+            .map(|i| {
+                let a = [i % 7, (i * 3) % 5, (i * 5) % 11, i % 2, (i * 7) % 13];
+                let b = [(i * 11) % 6, i % 3, 1, (i * 13) % 9, i % 5];
+                scored(i as u16, &[&a, &b], 1.0 / (i + 1) as f64)
+            })
+            .collect();
+        for k in [3usize, 5, 9] {
+            let reference: Vec<u16> = gmm_reference(&pool, k)
+                .into_iter()
+                .map(|i| pool[i].map.key.attr.0)
+                .collect();
+            for (name, engine) in &engine_matrix() {
+                let (sel, _) = select_diverse_tracked(
+                    pool.clone(),
+                    k,
+                    SelectionStrategy::DiversityOnly,
+                    engine,
+                );
+                assert_eq!(attrs_of(&sel), reference, "k={k} engine={name}");
+            }
+        }
     }
 
     #[test]

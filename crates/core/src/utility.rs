@@ -11,11 +11,10 @@
 //! [`UtilityCombiner`] is that knob.
 
 use crate::interest::Criterion;
-use serde::{Deserialize, Serialize};
 use subdex_store::DimId;
 
 /// The four normalized criterion scores of one rating map.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CriterionScores {
     /// Normalized conciseness.
     pub conciseness: f64,
@@ -50,7 +49,7 @@ impl CriterionScores {
 }
 
 /// How the four criteria combine into the utility `u(rm, RM)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum UtilityCombiner {
     /// The paper's choice: the maximum criterion.
     #[default]
@@ -110,7 +109,7 @@ impl UtilityCombiner {
 /// * with a single rating dimension (`t = 1`, e.g. MovieLens) the fraction
 ///   is always 1 and Equation 1 would zero every utility, so the weight is
 ///   pinned to 1 — dimension diversity is vacuous there.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DimensionWeights {
     counts: Vec<u64>,
     total: u64,

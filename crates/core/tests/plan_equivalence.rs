@@ -105,12 +105,7 @@ impl LegacyEngine {
             .collect();
         let dist_engine = DistanceEngine::new()
             .with_bounds(self.config.distance_bounds)
-            .with_cache(self.dist_cache.clone())
-            .with_threads(if self.config.parallel {
-                self.config.threads
-            } else {
-                1
-            });
+            .with_cache(self.dist_cache.clone());
         let (maps, mut selection) = select_diverse_tracked(
             pool.clone(),
             self.config.k,

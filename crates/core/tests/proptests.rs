@@ -315,8 +315,8 @@ proptest! {
 
     #[test]
     fn gmm_byte_identical_across_engine_configs(pool in scored_pool(), k in 1usize..5) {
-        // bounds × cache × parallel must all reproduce the default
-        // engine's selection exactly, and warm cache replays must too.
+        // bounds × cache must all reproduce the default engine's
+        // selection exactly, and warm cache replays must too.
         let reference: Vec<MapKey> = select_diverse(pool.clone(), k, SelectionStrategy::DiversityOnly)
             .iter()
             .map(|m| m.map.key)
@@ -325,9 +325,7 @@ proptest! {
         let engines = [
             DistanceEngine::new().with_bounds(false),
             DistanceEngine::new().with_cache(Some(shared.clone())),
-            DistanceEngine::new().with_bounds(false).with_cache(Some(shared.clone())),
-            DistanceEngine::new().with_threads(3),
-            DistanceEngine::new().with_cache(Some(shared)).with_threads(3),
+            DistanceEngine::new().with_bounds(false).with_cache(Some(shared)),
         ];
         for (i, engine) in engines.iter().enumerate() {
             let (sel, stats) = select_diverse_tracked(

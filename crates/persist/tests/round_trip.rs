@@ -7,7 +7,9 @@
 //! [`DbStats`], canonical record sets and seeded [`rating_group`]
 //! shuffles for every single-predicate query, per-dimension score
 //! columns, and the append epoch. The same holds after appends flow
-//! through a [`PersistentStore`] WAL and a compaction cycle.
+//! through a [`PersistentStore`] WAL and a compaction cycle, and for the
+//! CSV cold-start path: CSV export → CSV load → snapshot → snapshot load
+//! reconstructs the original.
 //!
 //! [`DbStats`]: subdex_store::DbStats
 //! [`rating_group`]: subdex_store::SubjectiveDb::rating_group
@@ -21,7 +23,7 @@ use proptest::strategy::Just;
 
 use subdex_persist::{read_snapshot, write_snapshot, PersistentStore};
 use subdex_store::{
-    table::EntityTableBuilder, AttrValue, Cell, Entity, RatingDraft, Schema, SelectionQuery,
+    csv, table::EntityTableBuilder, AttrValue, Cell, Entity, RatingDraft, Schema, SelectionQuery,
     SubjectiveDb, Value,
 };
 
@@ -168,6 +170,24 @@ proptest! {
         prop_assert_eq!(meta.last_seq, 7);
         assert_identical(&db, &loaded);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn csv_and_snapshot_loaders_reconstruct_the_original(spec in db_spec()) {
+        // The two ways a process obtains a ready database — CSV ingest
+        // (re-interning every dictionary, rebuilding both indexes) and a
+        // snapshot load — must both answer every probe like the original.
+        let db = build_db(&spec);
+        let dir = temp_path("csv");
+        std::fs::create_dir_all(&dir).expect("create csv dir");
+        csv::save_dir(&db, &dir).expect("save csv");
+        let from_csv = csv::load_dir(&dir).expect("load csv");
+        assert_identical(&db, &from_csv);
+        let snap = dir.join("from-csv.sdx");
+        write_snapshot(&from_csv, 0, &snap).expect("write");
+        let (from_snap, _) = read_snapshot(&snap).expect("read");
+        assert_identical(&db, &from_snap);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -56,12 +56,6 @@ pub struct ServiceConfig {
     /// Dirty-record count that triggers an early checkpoint, ahead of the
     /// interval (persistent services only).
     pub checkpoint_dirty_threshold: u64,
-    /// Per-step worker-thread cap handed to the stepping session. `0`
-    /// (default) divides the core budget across currently-busy workers —
-    /// `max(1, cores / busy)` — so one step stops claiming every core while
-    /// other sessions wait; any other value is a fixed cap. Budgets change
-    /// scheduling only: step results are byte-identical across them.
-    pub thread_budget: usize,
 }
 
 impl Default for ServiceConfig {
@@ -76,7 +70,6 @@ impl Default for ServiceConfig {
             mode: ExplorationMode::RecommendationPowered,
             checkpoint_interval: Duration::from_secs(30),
             checkpoint_dirty_threshold: 10_000,
-            thread_budget: 0,
         }
     }
 }
@@ -277,16 +270,13 @@ impl SubdexService {
         // claiming every core.
         let cores = subdex_core::resolve_threads(0);
         let busy = Arc::new(AtomicUsize::new(0));
-        let budget_override = config.thread_budget;
         let workers = (0..worker_count)
             .map(|_| {
                 let rx = rx.clone();
                 let registry = Arc::clone(&registry);
                 let metrics = Arc::clone(&metrics);
                 let busy = Arc::clone(&busy);
-                std::thread::spawn(move || {
-                    worker_loop(&rx, &registry, &metrics, &busy, cores, budget_override)
-                })
+                std::thread::spawn(move || worker_loop(&rx, &registry, &metrics, &busy, cores))
             })
             .collect();
         Self {
@@ -527,7 +517,6 @@ fn worker_loop(
     metrics: &ServiceMetrics,
     busy: &AtomicUsize,
     cores: usize,
-    budget_override: usize,
 ) {
     /// Counts a worker as stepping for as long as it lives — dropped on
     /// return and on unwind alike, so a panicking step cannot leave `busy`
@@ -545,15 +534,10 @@ fn worker_loop(
         // `AssertUnwindSafe`: the only state the closure can leave torn is
         // the session, which is discarded below without being read again.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            // Split the core budget across whoever is stepping right now;
-            // a fixed configured budget overrides the division.
+            // Split the core budget across whoever is stepping right now.
             let busy_now = busy.fetch_add(1, Ordering::Relaxed) + 1;
             let _stepping = Stepping(busy);
-            let budget = if budget_override > 0 {
-                budget_override
-            } else {
-                (cores / busy_now).max(1)
-            };
+            let budget = (cores / busy_now).max(1);
             registry.with_session(job.session, |session| {
                 session.set_thread_budget(budget);
                 match &job.request {

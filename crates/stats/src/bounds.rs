@@ -8,10 +8,8 @@
 //! replacement* from a finite population — which is the regime the
 //! Hoeffding–Serfling bound covers.
 
-use serde::{Deserialize, Serialize};
-
 /// A closed interval `[lo, hi]` bounding an unknown quantity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     /// Lower bound.
     pub lo: f64,
@@ -94,7 +92,7 @@ impl ConfidenceInterval {
 /// This is the exact form used by SeeDB \[54\]; the `(1 − f_s)` factor makes
 /// the interval collapse to a point as the sample approaches the full
 /// population, which is what lets late phases prune aggressively.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct HoeffdingSerfling {
     population: u64,
     delta: f64,

@@ -5,8 +5,6 @@
 //! scale `1..=m`. It is the atom from which rating maps, interestingness
 //! scores, and all distribution distances are computed.
 
-use serde::{Deserialize, Serialize};
-
 /// A histogram of rating scores over the ordinal scale `1..=m`.
 ///
 /// Index `j` of [`counts`](Self::counts) holds the number of records whose
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// normalized probability vector so that it can be updated incrementally as
 /// the phase-based execution framework streams fractions of a rating group;
 /// probability views are derived on demand.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RatingDistribution {
     counts: Vec<u64>,
 }

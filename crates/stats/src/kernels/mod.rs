@@ -36,12 +36,12 @@
 //!   extract lanes and call the same scalar `f64::ln` the reference uses —
 //!   a polynomial vector approximation would break the contract.
 //! * Integer kernels are exact on every path, so identity there is by
-//!   construction. The word-wise set kernels (`and_words`, `andnot_words`,
+//!   construction. The word-wise set kernels (`and_words`,
 //!   `popcount_words`) vectorize profitably; the data-dependent ones
-//!   (`gather_u32`, the probe/decode/filter set kernels)
-//!   share the scalar body because their `vpgatherdd`-style variants
-//!   measured slower than out-of-order scalar loads (see the per-kernel
-//!   docs).
+//!   (`gather_u32`, the probe/decode/filter set kernels) have only the
+//!   scalar body, because their `vpgatherdd`-style variants measured
+//!   slower than out-of-order scalar loads (see the per-kernel docs), and
+//!   take no [`KernelPath`].
 //!
 //! The contract is pinned by proptests (`kernel_equivalence`) comparing
 //! every available path against [`KernelPath::Scalar`] with `to_bits`
@@ -49,13 +49,13 @@
 //!
 //! # Dispatch
 //!
-//! [`active`] picks the widest available path once per process via
-//! `is_x86_feature_detected!`. The environment variable
-//! `SUBDEX_KERNEL=scalar|sse2|avx2` overrides the choice (an unknown or
+//! [`active`] picks AVX2 when `is_x86_feature_detected!` reports it and
+//! scalar otherwise, once per process. The environment variable
+//! `SUBDEX_KERNEL=scalar|avx2` overrides the choice (an unknown or
 //! unavailable value falls back to auto-detection; `scalar` always works,
-//! which is what CI uses to keep the fallback path honest). Every kernel
-//! takes its [`KernelPath`] explicitly, so tests and benches can pin all
-//! paths against each other in one process without touching the
+//! which is what CI uses to keep the fallback path honest). Every
+//! dispatching kernel takes its [`KernelPath`] explicitly, so tests can pin
+//! both paths against each other in one process without touching the
 //! environment.
 
 mod scalar;
@@ -67,11 +67,9 @@ use std::sync::OnceLock;
 /// One implementation path of the batch kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPath {
-    /// Portable scalar reference — the semantics every other path must
-    /// reproduce bit-for-bit.
+    /// Portable scalar reference — the semantics the AVX2 path must
+    /// reproduce bit-for-bit, and the only path off x86_64.
     Scalar,
-    /// 128-bit SSE2: two `f64` lanes per op.
-    Sse2,
     /// 256-bit AVX2: four `f64` lanes per op.
     Avx2,
 }
@@ -82,17 +80,15 @@ impl KernelPath {
         match self {
             KernelPath::Scalar => true,
             #[cfg(target_arch = "x86_64")]
-            KernelPath::Sse2 => std::arch::is_x86_feature_detected!("sse2"),
-            #[cfg(target_arch = "x86_64")]
             KernelPath::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
-            _ => false,
+            KernelPath::Avx2 => false,
         }
     }
 
     /// Every path the current host supports, scalar first.
     pub fn available() -> Vec<KernelPath> {
-        [KernelPath::Scalar, KernelPath::Sse2, KernelPath::Avx2]
+        [KernelPath::Scalar, KernelPath::Avx2]
             .into_iter()
             .filter(|p| p.is_available())
             .collect()
@@ -102,7 +98,6 @@ impl KernelPath {
     pub fn parse(name: &str) -> Option<KernelPath> {
         match name.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(KernelPath::Scalar),
-            "sse2" => Some(KernelPath::Sse2),
             "avx2" => Some(KernelPath::Avx2),
             _ => None,
         }
@@ -112,7 +107,6 @@ impl KernelPath {
     pub fn name(self) -> &'static str {
         match self {
             KernelPath::Scalar => "scalar",
-            KernelPath::Sse2 => "sse2",
             KernelPath::Avx2 => "avx2",
         }
     }
@@ -130,22 +124,17 @@ static ACTIVE: OnceLock<KernelPath> = OnceLock::new();
 /// `SUBDEX_KERNEL` env override, otherwise as the widest path
 /// `is_x86_feature_detected!` reports.
 pub fn active() -> KernelPath {
-    *ACTIVE.get_or_init(|| {
-        if let Ok(v) = std::env::var("SUBDEX_KERNEL") {
-            if let Some(p) = KernelPath::parse(&v) {
-                if p.is_available() {
-                    return p;
-                }
-            }
-        }
-        if KernelPath::Avx2.is_available() {
-            KernelPath::Avx2
-        } else if KernelPath::Sse2.is_available() {
-            KernelPath::Sse2
-        } else {
-            KernelPath::Scalar
-        }
-    })
+    *ACTIVE.get_or_init(|| choose(std::env::var("SUBDEX_KERNEL").ok().as_deref()))
+}
+
+/// The path an override name selects: the named path when it parses and
+/// can run here, otherwise auto-detection (AVX2 if available, else scalar).
+fn choose(override_name: Option<&str>) -> KernelPath {
+    match override_name.and_then(KernelPath::parse) {
+        Some(p) if p.is_available() => p,
+        _ if KernelPath::Avx2.is_available() => KernelPath::Avx2,
+        _ => KernelPath::Scalar,
+    }
 }
 
 /// A staged score-major batch of rating distributions: `lanes`
@@ -275,16 +264,11 @@ pub fn cdf_rows(path: KernelPath, batch: &BatchScratch, out: &mut Vec<f64>) {
     out.clear();
     out.resize(lanes * scale, 0.0);
     match path {
-        KernelPath::Scalar => scalar::cdf_rows(&batch.counts, &batch.totals, lanes, scale, out),
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Sse2 => unsafe {
-            x86::cdf_rows_sse2(&batch.counts, &batch.totals, lanes, scale, out)
-        },
+        // SAFETY: `check` asserted that the host supports AVX2.
         #[cfg(target_arch = "x86_64")]
         KernelPath::Avx2 => unsafe {
             x86::cdf_rows_avx2(&batch.counts, &batch.totals, lanes, scale, out)
         },
-        #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::cdf_rows(&batch.counts, &batch.totals, lanes, scale, out),
     }
 }
@@ -308,50 +292,14 @@ pub fn tvd_rows(
     let (lanes, scale) = (batch.lanes, batch.scale);
     out.clear();
     out.resize(lanes, 0.0);
+    let (counts, totals) = (&batch.counts, &batch.totals);
     match path {
-        KernelPath::Scalar => scalar::tvd_rows(
-            &batch.counts,
-            &batch.totals,
-            lanes,
-            scale,
-            ref_counts,
-            ref_total,
-            out,
-        ),
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Sse2 => unsafe {
-            x86::tvd_rows_sse2(
-                &batch.counts,
-                &batch.totals,
-                lanes,
-                scale,
-                ref_counts,
-                ref_total,
-                out,
-            )
-        },
+        // SAFETY: `check` asserted that the host supports AVX2.
         #[cfg(target_arch = "x86_64")]
         KernelPath::Avx2 => unsafe {
-            x86::tvd_rows_avx2(
-                &batch.counts,
-                &batch.totals,
-                lanes,
-                scale,
-                ref_counts,
-                ref_total,
-                out,
-            )
+            x86::tvd_rows_avx2(counts, totals, lanes, scale, ref_counts, ref_total, out)
         },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::tvd_rows(
-            &batch.counts,
-            &batch.totals,
-            lanes,
-            scale,
-            ref_counts,
-            ref_total,
-            out,
-        ),
+        _ => scalar::tvd_rows(counts, totals, lanes, scale, ref_counts, ref_total, out),
     }
 }
 
@@ -377,53 +325,17 @@ pub fn jeffreys_rows(
     let (lanes, scale) = (batch.lanes, batch.scale);
     out.clear();
     out.resize(lanes, 0.0);
+    let (counts, totals) = (&batch.counts, &batch.totals);
     match path {
-        KernelPath::Scalar => scalar::jeffreys_rows(
-            &batch.counts,
-            &batch.totals,
-            lanes,
-            scale,
-            ref_counts,
-            ref_total,
-            eps,
-            out,
-        ),
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Sse2 => unsafe {
-            x86::jeffreys_rows_sse2(
-                &batch.counts,
-                &batch.totals,
-                lanes,
-                scale,
-                ref_counts,
-                ref_total,
-                eps,
-                out,
-            )
-        },
+        // SAFETY: `check` asserted that the host supports AVX2.
         #[cfg(target_arch = "x86_64")]
         KernelPath::Avx2 => unsafe {
             x86::jeffreys_rows_avx2(
-                &batch.counts,
-                &batch.totals,
-                lanes,
-                scale,
-                ref_counts,
-                ref_total,
-                eps,
-                out,
+                counts, totals, lanes, scale, ref_counts, ref_total, eps, out,
             )
         },
-        #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::jeffreys_rows(
-            &batch.counts,
-            &batch.totals,
-            lanes,
-            scale,
-            ref_counts,
-            ref_total,
-            eps,
-            out,
+            counts, totals, lanes, scale, ref_counts, ref_total, eps, out,
         ),
     }
 }
@@ -445,18 +357,11 @@ pub fn mean_sd_rows(
     out_sd.clear();
     out_sd.resize(lanes, 0.0);
     match path {
-        KernelPath::Scalar => {
-            scalar::mean_sd_rows(&batch.counts, &batch.totals, lanes, scale, out_mean, out_sd)
-        }
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Sse2 => unsafe {
-            x86::mean_sd_rows_sse2(&batch.counts, &batch.totals, lanes, scale, out_mean, out_sd)
-        },
+        // SAFETY: `check` asserted that the host supports AVX2.
         #[cfg(target_arch = "x86_64")]
         KernelPath::Avx2 => unsafe {
             x86::mean_sd_rows_avx2(&batch.counts, &batch.totals, lanes, scale, out_mean, out_sd)
         },
-        #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::mean_sd_rows(&batch.counts, &batch.totals, lanes, scale, out_mean, out_sd),
     }
 }
@@ -485,12 +390,9 @@ pub fn l1_norm_rows(
         return;
     }
     match path {
-        KernelPath::Scalar => scalar::l1_norm_rows(vals, lanes, scale, reference, out),
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Sse2 => unsafe { x86::l1_norm_rows_sse2(vals, lanes, scale, reference, out) },
+        // SAFETY: `check` asserted that the host supports AVX2.
         #[cfg(target_arch = "x86_64")]
         KernelPath::Avx2 => unsafe { x86::l1_norm_rows_avx2(vals, lanes, scale, reference, out) },
-        #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::l1_norm_rows(vals, lanes, scale, reference, out),
     }
 }
@@ -522,12 +424,9 @@ pub fn cost_matrix(
         return;
     }
     match path {
-        KernelPath::Scalar => scalar::cost_matrix(a, a_lanes, b, b_lanes, scale, out),
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Sse2 => unsafe { x86::cost_matrix_sse2(a, a_lanes, b, b_lanes, scale, out) },
+        // SAFETY: `check` asserted that the host supports AVX2.
         #[cfg(target_arch = "x86_64")]
         KernelPath::Avx2 => unsafe { x86::cost_matrix_avx2(a, a_lanes, b, b_lanes, scale, out) },
-        #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::cost_matrix(a, a_lanes, b, b_lanes, scale, out),
     }
 }
@@ -546,12 +445,9 @@ pub fn col_mins(path: KernelPath, mat: &[f64], rows: usize, cols: usize, out: &m
     out.clear();
     out.resize(cols, f64::INFINITY);
     match path {
-        KernelPath::Scalar => scalar::col_mins(mat, rows, cols, out),
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Sse2 => unsafe { x86::col_mins_sse2(mat, rows, cols, out) },
+        // SAFETY: `check` asserted that the host supports AVX2.
         #[cfg(target_arch = "x86_64")]
         KernelPath::Avx2 => unsafe { x86::col_mins_avx2(mat, rows, cols, out) },
-        #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::col_mins(mat, rows, cols, out),
     }
 }
@@ -570,84 +466,55 @@ pub fn col_mins(path: KernelPath, mat: &[f64], rows: usize, cols: usize, out: &m
 pub fn and_words(path: KernelPath, acc: &mut [u64], other: &[u64]) {
     check(path);
     match path {
-        KernelPath::Scalar => scalar::and_words(acc, other),
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Sse2 => unsafe { x86::and_words_sse2(acc, other) },
+        // SAFETY: `check` asserted that the host supports AVX2.
         #[cfg(target_arch = "x86_64")]
         KernelPath::Avx2 => unsafe { x86::and_words_avx2(acc, other) },
-        #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::and_words(acc, other),
     }
 }
 
-/// Word-wise difference `acc[i] &= !other[i]` over the common prefix —
-/// the complement step for future NOT-predicates and the run-container
-/// subtraction primitive.
-pub fn andnot_words(path: KernelPath, acc: &mut [u64], other: &[u64]) {
-    check(path);
-    match path {
-        KernelPath::Scalar => scalar::andnot_words(acc, other),
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Sse2 => unsafe { x86::andnot_words_sse2(acc, other) },
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Avx2 => unsafe { x86::andnot_words_avx2(acc, other) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar::andnot_words(acc, other),
-    }
-}
-
 /// Total population count of a word slice — the exact-cardinality read
-/// the planner's cost rules run on. The SSE2 path shares the scalar
-/// kernel: baseline x86-64 has neither `popcnt` nor the `pshufb` the
-/// nibble-LUT method needs (SSSE3), and `count_ones` already compiles to
-/// a fast bit-twiddling sequence. AVX2 uses the Muła nibble-LUT +
+/// the planner's cost rules run on. AVX2 uses the Muła nibble-LUT +
 /// `sad_epu8` reduction, which is integer-exact.
 pub fn popcount_words(path: KernelPath, words: &[u64]) -> u64 {
     check(path);
     match path {
-        KernelPath::Scalar => scalar::popcount_words(words),
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Sse2 => scalar::popcount_words(words),
+        // SAFETY: `check` asserted that the host supports AVX2.
         #[cfg(target_arch = "x86_64")]
         KernelPath::Avx2 => unsafe { x86::popcount_words_avx2(words) },
-        #[cfg(not(target_arch = "x86_64"))]
         _ => scalar::popcount_words(words),
     }
 }
 
 /// Retains the ids of sorted `ids` whose bit is set in `words`, appended
 /// to `out` in ascending order — the array∩bitmap probe of container
-/// intersection. All paths share the scalar kernel: the per-id word
-/// lookup is data-dependent random access that a lane model doesn't
-/// help with (the same access pattern that made the `vpgatherdd`
-/// variant of `gather_u32` measure slower than scalar),
-/// and the branchless compaction already keeps the pipeline full. The
-/// `path` argument stays for API uniformity.
-pub fn array_bitmap_probe(path: KernelPath, ids: &[u32], words: &[u64], out: &mut Vec<u32>) {
-    check(path);
+/// intersection. Scalar only: the per-id word lookup is data-dependent
+/// random access that a lane model doesn't help with (the same access
+/// pattern that made the `vpgatherdd` variant of `gather_u32` measure
+/// slower than scalar), and the branchless compaction already keeps the
+/// pipeline full.
+pub fn array_bitmap_probe(ids: &[u32], words: &[u64], out: &mut Vec<u32>) {
     scalar::array_bitmap_probe(ids, words, out)
 }
 
 /// Intersection of two sorted unique id lists, appended to `out` in
 /// ascending order — the array∧array step of container intersection.
 /// Gallops through the longer side when the lengths are skewed (>8×),
-/// two-pointer merge otherwise. All paths share the scalar kernel: both
-/// loop shapes are control-flow over compares, not element-wise
-/// arithmetic, so there is nothing for a lane model to vectorize
-/// without changing the comparison order.
-pub fn intersect_sorted_u32(path: KernelPath, a: &[u32], b: &[u32], out: &mut Vec<u32>) {
-    check(path);
+/// two-pointer merge otherwise. Scalar only: both loop shapes are
+/// control-flow over compares, not element-wise arithmetic, so there is
+/// nothing for a lane model to vectorize without changing the comparison
+/// order.
+pub fn intersect_sorted_u32(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     scalar::intersect_sorted_u32(a, b, out)
 }
 
 /// Decodes the set bits of `words` into ascending ids appended to `out`
-/// — the container→id decode into reusable scratch. All paths share the
-/// scalar kernel: `trailing_zeros` + clear-lowest-bit consumes each word
-/// in population-proportional time and compiles to `tzcnt`/`blsr` where
+/// — the container→id decode into reusable scratch. Scalar only:
+/// `trailing_zeros` + clear-lowest-bit consumes each word in
+/// population-proportional time and compiles to `tzcnt`/`blsr` where
 /// available; a vector expansion would emit per-bit variable-length
 /// output, which lane models handle poorly.
-pub fn decode_words(path: KernelPath, words: &[u64], out: &mut Vec<u32>) {
-    check(path);
+pub fn decode_words(words: &[u64], out: &mut Vec<u32>) {
     scalar::decode_words(words, out)
 }
 
@@ -655,38 +522,48 @@ pub fn decode_words(path: KernelPath, words: &[u64], out: &mut Vec<u32>) {
 /// in `a_words` (when `Some`) and `b_rows[i]` is present in `b_words`
 /// (when `Some`) — the membership probe behind index-driven group
 /// materialization (full rating-table scan) and multi-predicate column
-/// derivation (parent-column scan). A `None` side always passes. All
-/// paths share the scalar kernel: the two per-record word lookups are
-/// data-dependent gathers (see `gather_u32`'s retired-SIMD note), and
-/// the branchless compaction write is scalar either way.
+/// derivation (parent-column scan). A `None` side always passes. Scalar
+/// only: the two per-record word lookups are data-dependent gathers (see
+/// `gather_u32`'s retired-SIMD note), and the branchless compaction write
+/// is scalar either way.
 pub fn filter_rows(
-    path: KernelPath,
     a_rows: &[u32],
     b_rows: &[u32],
     a_words: Option<&[u64]>,
     b_words: Option<&[u64]>,
     out: &mut Vec<u32>,
 ) {
-    check(path);
     assert_eq!(a_rows.len(), b_rows.len(), "row column length mismatch");
     scalar::filter_rows(a_rows, b_rows, a_words, b_words, out)
 }
 
 /// Gather `out[k] = src[idx[k]]` — the entity-row/record-id gather of the
-/// scan layer. All paths share the scalar kernel: a `vpgatherdd` AVX2
-/// variant *measured slower* than the scalar loop on both sorted
-/// (scan-shaped) and random index streams (the gather's issue cost plus a
-/// per-call bounds-validation scan lose to out-of-order scalar loads — see
-/// `BENCH_kernels.json`), so it was retired; the `path` argument stays for
-/// API uniformity. The output length and capacity are sized exactly to
-/// `idx.len()` (cache byte budgets rely on unpadded capacities).
+/// scan layer. Scalar only: a `vpgatherdd` AVX2 variant *measured slower*
+/// than the scalar loop on both sorted (scan-shaped) and random index
+/// streams (the gather's issue cost plus a per-call bounds-validation scan
+/// lose to out-of-order scalar loads), so it was retired. The output
+/// length and capacity are sized exactly to `idx.len()` (cache byte
+/// budgets rely on unpadded capacities).
 ///
 /// # Panics
 /// Panics if any index is out of range.
-pub fn gather_u32(path: KernelPath, src: &[u32], idx: &[u32], out: &mut Vec<u32>) {
-    check(path);
+pub fn gather_u32(src: &[u32], idx: &[u32], out: &mut Vec<u32>) {
     out.clear();
     out.reserve_exact(idx.len());
     out.resize(idx.len(), 0);
     scalar::gather_u32(src, idx, out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stale_or_unknown_override_falls_back_to_auto_detection() {
+        let auto = choose(None);
+        assert_eq!(choose(Some("sse2")), auto, "the retired SSE2 tier");
+        assert_eq!(choose(Some("neon")), auto);
+        assert_eq!(choose(Some(" Scalar ")), KernelPath::Scalar);
+        assert_eq!(KernelPath::parse("sse2"), None);
+    }
 }

@@ -284,12 +284,6 @@ pub(crate) fn and_words(acc: &mut [u64], other: &[u64]) {
     }
 }
 
-pub(crate) fn andnot_words(acc: &mut [u64], other: &[u64]) {
-    for (a, &b) in acc.iter_mut().zip(other) {
-        *a &= !b;
-    }
-}
-
 pub(crate) fn popcount_words(words: &[u64]) -> u64 {
     let mut n = 0u64;
     for &w in words {

@@ -1,10 +1,10 @@
-//! x86_64 SSE2/AVX2 implementations of the batch kernels.
+//! x86_64 AVX2 implementations of the batch kernels.
 //!
 //! One generic body per kernel, written against the tiny [`Simd`]
-//! abstraction below and instantiated at 2 lanes (SSE2) and 4 lanes
-//! (AVX2) inside `#[target_feature]` shells. Bodies are `#[inline(always)]`
-//! so they specialize into the shells and codegen under the enabled
-//! feature set.
+//! abstraction below and instantiated at 4 lanes inside
+//! `#[target_feature(enable = "avx2")]` shells. Bodies are
+//! `#[inline(always)]` so they specialize into the shells and codegen
+//! under the enabled feature set.
 //!
 //! Byte-identity notes (see the module docs in `kernels`):
 //! * `u64 → f64` conversion happens lane-by-lane with Rust's `as f64`
@@ -52,7 +52,7 @@ pub(crate) trait Simd: Copy {
     unsafe fn from_u64(p: *const u64) -> Self::V;
     /// All-ones lane mask where the corresponding `u64` is zero.
     unsafe fn mask_zero_u64(p: *const u64) -> Self::V;
-    /// `mask ? a : b` per lane (bitwise blend; SSE2-compatible).
+    /// `mask ? a : b` per lane.
     unsafe fn select(mask: Self::V, a: Self::V, b: Self::V) -> Self::V;
     /// Scalar `f64::ln` applied to every lane.
     unsafe fn ln_lanes(v: Self::V) -> Self::V;
@@ -60,82 +60,6 @@ pub(crate) trait Simd: Copy {
 
 const ABS_MASK: u64 = 0x7fff_ffff_ffff_ffff;
 const ALL_ONES: u64 = u64::MAX;
-
-#[derive(Clone, Copy)]
-pub(crate) struct Sse2;
-
-impl Simd for Sse2 {
-    const LANES: usize = 2;
-    type V = __m128d;
-
-    #[inline(always)]
-    unsafe fn splat(x: f64) -> __m128d {
-        _mm_set1_pd(x)
-    }
-    #[inline(always)]
-    unsafe fn zero() -> __m128d {
-        _mm_setzero_pd()
-    }
-    #[inline(always)]
-    unsafe fn load(p: *const f64) -> __m128d {
-        _mm_loadu_pd(p)
-    }
-    #[inline(always)]
-    unsafe fn store(p: *mut f64, v: __m128d) {
-        _mm_storeu_pd(p, v)
-    }
-    #[inline(always)]
-    unsafe fn add(a: __m128d, b: __m128d) -> __m128d {
-        _mm_add_pd(a, b)
-    }
-    #[inline(always)]
-    unsafe fn sub(a: __m128d, b: __m128d) -> __m128d {
-        _mm_sub_pd(a, b)
-    }
-    #[inline(always)]
-    unsafe fn mul(a: __m128d, b: __m128d) -> __m128d {
-        _mm_mul_pd(a, b)
-    }
-    #[inline(always)]
-    unsafe fn div(a: __m128d, b: __m128d) -> __m128d {
-        _mm_div_pd(a, b)
-    }
-    #[inline(always)]
-    unsafe fn min(a: __m128d, b: __m128d) -> __m128d {
-        _mm_min_pd(a, b)
-    }
-    #[inline(always)]
-    unsafe fn abs(a: __m128d) -> __m128d {
-        _mm_and_pd(a, _mm_set1_pd(f64::from_bits(ABS_MASK)))
-    }
-    #[inline(always)]
-    unsafe fn sqrt(a: __m128d) -> __m128d {
-        _mm_sqrt_pd(a)
-    }
-    #[inline(always)]
-    unsafe fn from_u64(p: *const u64) -> __m128d {
-        _mm_set_pd(*p.add(1) as f64, *p as f64)
-    }
-    #[inline(always)]
-    unsafe fn mask_zero_u64(p: *const u64) -> __m128d {
-        let m0 = if *p == 0 { ALL_ONES } else { 0 };
-        let m1 = if *p.add(1) == 0 { ALL_ONES } else { 0 };
-        _mm_castsi128_pd(_mm_set_epi64x(m1 as i64, m0 as i64))
-    }
-    #[inline(always)]
-    unsafe fn select(mask: __m128d, a: __m128d, b: __m128d) -> __m128d {
-        _mm_or_pd(_mm_and_pd(mask, a), _mm_andnot_pd(mask, b))
-    }
-    #[inline(always)]
-    unsafe fn ln_lanes(v: __m128d) -> __m128d {
-        let mut tmp = [0.0f64; 2];
-        _mm_storeu_pd(tmp.as_mut_ptr(), v);
-        for t in &mut tmp {
-            *t = t.ln();
-        }
-        _mm_loadu_pd(tmp.as_ptr())
-    }
-}
 
 #[derive(Clone, Copy)]
 pub(crate) struct Avx2;
@@ -429,22 +353,6 @@ unsafe fn col_mins_v<S: Simd>(mat: &[f64], rows: usize, cols: usize, out: &mut [
 // trait above does not apply; each kernel is a standalone
 // `#[target_feature]` shell over integer intrinsics.
 
-#[target_feature(enable = "sse2")]
-pub(crate) unsafe fn and_words_sse2(acc: &mut [u64], other: &[u64]) {
-    let n = acc.len().min(other.len());
-    let mut i = 0;
-    while i + 2 <= n {
-        let a = _mm_loadu_si128(acc.as_ptr().add(i).cast());
-        let b = _mm_loadu_si128(other.as_ptr().add(i).cast());
-        _mm_storeu_si128(acc.as_mut_ptr().add(i).cast(), _mm_and_si128(a, b));
-        i += 2;
-    }
-    while i < n {
-        acc[i] &= other[i];
-        i += 1;
-    }
-}
-
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn and_words_avx2(acc: &mut [u64], other: &[u64]) {
     let n = acc.len().min(other.len());
@@ -457,39 +365,6 @@ pub(crate) unsafe fn and_words_avx2(acc: &mut [u64], other: &[u64]) {
     }
     while i < n {
         acc[i] &= other[i];
-        i += 1;
-    }
-}
-
-#[target_feature(enable = "sse2")]
-pub(crate) unsafe fn andnot_words_sse2(acc: &mut [u64], other: &[u64]) {
-    let n = acc.len().min(other.len());
-    let mut i = 0;
-    while i + 2 <= n {
-        let a = _mm_loadu_si128(acc.as_ptr().add(i).cast());
-        let b = _mm_loadu_si128(other.as_ptr().add(i).cast());
-        // `_mm_andnot_si128(b, a)` computes `!b & a`.
-        _mm_storeu_si128(acc.as_mut_ptr().add(i).cast(), _mm_andnot_si128(b, a));
-        i += 2;
-    }
-    while i < n {
-        acc[i] &= !other[i];
-        i += 1;
-    }
-}
-
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn andnot_words_avx2(acc: &mut [u64], other: &[u64]) {
-    let n = acc.len().min(other.len());
-    let mut i = 0;
-    while i + 4 <= n {
-        let a = _mm256_loadu_si256(acc.as_ptr().add(i).cast());
-        let b = _mm256_loadu_si256(other.as_ptr().add(i).cast());
-        _mm256_storeu_si256(acc.as_mut_ptr().add(i).cast(), _mm256_andnot_si256(b, a));
-        i += 4;
-    }
-    while i < n {
-        acc[i] &= !other[i];
         i += 1;
     }
 }
@@ -525,15 +400,11 @@ pub(crate) unsafe fn popcount_words_avx2(words: &[u64]) -> u64 {
     n
 }
 
-/// Generates the `#[target_feature]` entry points that instantiate one
-/// generic kernel body at both vector widths.
+/// Generates the `#[target_feature(enable = "avx2")]` entry point of each
+/// generic kernel body.
 macro_rules! shells {
-    ($($sse2:ident / $avx2:ident => $body:ident ( $($arg:ident : $ty:ty),* $(,)? );)*) => {
+    ($($avx2:ident => $body:ident ( $($arg:ident : $ty:ty),* $(,)? );)*) => {
         $(
-            #[target_feature(enable = "sse2")]
-            pub(crate) unsafe fn $sse2($($arg: $ty),*) {
-                $body::<Sse2>($($arg),*)
-            }
             #[target_feature(enable = "avx2")]
             pub(crate) unsafe fn $avx2($($arg: $ty),*) {
                 $body::<Avx2>($($arg),*)
@@ -543,28 +414,28 @@ macro_rules! shells {
 }
 
 shells! {
-    cdf_rows_sse2 / cdf_rows_avx2 => cdf_rows_v(
+    cdf_rows_avx2 => cdf_rows_v(
         counts: &[u64], totals: &[u64], lanes: usize, scale: usize, out: &mut [f64],
     );
-    tvd_rows_sse2 / tvd_rows_avx2 => tvd_rows_v(
+    tvd_rows_avx2 => tvd_rows_v(
         counts: &[u64], totals: &[u64], lanes: usize, scale: usize,
         ref_counts: &[u64], ref_total: u64, out: &mut [f64],
     );
-    jeffreys_rows_sse2 / jeffreys_rows_avx2 => jeffreys_rows_v(
+    jeffreys_rows_avx2 => jeffreys_rows_v(
         counts: &[u64], totals: &[u64], lanes: usize, scale: usize,
         ref_counts: &[u64], ref_total: u64, eps: f64, out: &mut [f64],
     );
-    mean_sd_rows_sse2 / mean_sd_rows_avx2 => mean_sd_rows_v(
+    mean_sd_rows_avx2 => mean_sd_rows_v(
         counts: &[u64], totals: &[u64], lanes: usize, scale: usize,
         out_mean: &mut [f64], out_sd: &mut [f64],
     );
-    l1_norm_rows_sse2 / l1_norm_rows_avx2 => l1_norm_rows_v(
+    l1_norm_rows_avx2 => l1_norm_rows_v(
         vals: &[f64], lanes: usize, scale: usize, reference: &[f64], out: &mut [f64],
     );
-    cost_matrix_sse2 / cost_matrix_avx2 => cost_matrix_v(
+    cost_matrix_avx2 => cost_matrix_v(
         a: &[f64], a_lanes: usize, b: &[f64], b_lanes: usize, scale: usize, out: &mut [f64],
     );
-    col_mins_sse2 / col_mins_avx2 => col_mins_v(
+    col_mins_avx2 => col_mins_v(
         mat: &[f64], rows: usize, cols: usize, out: &mut [f64],
     );
 }

@@ -25,7 +25,7 @@
 //!   interestingness criteria onto a common `[0, 1]` scale (following
 //!   Somech et al. \[51\]).
 //! * [`kernels`] — structure-of-arrays batch kernels for the distributional
-//!   hot path, with runtime SIMD dispatch (scalar/SSE2/AVX2) and a
+//!   hot path, with runtime SIMD dispatch (scalar/AVX2) and a
 //!   byte-identity contract across paths.
 
 pub mod anova;

@@ -5,10 +5,8 @@
 //! and (2) the user-study harness reports per-treatment-group means and
 //! standard deviations.
 
-use serde::{Deserialize, Serialize};
-
 /// Numerically stable streaming mean/variance (Welford's algorithm).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RunningMoments {
     count: u64,
     mean: f64,
@@ -108,7 +106,7 @@ impl RunningMoments {
 }
 
 /// Summary statistics of a slice: convenience for reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub n: u64,

@@ -8,7 +8,6 @@
 //! min–max normalizer is also provided for the ablation study.
 
 use crate::moments::RunningMoments;
-use serde::{Deserialize, Serialize};
 
 /// A stateful normalizer mapping raw criterion scores into `[0, 1]`.
 ///
@@ -31,7 +30,7 @@ pub trait Normalizer: Send {
 /// standardized against running moments and squashed by the logistic
 /// function `1 / (1 + e^(−z))`, giving a smooth, outlier-robust `[0, 1]`
 /// scale where 0.5 means "average interestingness so far".
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ZLogisticNormalizer {
     moments: RunningMoments,
 }
@@ -70,7 +69,7 @@ impl Normalizer for ZLogisticNormalizer {
 /// Min–max normalizer: maps raw scores linearly onto `[0, 1]` using the
 /// extremes observed so far. Simple, but sensitive to outliers; used by the
 /// normalization ablation.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MinMaxNormalizer {
     moments: RunningMoments,
 }
@@ -104,7 +103,7 @@ impl Normalizer for MinMaxNormalizer {
 }
 
 /// Which normalizer family to instantiate (engine configuration knob).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NormalizerKind {
     /// Z-score + logistic (the paper's choice via \[51\]).
     #[default]
@@ -136,7 +135,7 @@ impl NormalizerKind {
 /// The exploration engine snapshots normalizer state when evaluating
 /// candidate next-step operations in parallel worker threads; an enum (vs a
 /// boxed trait object) makes that snapshot a trivial `Clone`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum ScoreNormalizer {
     /// See [`ZLogisticNormalizer`].
     ZLogistic(ZLogisticNormalizer),

@@ -3,11 +3,10 @@
 //! Two contracts are pinned here, both with `to_bits` equality (never an
 //! epsilon):
 //!
-//! 1. **Path equivalence** — every SIMD dispatch path the host supports
+//! 1. **Path equivalence** — the AVX2 path, when the host supports it,
 //!    produces bit-identical output to [`KernelPath::Scalar`], across batch
 //!    shapes that exercise empty batches, single-lane batches, and
-//!    non-multiple-of-width tails for both the 2-lane (SSE2) and 4-lane
-//!    (AVX2) widths.
+//!    non-multiple-of-width tails of the 4-lane vectors.
 //! 2. **Legacy equivalence** — the scalar kernels produce bit-identical
 //!    output to the pre-kernel per-distribution code (`cdf_into`,
 //!    `total_variation`, `kl_divergence`, `mean`/`std_dev`,
@@ -20,8 +19,9 @@ use subdex_stats::distance::{emd_1d_normalized_from_cdfs, kl_divergence, total_v
 use subdex_stats::kernels::{self, BatchScratch, KernelPath};
 use subdex_stats::RatingDistribution;
 
-/// Batch shapes covering the interesting sizes: zero lanes, one lane, the
-/// exact SSE2/AVX2 widths, and tails that are non-multiples of both widths.
+/// Batch shapes covering the interesting sizes: zero lanes, tails shorter
+/// than one vector, the exact AVX2 width, and one-lane tails after one,
+/// two and four full vectors.
 const LANE_SIZES: [usize; 8] = [0, 1, 2, 3, 4, 5, 9, 17];
 
 fn batch(max_scale: usize) -> impl Strategy<Value = (usize, Vec<Vec<u64>>)> {
@@ -163,17 +163,29 @@ proptest! {
     }
 
     #[test]
-    fn gather_paths_match_scalar(idx in prop::collection::vec(0u32..64, 0usize..41)) {
+    fn gather_is_exact_with_exact_capacity(idx in prop::collection::vec(0u32..64, 0usize..41)) {
         let src: Vec<u32> = (0..64u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
+        let mut got = Vec::new();
+        kernels::gather_u32(&src, &idx, &mut got);
+        let want: Vec<u32> = idx.iter().map(|&i| src[i as usize]).collect();
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(got.capacity(), idx.len(), "gather capacity");
+    }
 
-        let mut want_gather = Vec::new();
-        kernels::gather_u32(KernelPath::Scalar, &src, &idx, &mut want_gather);
-
+    #[test]
+    fn word_kernels_paths_match_scalar(
+        acc in prop::collection::vec(0u64..u64::MAX, 0usize..18),
+        other in prop::collection::vec(0u64..u64::MAX, 0usize..18),
+    ) {
+        let mut want = acc.clone();
+        kernels::and_words(KernelPath::Scalar, &mut want, &other);
+        let want_pop = kernels::popcount_words(KernelPath::Scalar, &acc);
+        prop_assert_eq!(want_pop, acc.iter().map(|w| u64::from(w.count_ones())).sum::<u64>());
         for path in simd_paths() {
-            let mut got_gather = Vec::new();
-            kernels::gather_u32(path, &src, &idx, &mut got_gather);
-            prop_assert_eq!(&got_gather, &want_gather, "gather, path {}", path);
-            prop_assert_eq!(got_gather.capacity(), idx.len(), "gather capacity, path {}", path);
+            let mut got = acc.clone();
+            kernels::and_words(path, &mut got, &other);
+            prop_assert_eq!(&got, &want, "and_words, path {}", path);
+            prop_assert_eq!(kernels::popcount_words(path, &acc), want_pop, "popcount, path {}", path);
         }
     }
 
@@ -233,10 +245,8 @@ proptest! {
 /// Forced-unavailable paths must panic, not execute illegal instructions.
 #[test]
 fn unavailable_path_is_rejected() {
-    for path in [KernelPath::Sse2, KernelPath::Avx2] {
-        if path.is_available() {
-            continue;
-        }
+    let path = KernelPath::Avx2;
+    if !path.is_available() {
         let result = std::panic::catch_unwind(|| {
             let mut b = BatchScratch::new();
             b.begin(1, 5);
@@ -250,8 +260,8 @@ fn unavailable_path_is_rejected() {
 #[test]
 fn env_override_parsing() {
     assert_eq!(KernelPath::parse("scalar"), Some(KernelPath::Scalar));
-    assert_eq!(KernelPath::parse(" SSE2 "), Some(KernelPath::Sse2));
-    assert_eq!(KernelPath::parse("avx2"), Some(KernelPath::Avx2));
+    assert_eq!(KernelPath::parse(" AVX2 "), Some(KernelPath::Avx2));
+    assert_eq!(KernelPath::parse("sse2"), None, "the retired SSE2 tier");
     assert_eq!(KernelPath::parse("neon"), None);
     assert!(KernelPath::available().contains(&KernelPath::Scalar));
 }

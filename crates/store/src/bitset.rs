@@ -135,9 +135,7 @@ impl BitSet {
 
     /// In-place intersection with a *sorted or unsorted* posting list:
     /// retains only ids present in `ids`. Scatters the list into a
-    /// word buffer, then intersects word-wise through the set kernels
-    /// (the pre-kernel version allocated a whole `BitSet` per call —
-    /// `kernel_path` benches the before/after).
+    /// word buffer, then intersects word-wise through the set kernels.
     pub fn intersect_with_ids(&mut self, ids: &[u32]) {
         let mut other = vec![0u64; self.words.len()];
         for &id in ids {

@@ -150,10 +150,10 @@ impl Container {
     }
 
     /// Appends the container's rows to `out` in ascending order.
-    pub fn decode_into(&self, path: kernels::KernelPath, out: &mut Vec<u32>) {
+    pub fn decode_into(&self, out: &mut Vec<u32>) {
         match self {
             Container::Array(ids) => out.extend_from_slice(ids),
-            Container::Bitmap { words, .. } => kernels::decode_words(path, words, out),
+            Container::Bitmap { words, .. } => kernels::decode_words(words, out),
             Container::Runs { runs, .. } => {
                 for &(start, len) in runs {
                     out.extend(start..start + len);
@@ -448,12 +448,12 @@ impl CompressedIndex {
                 }
                 (MemberSet::Ids(ids), Container::Array(other)) => {
                     scratch.clear();
-                    kernels::intersect_sorted_u32(path, &ids, other, &mut scratch);
+                    kernels::intersect_sorted_u32(&ids, other, &mut scratch);
                     MemberSet::Ids(std::mem::take(&mut scratch))
                 }
                 (MemberSet::Ids(ids), Container::Bitmap { words, .. }) => {
                     scratch.clear();
-                    kernels::array_bitmap_probe(path, &ids, words, &mut scratch);
+                    kernels::array_bitmap_probe(&ids, words, &mut scratch);
                     MemberSet::Ids(std::mem::take(&mut scratch))
                 }
                 (MemberSet::Ids(ids), c @ Container::Runs { .. }) => {
@@ -469,7 +469,7 @@ impl CompressedIndex {
                 // smaller side by sort order, so ids stay compact.
                 (MemberSet::Words(words), Container::Array(ids)) => {
                     scratch.clear();
-                    kernels::array_bitmap_probe(path, ids, &words, &mut scratch);
+                    kernels::array_bitmap_probe(ids, &words, &mut scratch);
                     MemberSet::Ids(std::mem::take(&mut scratch))
                 }
                 (MemberSet::Words(acc_words), c @ Container::Runs { .. }) => {
@@ -517,7 +517,6 @@ mod tests {
 
     #[test]
     fn container_contains_and_decode_agree() {
-        let path = kernels::KernelPath::Scalar;
         for ids in [
             vec![],
             vec![0, 63, 64, 65, 127, 500],
@@ -526,7 +525,7 @@ mod tests {
         ] {
             let c = Container::build(&ids, 512);
             let mut decoded = Vec::new();
-            c.decode_into(path, &mut decoded);
+            c.decode_into(&mut decoded);
             assert_eq!(decoded, ids, "{}", c.class());
             assert_eq!(c.card(), ids.len());
             for probe in [0u32, 1, 63, 64, 65, 199, 500, 511] {

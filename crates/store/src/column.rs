@@ -5,10 +5,9 @@
 //! sets are contiguous slices and the column never allocates per row.
 
 use crate::value::ValueId;
-use serde::{Deserialize, Serialize};
 
 /// One attribute column of an entity table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Column {
     /// Exactly one value per row.
     Single(Vec<ValueId>),
@@ -53,7 +52,7 @@ impl Column {
 ///
 /// `offsets` has `rows + 1` entries; row `r`'s values are
 /// `values[offsets[r]..offsets[r + 1]]`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrColumn {
     offsets: Vec<u32>,
     values: Vec<ValueId>,

@@ -371,7 +371,7 @@ impl SubjectiveDb {
 
     /// Like [`collect_group_records`](Self::collect_group_records), but
     /// reports which [`GroupRoute`] materialized the group, and lets tests
-    /// and benches pin the route with `forced`.
+    /// pin the route with `forced`.
     ///
     /// Routing: with no predicates the group is all records
     /// ([`GroupRoute::Full`]). Otherwise exact cardinalities from the
@@ -388,7 +388,7 @@ impl SubjectiveDb {
     /// rejection test, and its share of the final `sort_unstable`, an
     /// order of magnitude more than the probe's sequential word lookup —
     /// of which the probe does one per constrained side (calibrated by the
-    /// `index_path` bench).
+    /// retired index-path benchmark).
     ///
     /// Byte-identity: both routes produce canonical ascending record-id
     /// order — a pure function of the query — so either result can be the
@@ -441,7 +441,6 @@ impl SubjectiveDb {
             let item_words = has_item_preds.then(|| g_i.members().words());
             let mut records: Vec<RecordId> = Vec::new();
             kernels::filter_rows(
-                kernels::active(),
                 self.ratings.reviewer_column(),
                 self.ratings.item_column(),
                 reviewer_words,

@@ -8,10 +8,9 @@
 
 use crate::schema::{AttrId, Entity};
 use crate::value::ValueId;
-use serde::{Deserialize, Serialize};
 
 /// One attribute–value predicate, e.g. `⟨city, NYC⟩` on the item side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AttrValue {
     /// Which entity table the attribute belongs to.
     pub entity: Entity,
@@ -37,7 +36,7 @@ impl AttrValue {
 ///
 /// The predicate list is kept sorted and duplicate-free, so queries have a
 /// canonical form: two queries are equal iff they select the same groups.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct SelectionQuery {
     preds: Vec<AttrValue>,
 }

@@ -18,13 +18,11 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a rating record in the rating table.
 pub type RecordId = u32;
 
 /// Index of a rating dimension (`overall`, `food`, …).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DimId(pub u16);
 
 impl DimId {

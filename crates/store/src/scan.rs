@@ -49,18 +49,12 @@ pub struct GroupColumns {
 
 impl GroupColumns {
     /// Resolves both entity-row columns for `records` in one pass each,
-    /// via the batch gather kernel (`vpgatherdd` on AVX2 hosts).
+    /// via the batch gather kernel.
     pub fn gather(ratings: &RatingTable, records: Vec<RecordId>) -> Self {
-        let path = kernels::active();
         let mut reviewer_rows = Vec::new();
         let mut item_rows = Vec::new();
-        kernels::gather_u32(
-            path,
-            ratings.reviewer_column(),
-            &records,
-            &mut reviewer_rows,
-        );
-        kernels::gather_u32(path, ratings.item_column(), &records, &mut item_rows);
+        kernels::gather_u32(ratings.reviewer_column(), &records, &mut reviewer_rows);
+        kernels::gather_u32(ratings.item_column(), &records, &mut item_rows);
         Self {
             records,
             reviewer_rows,
@@ -112,10 +106,8 @@ impl GroupColumns {
         reviewer_words: Option<&[u64]>,
         item_words: Option<&[u64]>,
     ) -> GroupColumns {
-        let path = kernels::active();
         let mut idx = Vec::new();
         kernels::filter_rows(
-            path,
             &self.reviewer_rows,
             &self.item_rows,
             reviewer_words,
@@ -125,9 +117,9 @@ impl GroupColumns {
         let mut records = Vec::new();
         let mut reviewer_rows = Vec::new();
         let mut item_rows = Vec::new();
-        kernels::gather_u32(path, &self.records, &idx, &mut records);
-        kernels::gather_u32(path, &self.reviewer_rows, &idx, &mut reviewer_rows);
-        kernels::gather_u32(path, &self.item_rows, &idx, &mut item_rows);
+        kernels::gather_u32(&self.records, &idx, &mut records);
+        kernels::gather_u32(&self.reviewer_rows, &idx, &mut reviewer_rows);
+        kernels::gather_u32(&self.item_rows, &idx, &mut item_rows);
         GroupColumns {
             records,
             reviewer_rows,
@@ -258,19 +250,12 @@ impl ScanScratch {
         if group.has_entity_rows() {
             return;
         }
-        let path = kernels::active();
         kernels::gather_u32(
-            path,
             ratings.reviewer_column(),
             group.records(),
             &mut self.reviewer_rows,
         );
-        kernels::gather_u32(
-            path,
-            ratings.item_column(),
-            group.records(),
-            &mut self.item_rows,
-        );
+        kernels::gather_u32(ratings.item_column(), group.records(), &mut self.item_rows);
     }
 
     /// Builds the block for one phase `range` of `group`, gathering one

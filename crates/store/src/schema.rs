@@ -4,10 +4,8 @@
 //! objective attributes `I_A` / `U_A`; a value may be atomic or a set
 //! (multi-valued), like a restaurant's cuisines.
 
-use serde::{Deserialize, Serialize};
-
 /// Which entity table an attribute or group refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Entity {
     /// The reviewer (user) table `U`.
     Reviewer,
@@ -35,7 +33,7 @@ impl std::fmt::Display for Entity {
 }
 
 /// Index of an attribute within its entity's schema.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AttrId(pub u16);
 
 impl AttrId {
@@ -47,7 +45,7 @@ impl AttrId {
 }
 
 /// Definition of one objective attribute.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttributeDef {
     /// Human-readable name (`"city"`, `"cuisine"`, …).
     pub name: String,
@@ -56,7 +54,7 @@ pub struct AttributeDef {
 }
 
 /// The ordered attribute list of one entity table.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Schema {
     attrs: Vec<AttributeDef>,
 }

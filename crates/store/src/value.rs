@@ -5,12 +5,11 @@
 //! codes, which is what makes the GroupBy scans of the exploration engine
 //! cache-friendly: a scan reads a dense `u32` vector, never a string.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Dictionary code for a value of one attribute. Codes are dense
 /// (`0..dictionary.len()`), so per-value accumulators can be flat vectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ValueId(pub u32);
 
 impl ValueId {
@@ -26,7 +25,7 @@ impl ValueId {
 /// The store is agnostic to value semantics; strings cover categorical
 /// attributes and integers cover things like release years. Both are
 /// interned identically.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Value {
     /// A categorical / textual value.
     Str(String),
@@ -78,7 +77,7 @@ impl From<i64> for Value {
 /// Maps [`Value`]s to dense [`ValueId`] codes and back. Insertion order
 /// defines codes, so data loaded deterministically yields deterministic
 /// encodings (important for reproducible experiments).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Dictionary {
     values: Vec<Value>,
     codes: HashMap<Value, ValueId>,

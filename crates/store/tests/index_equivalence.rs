@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use proptest::strategy::Just;
 use std::collections::BTreeSet;
 
-use subdex_stats::kernels::KernelPath;
+use subdex_stats::kernels::{self, KernelPath};
 use subdex_store::{
     AttrValue, Cell, Entity, EntityTableBuilder, GroupColumns, GroupRoute, RatingDraft,
     RatingTable, RatingTableBuilder, Schema, SelectionQuery, SubjectiveDb, Value,
@@ -370,10 +370,14 @@ proptest! {
             for row in 0..index.rows() as u32 {
                 prop_assert_eq!(container.contains(row), expect.contains(&row));
             }
+            let mut got = Vec::new();
+            container.decode_into(&mut got);
+            prop_assert_eq!(&got, &expect, "decode must match");
+            let mut words = vec![0u64; index.rows().div_ceil(64)];
+            container.write_words(&mut words);
             for path in KernelPath::available() {
-                let mut got = Vec::new();
-                container.decode_into(path, &mut got);
-                prop_assert_eq!(&got, &expect, "decode on {} must match", path);
+                prop_assert_eq!(kernels::popcount_words(path, &words), expect.len() as u64,
+                    "popcount on {} must match", path);
             }
         }
     }
