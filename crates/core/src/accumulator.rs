@@ -105,30 +105,6 @@ impl EstimateScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Heap bytes currently held across all pooled buffers.
-    pub fn resident_bytes(&self) -> usize {
-        self.batch.resident_bytes()
-            + self.seen_batch.resident_bytes()
-            + (self.vals.capacity() + self.tmp.capacity()) * std::mem::size_of::<f64>()
-    }
-
-    /// Heap bytes the most recent estimation actually needed (length, not
-    /// capacity) — the demand signal of the executor's high-water trim.
-    pub fn used_bytes(&self) -> usize {
-        self.batch.used_bytes()
-            + self.seen_batch.used_bytes()
-            + (self.vals.len() + self.tmp.len()) * std::mem::size_of::<f64>()
-    }
-
-    /// Releases all retained capacity (the high-water shrink hook; see
-    /// `ExecContext` in the plan module).
-    pub fn shrink(&mut self) {
-        self.batch.shrink();
-        self.seen_batch.shrink();
-        self.vals = Vec::new();
-        self.tmp = Vec::new();
-    }
 }
 
 /// Count-matrix accumulator for one grouping attribute and all of its
@@ -414,38 +390,6 @@ impl CountScratch {
     /// Fresh scratch with no lanes; they grow to the chunk count in use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn lane_bytes(&self, bytes: impl Fn(&Lane) -> usize) -> usize {
-        self.lanes.iter().map(|l| bytes(&lock(l))).sum()
-    }
-
-    /// Heap bytes currently retained across all lanes (capacity).
-    pub fn resident_bytes(&self) -> usize {
-        self.lanes.capacity() * std::mem::size_of::<Mutex<Lane>>()
-            + self.lane_bytes(|l| {
-                l.row_hist.capacity() * std::mem::size_of::<u32>()
-                    + l.side_dims.capacity() * std::mem::size_of::<DimId>()
-                    + l.packed_rows.capacity()
-                    + l.partial.capacity() * std::mem::size_of::<u64>()
-            })
-    }
-
-    /// Heap bytes the most recent scans actually needed (length, not
-    /// capacity) — the demand signal of the executor's high-water trim.
-    pub fn used_bytes(&self) -> usize {
-        self.lanes.len() * std::mem::size_of::<Mutex<Lane>>()
-            + self.lane_bytes(|l| {
-                l.row_hist.len() * std::mem::size_of::<u32>()
-                    + l.side_dims.len() * std::mem::size_of::<DimId>()
-                    + l.packed_rows.len()
-                    + l.partial.len() * std::mem::size_of::<u64>()
-            })
-    }
-
-    /// Releases all retained capacity (the high-water shrink hook).
-    pub fn shrink(&mut self) {
-        self.lanes = Vec::new();
     }
 }
 

@@ -59,10 +59,6 @@ pub struct EngineConfig {
     pub peculiarity: crate::interest::PeculiarityMeasure,
     /// Cap on evaluated candidate operations per step.
     pub max_candidates: usize,
-    /// Prune GMM distance evaluations with exact lower bounds (selections
-    /// are byte-identical either way; disable only to measure the
-    /// unbounded path).
-    pub distance_bounds: bool,
     /// Base RNG seed (phase shuffles are derived deterministically).
     pub seed: u64,
 }
@@ -85,7 +81,6 @@ impl Default for EngineConfig {
             dimension_weighting: true,
             peculiarity: crate::interest::PeculiarityMeasure::TotalVariation,
             max_candidates: 48,
-            distance_bounds: true,
             seed: 0,
         }
     }

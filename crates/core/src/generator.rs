@@ -234,24 +234,6 @@ impl GenerateScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Heap bytes currently retained (capacity).
-    pub fn resident_bytes(&self) -> usize {
-        self.scan.resident_bytes() + self.counts.resident_bytes() + self.estimate.resident_bytes()
-    }
-
-    /// Heap bytes the most recent call actually needed (length, not
-    /// capacity) — the demand signal of the executor's high-water trim.
-    pub fn used_bytes(&self) -> usize {
-        self.scan.used_bytes() + self.counts.used_bytes() + self.estimate.used_bytes()
-    }
-
-    /// Releases all retained capacity.
-    pub fn shrink(&mut self) {
-        self.scan.shrink();
-        self.counts.shrink();
-        self.estimate.shrink();
-    }
 }
 
 /// Runs Algorithm 1 over `group` for the candidates admissible under

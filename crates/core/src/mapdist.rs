@@ -147,13 +147,6 @@ impl MapSignature {
     pub fn is_empty(&self) -> bool {
         self.weights.is_empty()
     }
-
-    /// Heap bytes of the signature's own buffers, for pooled-scratch
-    /// accounting (a selection scratch retains one signature per pool map).
-    pub(crate) fn heap_bytes(&self) -> usize {
-        (self.weights.capacity() + self.cdfs.capacity() + self.mixture_cdf.capacity())
-            * std::mem::size_of::<f64>()
-    }
 }
 
 /// Two independent FNV-1a streams combined into a 128-bit digest. FNV-1a
@@ -200,33 +193,6 @@ pub struct DistScratch {
     mix_stage: Vec<f64>,
     /// Per-candidate mixture lower bounds against the row's pivot.
     mix_lb: Vec<f64>,
-}
-
-impl DistScratch {
-    /// Heap bytes currently held across all pooled buffers.
-    pub fn resident_bytes(&self) -> usize {
-        (self.cost.capacity()
-            + self.mins.capacity()
-            + self.mix_stage.capacity()
-            + self.mix_lb.capacity())
-            * std::mem::size_of::<f64>()
-    }
-
-    /// Heap bytes the most recent evaluation actually needed (length, not
-    /// capacity) — the demand signal of the executor's high-water trim.
-    pub fn used_bytes(&self) -> usize {
-        (self.cost.len() + self.mins.len() + self.mix_stage.len() + self.mix_lb.len())
-            * std::mem::size_of::<f64>()
-    }
-
-    /// Releases all retained capacity (the high-water shrink hook; see
-    /// `ExecContext` in the plan module).
-    pub fn shrink(&mut self) {
-        self.cost = Vec::new();
-        self.mins = Vec::new();
-        self.mix_stage = Vec::new();
-        self.mix_lb = Vec::new();
-    }
 }
 
 /// How the selection phase resolved its distance evaluations; threaded
@@ -451,7 +417,8 @@ impl DistanceEngine {
     }
 
     /// Enables or disables lower-bound pruning (selections are identical
-    /// either way; off exists for equivalence tests and benchmarks).
+    /// either way; off is the unbounded reference of the equivalence
+    /// tests).
     pub fn with_bounds(mut self, bounds: bool) -> Self {
         self.bounds = bounds;
         self
@@ -461,11 +428,6 @@ impl DistanceEngine {
     pub fn with_cache(mut self, cache: Option<Arc<DistanceCache>>) -> Self {
         self.cache = cache;
         self
-    }
-
-    /// Whether bound pruning is enabled.
-    pub fn bounds_enabled(&self) -> bool {
-        self.bounds
     }
 
     /// The attached distance cache, if any.

@@ -129,7 +129,6 @@ pub struct StepPlan {
     rec_cfg: RecommendConfig,
     k: usize,
     selection: SelectionStrategy,
-    distance_bounds: bool,
     base_seed: u64,
 }
 
@@ -198,7 +197,6 @@ impl StepPlan {
             rec_cfg,
             k: config.k,
             selection: config.selection,
-            distance_bounds: config.distance_bounds,
             base_seed: config.seed,
         }
     }
@@ -344,7 +342,9 @@ pub struct StepStats {
 /// Lifetime rules: the context holds *no* results and *no* borrowed data —
 /// only recyclable containers. It is safe to drop or replace between steps
 /// (costing only the re-warm), and two steps never run over one context
-/// concurrently because the executor takes it `&mut`.
+/// concurrently because the executor takes it `&mut`. Buffers only grow:
+/// the context keeps the largest capacity any of its steps needed until the
+/// session, and with it the context, is dropped.
 #[derive(Debug, Default)]
 pub struct ExecContext {
     /// Gather, scan and re-estimation buffers for the stepped query's own
@@ -360,27 +360,9 @@ pub struct ExecContext {
     /// budget — `max(1, cores / busy_workers)` — so concurrent sessions
     /// split the machine instead of each claiming every core.
     thread_budget: usize,
-    /// Peak per-step scratch demand (len-based bytes) observed in the
-    /// current trim window.
-    window_peak: usize,
-    /// Steps observed in the current trim window.
-    window_steps: usize,
 }
 
 impl ExecContext {
-    /// Resident capacity must exceed the window's peak demand by this
-    /// factor before a trim fires — one oversized step should not pin its
-    /// buffers forever, but a workload actually using the capacity must
-    /// never be made to re-warm.
-    const TRIM_FACTOR: usize = 2;
-    /// Steps per trim window. A window longer than one step keeps
-    /// alternating large/small workloads from thrashing: the large step's
-    /// demand stays in `window_peak` until the window closes.
-    const TRIM_WINDOW: usize = 4;
-    /// Resident capacity below this never triggers a trim; re-warming tiny
-    /// buffers costs more than the memory is worth.
-    const TRIM_FLOOR_BYTES: usize = 64 * 1024;
-
     /// A fresh (empty) context; buffers grow to workload size on first
     /// use.
     pub fn new() -> Self {
@@ -396,51 +378,6 @@ impl ExecContext {
     /// The current per-step worker-thread cap (`0` = uncapped).
     pub fn thread_budget(&self) -> usize {
         self.thread_budget
-    }
-
-    /// Heap bytes currently retained by the pooled scratch (capacity, not
-    /// length — what the session actually pins between steps).
-    pub fn resident_scratch_bytes(&self) -> usize {
-        self.generate.resident_bytes()
-            + self.select.resident_bytes()
-            + self.recommend.resident_bytes()
-    }
-
-    /// Heap bytes the most recent step actually needed across the pooled
-    /// scratch (length-based).
-    pub fn used_scratch_bytes(&self) -> usize {
-        self.generate.used_bytes() + self.select.used_bytes() + self.recommend.used_bytes()
-    }
-
-    /// Releases every pooled buffer's capacity. The next step re-warms from
-    /// empty; results are unaffected (the scratch recycles containers,
-    /// never values).
-    pub fn shrink(&mut self) {
-        self.generate.shrink();
-        self.select.shrink();
-        self.recommend.shrink();
-    }
-
-    /// The high-water trim policy, invoked once at the end of every
-    /// executed step: record the step's demand, and when a window of
-    /// [`TRIM_WINDOW`](Self::TRIM_WINDOW) steps closes with resident
-    /// capacity more than [`TRIM_FACTOR`](Self::TRIM_FACTOR)× the window's
-    /// peak demand (and above the floor), release everything. A session
-    /// that drills down from a huge root group to small refined groups
-    /// stops pinning the root-sized buffers after one window; a session
-    /// holding steady at any size never trims.
-    pub(crate) fn note_step_and_trim(&mut self) {
-        self.window_peak = self.window_peak.max(self.used_scratch_bytes());
-        self.window_steps += 1;
-        if self.window_steps < Self::TRIM_WINDOW {
-            return;
-        }
-        let threshold = (Self::TRIM_FACTOR * self.window_peak).max(Self::TRIM_FLOOR_BYTES);
-        if self.resident_scratch_bytes() > threshold {
-            self.shrink();
-        }
-        self.window_peak = 0;
-        self.window_steps = 0;
     }
 }
 
@@ -516,9 +453,7 @@ impl StepExecutor<'_> {
                 // see the module docs.
                 PhaseOp::PruneCi { .. } | PhaseOp::PruneMab | PhaseOp::DeriveCandidates { .. } => {}
                 PhaseOp::SelectDiverse { strategy, k } => {
-                    let engine = DistanceEngine::new()
-                        .with_bounds(plan.distance_bounds)
-                        .with_cache(self.dist_cache.cloned());
+                    let engine = DistanceEngine::new().with_cache(self.dist_cache.cloned());
                     // The pool outlives selection only when a recommend op
                     // will anchor candidates on it.
                     let select_pool = if plan.recommends() {
@@ -571,7 +506,6 @@ impl StepExecutor<'_> {
             }
         }
 
-        self.ctx.note_step_and_trim();
         stats.db_epoch = self.db.epoch();
         stats.elapsed = start.elapsed();
         StepResult {

@@ -89,24 +89,6 @@ pub struct EvalScratch {
     select: SelectScratch,
 }
 
-impl EvalScratch {
-    /// Heap bytes currently held across the worker's pooled buffers.
-    pub fn resident_bytes(&self) -> usize {
-        self.generate.resident_bytes() + self.select.resident_bytes()
-    }
-
-    /// Heap bytes the worker's most recent evaluation actually needed.
-    pub fn used_bytes(&self) -> usize {
-        self.generate.used_bytes() + self.select.used_bytes()
-    }
-
-    /// Releases all retained capacity.
-    pub fn shrink(&mut self) {
-        self.generate.shrink();
-        self.select.shrink();
-    }
-}
-
 /// Reusable buffers for one recommendation pass: the candidate-query
 /// vector plus one [`EvalScratch`] per evaluation worker. Pooled inside
 /// [`crate::plan::ExecContext`] so a session's steps 2..n re-use the
@@ -116,40 +98,6 @@ impl EvalScratch {
 pub struct RecommendScratch {
     workers: Vec<EvalScratch>,
     candidates: Vec<SelectionQuery>,
-}
-
-impl RecommendScratch {
-    /// Heap bytes currently held across all workers' pooled buffers (the
-    /// candidate-query vector is counted by slot; per-query predicate heap
-    /// is negligible next to the evaluation buffers).
-    pub fn resident_bytes(&self) -> usize {
-        self.workers.capacity() * std::mem::size_of::<EvalScratch>()
-            + self
-                .workers
-                .iter()
-                .map(EvalScratch::resident_bytes)
-                .sum::<usize>()
-            + self.candidates.capacity() * std::mem::size_of::<SelectionQuery>()
-    }
-
-    /// Heap bytes the most recent pass actually needed (length, not
-    /// capacity) — the demand signal of the executor's high-water trim.
-    pub fn used_bytes(&self) -> usize {
-        self.workers.len() * std::mem::size_of::<EvalScratch>()
-            + self
-                .workers
-                .iter()
-                .map(EvalScratch::used_bytes)
-                .sum::<usize>()
-            + self.candidates.len() * std::mem::size_of::<SelectionQuery>()
-    }
-
-    /// Releases all retained capacity (the high-water shrink hook; see
-    /// `ExecContext` in the plan module).
-    pub fn shrink(&mut self) {
-        self.workers = Vec::new();
-        self.candidates = Vec::new();
-    }
 }
 
 /// Candidate-enumeration and evaluation knobs.

@@ -63,39 +63,6 @@ pub struct SelectScratch {
     dist: DistScratch,
 }
 
-impl SelectScratch {
-    /// Heap bytes currently held across all pooled buffers.
-    pub fn resident_bytes(&self) -> usize {
-        self.sigs.capacity() * std::mem::size_of::<MapSignature>()
-            + self.sigs.iter().map(|s| s.heap_bytes()).sum::<usize>()
-            + self.sig_tmp.resident_bytes()
-            + self.picked.capacity()
-            + self.min_dist.capacity() * std::mem::size_of::<f64>()
-            + self.dist.resident_bytes()
-    }
-
-    /// Heap bytes the most recent selection actually needed (length, not
-    /// capacity) — the demand signal of the executor's high-water trim.
-    pub fn used_bytes(&self) -> usize {
-        self.sigs.len() * std::mem::size_of::<MapSignature>()
-            + self.sigs.iter().map(|s| s.heap_bytes()).sum::<usize>()
-            + self.sig_tmp.used_bytes()
-            + self.picked.len()
-            + self.min_dist.len() * std::mem::size_of::<f64>()
-            + self.dist.used_bytes()
-    }
-
-    /// Releases all retained capacity (the high-water shrink hook; see
-    /// `ExecContext` in the plan module).
-    pub fn shrink(&mut self) {
-        self.sigs = Vec::new();
-        self.sig_tmp.shrink();
-        self.picked = Vec::new();
-        self.min_dist = Vec::new();
-        self.dist.shrink();
-    }
-}
-
 /// Selects `k` maps from `pool` (already ranked by descending DW utility)
 /// with a default (bounds-on, uncached) engine, discarding stats.
 ///

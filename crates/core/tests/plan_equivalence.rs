@@ -7,7 +7,9 @@
 //! fields. Over randomized databases and query paths, every engine
 //! variant (the five Section 5.1 presets) × distance-cache on/off must
 //! produce bit-exact displayed maps, recommendations, and counters through
-//! both paths.
+//! both paths. The replica allocates fresh scratch for every step, so the
+//! same checks pin the executor's session-pooled `ExecContext`, whose
+//! buffers keep their largest capacity, to unpooled buffers.
 
 use std::sync::Arc;
 
@@ -36,7 +38,6 @@ struct LegacyEngine {
     normalizers: CriterionNormalizers,
     step_counter: usize,
     dist_cache: Option<Arc<DistanceCache>>,
-    scratch: GenerateScratch,
 }
 
 struct LegacyResult {
@@ -60,7 +61,6 @@ impl LegacyEngine {
             config,
             step_counter: 0,
             dist_cache: None,
-            scratch: GenerateScratch::new(),
         }
     }
 
@@ -91,7 +91,7 @@ impl LegacyEngine {
             &self.seen,
             &mut self.normalizers,
             &gen_cfg,
-            &mut self.scratch,
+            &mut GenerateScratch::new(),
         );
         let (total, ci, mab) = (out.candidates_total, out.pruned_ci, out.pruned_mab);
         let pool_size = self
@@ -103,9 +103,7 @@ impl LegacyEngine {
             .into_iter()
             .take(pool_size.max(self.config.k))
             .collect();
-        let dist_engine = DistanceEngine::new()
-            .with_bounds(self.config.distance_bounds)
-            .with_cache(self.dist_cache.clone());
+        let dist_engine = DistanceEngine::new().with_cache(self.dist_cache.clone());
         let (maps, mut selection) = select_diverse_tracked(
             pool.clone(),
             self.config.k,
@@ -391,10 +389,38 @@ proptest! {
     }
 }
 
+/// A database whose root group is large (every reviewer rates every item,
+/// 45 000 ratings) and where `city = LA` selects a single item — a ≈ 1 %
+/// refinement.
+fn large_root_db() -> Arc<SubjectiveDb> {
+    const REVIEWERS: u32 = 300;
+    const ITEMS: u32 = 150;
+    let spec = DbSpec {
+        reviewer_attr: (0..REVIEWERS as usize).map(|r| r % 3).collect(),
+        item_city: (0..ITEMS)
+            .map(|i| if i == ITEMS - 1 { 2 } else { 0 })
+            .collect(),
+        dims: 4,
+        ratings: (0..REVIEWERS)
+            .flat_map(|r| {
+                (0..ITEMS).map(move |i| {
+                    let scores = (0..4u32)
+                        .map(|d| ((r * (7 + d) + i * (3 + d)) % SCALE as u32) as u8 + 1)
+                        .collect();
+                    (r, i, scores)
+                })
+            })
+            .collect(),
+    };
+    build_db(&spec)
+}
+
 /// Deterministic (non-property) pin: the naive preset and the
 /// recommendations-off / diversity-only variants over a fixed database,
 /// exercised with the distance cache on — the exhaustive corner the
-/// proptests sample around.
+/// proptests sample around. A second database grows the pooled scratch on
+/// a large root group, reuses it on a ≈ 1 % refinement (live prefix far
+/// shorter than the retained capacity), then on the root again.
 #[test]
 fn pinned_variants_on_fixed_db() {
     let spec = DbSpec {
@@ -427,6 +453,22 @@ fn pinned_variants_on_fixed_db() {
         ..EngineConfig::subdex()
     });
     for cfg in variants {
+        assert_paths_equal(&db, cfg, &queries, true);
+    }
+
+    let db = large_root_db();
+    let la = db.pred(Entity::Item, "city", &Value::str("LA")).unwrap();
+    let queries = [
+        SelectionQuery::all(),
+        SelectionQuery::from_preds(vec![la]),
+        SelectionQuery::all(),
+    ];
+    for recommendations in [false, true] {
+        let cfg = EngineConfig {
+            phases: 2,
+            recommendations,
+            ..EngineConfig::subdex()
+        };
         assert_paths_equal(&db, cfg, &queries, true);
     }
 }

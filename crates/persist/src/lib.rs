@@ -29,7 +29,7 @@ pub mod snapshot;
 pub mod store;
 pub mod wal;
 
-pub use snapshot::{read_snapshot, write_snapshot, write_snapshot_v1, SnapshotMeta};
+pub use snapshot::{read_snapshot, write_snapshot, SnapshotMeta};
 pub use store::{PersistStats, PersistentStore, SNAPSHOT_FILE, WAL_FILE};
 pub use wal::{Replay, ReplayInfo, WalBatch, WalWriter};
 

@@ -149,6 +149,7 @@ fn encode_ratings(r: &RatingTable) -> Vec<u8> {
     out
 }
 
+#[cfg(test)]
 fn encode_index(index: &InvertedIndex) -> Vec<u8> {
     let mut out = Vec::new();
     put_u64(&mut out, index.rows() as u64);
@@ -406,10 +407,11 @@ pub fn write_snapshot(db: &SubjectiveDb, last_seq: u64, path: &Path) -> Result<u
 
 /// Writes a format-**1** snapshot: flat posting-list sections instead of
 /// compressed containers. The in-memory index no longer keeps flat lists,
-/// so they are rebuilt from the entity tables here. Kept (and exercised in
-/// tests) to prove that snapshots written before the container format still
-/// load through the promotion path.
-pub fn write_snapshot_v1(db: &SubjectiveDb, last_seq: u64, path: &Path) -> Result<u64, StoreError> {
+/// so they are rebuilt from the entity tables here. Test-only: it proves
+/// that snapshots written before the container format still load through
+/// the promotion path.
+#[cfg(test)]
+fn write_snapshot_v1(db: &SubjectiveDb, last_seq: u64, path: &Path) -> Result<u64, StoreError> {
     let sections: [(u16, Vec<u8>); 6] = [
         (SEC_META, encode_meta(db, last_seq)),
         (SEC_REVIEWERS, encode_entity_table(db.reviewers())),

@@ -203,7 +203,9 @@ pub struct MetricsSnapshot {
     /// Always `None`: no rating group is shared across sessions. Kept only
     /// because `benchmark/README.md` lists it as public surface.
     pub cache: Option<CacheStats>,
-    /// Shared distance-cache statistics (None when disabled).
+    /// Shared distance-cache statistics. A service always fills them; the
+    /// `Option` remains because `benchmark/` reads the field through
+    /// `and_then`.
     pub dist_cache: Option<CacheStats>,
     /// Durable-store counters (None when the service is in-memory only).
     pub persist: Option<PersistStats>,

@@ -40,12 +40,10 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Idle time after which [`SubdexService::evict_idle`] drops a session.
     pub session_ttl: Duration,
-    /// Byte budget of the shared map-distance cache.
+    /// Byte budget of the map-distance cache all sessions share: exact
+    /// EMDs computed by any session's selection phase are reused by every
+    /// other (results are byte-identical to an uncached engine).
     pub dist_cache_capacity_bytes: usize,
-    /// Whether sessions share a map-distance cache: exact EMDs computed by
-    /// any session's selection phase are reused by every other (results
-    /// are byte-identical either way).
-    pub dist_cache_enabled: bool,
     /// Engine configuration given to every new session.
     pub engine: EngineConfig,
     /// Exploration mode of new sessions.
@@ -65,7 +63,6 @@ impl Default for ServiceConfig {
             queue_capacity: 64,
             session_ttl: Duration::from_secs(300),
             dist_cache_capacity_bytes: 8 << 20,
-            dist_cache_enabled: true,
             engine: EngineConfig::default(),
             mode: ExplorationMode::RecommendationPowered,
             checkpoint_interval: Duration::from_secs(30),
@@ -206,7 +203,7 @@ pub struct SubdexService {
     config: ServiceConfig,
     registry: Arc<SessionRegistry>,
     metrics: Arc<ServiceMetrics>,
-    dist_cache: Option<Arc<DistanceCache>>,
+    dist_cache: Arc<DistanceCache>,
     store: Option<Arc<PersistentStore>>,
     submit_tx: Mutex<Option<Sender<Job>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -261,9 +258,7 @@ impl SubdexService {
         assert!(config.queue_capacity > 0, "need a nonzero queue");
         let registry = Arc::new(SessionRegistry::new());
         let metrics = Arc::new(ServiceMetrics::new());
-        let dist_cache = config
-            .dist_cache_enabled
-            .then(|| Arc::new(DistanceCache::new(config.dist_cache_capacity_bytes)));
+        let dist_cache = Arc::new(DistanceCache::new(config.dist_cache_capacity_bytes));
         let (tx, rx) = channel::bounded::<Job>(config.queue_capacity);
         // Oversubscription budget: workers stepping concurrently split the
         // core budget (`max(1, cores / busy)`) instead of each phase
@@ -326,13 +321,13 @@ impl SubdexService {
         &self.registry
     }
 
-    /// The shared map-distance cache (None when disabled).
-    pub fn distance_cache(&self) -> Option<&Arc<DistanceCache>> {
-        self.dist_cache.as_ref()
+    /// The shared map-distance cache.
+    pub fn distance_cache(&self) -> &Arc<DistanceCache> {
+        &self.dist_cache
     }
 
-    /// Creates a session with the service's engine configuration (and the
-    /// shared distance cache, when enabled), returning its handle. Sessions
+    /// Creates a session with the service's engine configuration and the
+    /// shared distance cache, returning its handle. Sessions
     /// share no rating groups: each step materializes its own from the
     /// index, and its recommendation candidates from that step's columns.
     pub fn create_session(&self) -> SessionId {
@@ -342,10 +337,8 @@ impl SubdexService {
             // display recommendations, so don't compute them.
             engine_cfg.recommendations = false;
         }
-        let mut engine = SdeEngine::new(self.current_db(), engine_cfg);
-        if let Some(cache) = &self.dist_cache {
-            engine = engine.with_distance_cache(Arc::clone(cache));
-        }
+        let engine = SdeEngine::new(self.current_db(), engine_cfg)
+            .with_distance_cache(Arc::clone(&self.dist_cache));
         self.registry
             .insert(ExplorationSession::with_engine(engine, self.config.mode))
     }
@@ -414,9 +407,7 @@ impl SubdexService {
         let epoch = store
             .append_ratings(drafts)
             .map_err(ServiceError::Persist)?;
-        if let Some(cache) = &self.dist_cache {
-            cache.bump_epoch(epoch);
-        }
+        self.dist_cache.bump_epoch(epoch);
         if store.dirty_records() >= self.config.checkpoint_dirty_threshold {
             if let Some(cp) = self.checkpointer.lock().as_ref() {
                 // A full nudge channel means a wake-up is already pending.
@@ -438,13 +429,13 @@ impl SubdexService {
         self.registry.evict_idle(self.config.session_ttl)
     }
 
-    /// Current metrics, including distance-cache statistics when that
-    /// cache is on, persistence counters when the service runs over a
+    /// Current metrics, including distance-cache statistics, persistence
+    /// counters when the service runs over a
     /// durable store, and the current database's compressed-index census
     /// and routing counters.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.metrics.snapshot(
-            self.dist_cache.as_ref().map(|c| c.stats()),
+            Some(self.dist_cache.stats()),
             self.store.as_ref().map(|s| s.stats()),
             Some(self.current_db().index_stats()),
         )
@@ -820,24 +811,9 @@ mod tests {
             "second session re-running the same query must reuse cached distances: {:?}",
             m.selection
         );
-        let dist = m.dist_cache.expect("dist cache enabled by default");
+        let dist = m.dist_cache.expect("shared distance cache");
         assert!(dist.hits > 0, "{dist:?}");
         assert!(dist.entries > 0, "{dist:?}");
-    }
-
-    #[test]
-    fn dist_cache_disabled_service_has_no_dist_cache_stats() {
-        let config = ServiceConfig {
-            dist_cache_enabled: false,
-            ..quick_config()
-        };
-        let service = SubdexService::start(test_db(), config);
-        let id = service.create_session();
-        service
-            .run_step(id, StepRequest::Operation(SelectionQuery::all()))
-            .unwrap();
-        assert!(service.distance_cache().is_none());
-        assert!(service.metrics().dist_cache.is_none());
     }
 
     fn persist_dir(tag: &str) -> std::path::PathBuf {
@@ -914,7 +890,7 @@ mod tests {
         service
             .run_step(id, StepRequest::Operation(SelectionQuery::all()))
             .unwrap();
-        let cache = service.distance_cache().unwrap();
+        let cache = service.distance_cache();
         assert!(
             cache.stats().entries > 0,
             "step populated the distance cache"

@@ -119,7 +119,7 @@ fn concurrent_service_matches_single_threaded_sessions() {
         (SESSIONS * STEPS) as u64,
         "every scripted step served exactly once (rejections were retried)"
     );
-    let cache = m.dist_cache.expect("distance cache enabled by default");
+    let cache = m.dist_cache.expect("shared distance cache");
     assert!(
         cache.hits > 0,
         "16 sessions sharing a start query must hit the cache: {cache:?}"

@@ -141,9 +141,7 @@ fn choose(override_name: Option<&str>) -> KernelPath {
 /// distributions over scale `m`, with `counts[j * lanes + i]` the count of
 /// lane `i` at score `j + 1` and `totals[i]` the lane's record total.
 ///
-/// The buffers grow to the largest batch seen and are reused across calls;
-/// [`shrink`](Self::shrink) releases capacity beyond the most recent batch
-/// (the high-water trim primitive used by the scratch pools).
+/// The buffers grow to the largest batch seen and are reused across calls.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     counts: Vec<u64>,
@@ -220,26 +218,6 @@ impl BatchScratch {
     #[inline]
     pub fn totals(&self) -> &[u64] {
         &self.totals
-    }
-
-    /// Heap bytes currently held by the staging buffers.
-    pub fn resident_bytes(&self) -> usize {
-        self.counts.capacity() * std::mem::size_of::<u64>()
-            + self.totals.capacity() * std::mem::size_of::<u64>()
-    }
-
-    /// Heap bytes the most recent batch actually needed (length, not
-    /// capacity) — the demand signal of the executor's high-water trim.
-    pub fn used_bytes(&self) -> usize {
-        self.counts.len() * std::mem::size_of::<u64>()
-            + self.totals.len() * std::mem::size_of::<u64>()
-    }
-
-    /// Releases all retained capacity (the high-water shrink hook).
-    pub fn shrink(&mut self) {
-        self.counts = Vec::new();
-        self.totals = Vec::new();
-        self.lanes = 0;
     }
 }
 

@@ -215,34 +215,6 @@ impl ScanScratch {
         Self::default()
     }
 
-    /// Heap bytes currently retained by the gather buffers — capacity, not
-    /// length, since a pooled scratch holds its capacity between steps.
-    pub fn resident_bytes(&self) -> usize {
-        self.reviewer_rows.capacity() * std::mem::size_of::<u32>()
-            + self.item_rows.capacity() * std::mem::size_of::<u32>()
-            + self.dims.capacity() * std::mem::size_of::<DimId>()
-            + self.scores.capacity()
-    }
-
-    /// Heap bytes the most recent gathers actually needed (length, not
-    /// capacity) — the demand signal of the executor's high-water trim.
-    pub fn used_bytes(&self) -> usize {
-        self.reviewer_rows.len() * std::mem::size_of::<u32>()
-            + self.item_rows.len() * std::mem::size_of::<u32>()
-            + self.dims.len() * std::mem::size_of::<DimId>()
-            + self.scores.len()
-    }
-
-    /// Releases all retained capacity. Invoked by the executor's high-water
-    /// trim when a pooled scratch's resident bytes far exceed what recent
-    /// steps actually used.
-    pub fn shrink(&mut self) {
-        self.reviewer_rows = Vec::new();
-        self.item_rows = Vec::new();
-        self.dims = Vec::new();
-        self.scores = Vec::new();
-    }
-
     /// Resolves the whole-group entity-row columns when `group` lacks
     /// pre-gathered ones. A no-op for groups built via
     /// [`RatingGroup::from_columns`], which already carry both columns.
