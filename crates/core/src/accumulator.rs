@@ -62,8 +62,9 @@ pub struct RawScores {
 }
 
 /// Reusable buffers for the per-phase score re-estimation
-/// ([`FamilyAccumulator::raw_scores_pooled`]): the staged subgroup batch
-/// and the overall distribution a candidate's criteria are computed from.
+/// ([`FamilyAccumulator::raw_scores_staged`]): the staged subgroup batch,
+/// the staged seen batch, the overall distribution a candidate's criteria
+/// are computed from, and a global-peculiarity memo.
 ///
 /// Re-estimation runs `candidates × phases` times per generate call; since
 /// the kernel layer it stages the non-empty subgroup rows of the count
@@ -71,9 +72,16 @@ pub struct RawScores {
 /// both peculiarities through the batched SIMD kernels — one lane per
 /// subgroup (or per seen map). Holding one of these across calls (the
 /// engine pools it inside [`crate::plan::ExecContext`], the recommendation
-/// evaluator inside its per-worker scratch) recycles all staging capacity;
-/// every value is still recomputed from the count matrix on every call, so
-/// pooled and fresh scratch produce byte-identical scores.
+/// evaluator inside its per-worker scratch) recycles all staging capacity.
+///
+/// The seen maps are staged once per generate call
+/// ([`Self::stage_seen`]). Global peculiarity is a pure function of the
+/// overall distribution, the staged seen batch and the measure, and every
+/// single-valued family of a dimension shares one overall distribution, so
+/// it is memoized by the overall's counts until the next
+/// [`Self::begin_phase`] or [`Self::stage_seen`]. Everything else is
+/// recomputed from the count matrix on every call, so pooled and fresh
+/// scratch produce byte-identical scores.
 #[derive(Debug)]
 pub struct EstimateScratch {
     /// The non-empty subgroup rows, staged score-major.
@@ -86,6 +94,11 @@ pub struct EstimateScratch {
     vals: Vec<f64>,
     /// Kernel scratch (means under the Outlier measure).
     tmp: Vec<f64>,
+    /// Memo keys: the overall counts of each memoized entry, back to back
+    /// (`seen_batch.scale()` counts an entry).
+    memo_counts: Vec<u64>,
+    /// Memo values, aligned with `memo_counts`.
+    memo: Vec<(interest::PeculiarityMeasure, f64)>,
 }
 
 impl Default for EstimateScratch {
@@ -96,6 +109,8 @@ impl Default for EstimateScratch {
             overall: RatingDistribution::new(1),
             vals: Vec::new(),
             tmp: Vec::new(),
+            memo_counts: Vec::new(),
+            memo: Vec::new(),
         }
     }
 }
@@ -104,6 +119,46 @@ impl EstimateScratch {
     /// Fresh, empty buffers.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Stages the distributions of previously displayed maps (the global
+    /// peculiarity references) over `scale`, and empties the memo.
+    pub fn stage_seen(&mut self, scale: usize, seen: &[RatingDistribution]) {
+        self.seen_batch
+            .stage(scale, seen.iter().map(|d| d.counts()));
+        self.begin_phase();
+    }
+
+    /// Empties the global-peculiarity memo. The generator calls this once
+    /// per phase: the counts change between phases, so older entries would
+    /// only lengthen the lookup.
+    pub fn begin_phase(&mut self) {
+        self.memo_counts.clear();
+        self.memo.clear();
+    }
+
+    /// Global peculiarity of `self.overall` against the staged seen batch,
+    /// from the memo when this (measure, overall) pair was seen before.
+    fn global_peculiarity(&mut self, measure: interest::PeculiarityMeasure) -> f64 {
+        let key = self.overall.counts();
+        let hit = self
+            .memo_counts
+            .chunks_exact(key.len())
+            .zip(&self.memo)
+            .find(|(counts, (m, _))| *m == measure && *counts == key);
+        if let Some((_, &(_, value))) = hit {
+            return value;
+        }
+        measure.distance_rows(
+            &self.seen_batch,
+            &self.overall,
+            &mut self.tmp,
+            &mut self.vals,
+        );
+        let value = interest::max_distance(&self.vals);
+        self.memo_counts.extend_from_slice(self.overall.counts());
+        self.memo.push((measure, value));
+        value
     }
 }
 
@@ -248,10 +303,9 @@ impl FamilyAccumulator {
         self.raw_scores_pooled(dim_pos, seen, measure, &mut EstimateScratch::new())
     }
 
-    /// [`Self::raw_scores_with`] over caller-pooled buffers: byte-identical
-    /// scores, but the subgroup and overall distributions are written into
-    /// `scratch` instead of freshly allocated. Only capacity is recycled —
-    /// every distribution is refilled from the count matrix on each call.
+    /// [`Self::raw_scores_with`] over caller-pooled buffers: stages `seen`
+    /// into `scratch`, then runs [`Self::raw_scores_staged`]. Byte-identical
+    /// scores; only capacity is recycled.
     pub fn raw_scores_pooled(
         &self,
         dim_pos: usize,
@@ -259,6 +313,29 @@ impl FamilyAccumulator {
         measure: interest::PeculiarityMeasure,
         scratch: &mut EstimateScratch,
     ) -> RawScores {
+        scratch.stage_seen(self.scale, seen);
+        self.raw_scores_staged(dim_pos, measure, scratch)
+    }
+
+    /// Raw criterion scores for one active dimension against the seen maps
+    /// last staged by [`EstimateScratch::stage_seen`]. The subgroup and
+    /// overall distributions are refilled from the count matrix on each
+    /// call; global peculiarity may come from the scratch's memo, which is
+    /// exact.
+    ///
+    /// # Panics
+    /// Panics if the staged seen batch is not over this family's scale.
+    pub fn raw_scores_staged(
+        &self,
+        dim_pos: usize,
+        measure: interest::PeculiarityMeasure,
+        scratch: &mut EstimateScratch,
+    ) -> RawScores {
+        assert_eq!(
+            scratch.seen_batch.scale(),
+            self.scale,
+            "seen maps not staged over this scale"
+        );
         let counts = self.dim_counts(dim_pos);
         scratch.overall.reset(self.scale);
         // Pass 1: count the live (non-empty) subgroup rows and fold them
@@ -304,16 +381,7 @@ impl FamilyAccumulator {
 
         // Global peculiarity: the overall distribution against every seen
         // map — one lane per seen distribution, same reference.
-        scratch
-            .seen_batch
-            .stage(self.scale, seen.iter().map(|d| d.counts()));
-        measure.distance_rows(
-            &scratch.seen_batch,
-            &scratch.overall,
-            &mut scratch.tmp,
-            &mut scratch.vals,
-        );
-        let global_peculiarity = interest::max_distance(&scratch.vals);
+        let global_peculiarity = scratch.global_peculiarity(measure);
 
         RawScores {
             conciseness: interest::conciseness_raw(self.records_processed, live),
@@ -826,24 +894,88 @@ mod tests {
 
     #[test]
     fn pooled_estimation_matches_fresh_scratch() {
-        // One scratch reused across families, dims, and repeated calls must
-        // give the same scores as a throwaway scratch every time — stale
-        // distributions beyond the live prefix must never leak in.
+        // One scratch reused across families, dims, measures, seen sets and
+        // repeated calls must give the same scores as a throwaway scratch
+        // every time — stale distributions beyond the live prefix and memo
+        // entries of an earlier seen set must never leak in.
         let db = fixture::build();
-        let seen = vec![RatingDistribution::from_counts(vec![4, 1, 0, 0, 3])];
-        let mut scratch = EstimateScratch::new();
-        for attr_name in ["city", "tags"] {
-            let attr = db.items().schema().attr_by_name(attr_name).unwrap();
-            let mut fam = FamilyAccumulator::new(&db, Entity::Item, attr, vec![DimId(0), DimId(1)]);
+        let measures = [
+            interest::PeculiarityMeasure::TotalVariation,
+            interest::PeculiarityMeasure::KlDivergence,
+        ];
+        let dims = vec![DimId(0), DimId(1)];
+        let family = |entity: Entity, name: &str| {
+            let attr = db.table(entity).schema().attr_by_name(name).unwrap();
+            let mut fam = FamilyAccumulator::new(&db, entity, attr, dims.clone());
             fam.update(&db, &(0..8).collect::<Vec<_>>());
-            for dim_pos in 0..2 {
-                for measure in [
-                    interest::PeculiarityMeasure::TotalVariation,
-                    interest::PeculiarityMeasure::KlDivergence,
-                ] {
-                    let fresh = fam.raw_scores_with(dim_pos, &seen, measure);
-                    let pooled = fam.raw_scores_pooled(dim_pos, &seen, measure, &mut scratch);
-                    assert_eq!(fresh, pooled, "{attr_name} dim {dim_pos}");
+            fam
+        };
+        // gender and city are single-valued, so every record counts once
+        // and they share each dimension's overall distribution; tags is
+        // multi-valued (item 0 counts twice, item 3 not at all).
+        let gender = family(Entity::Reviewer, "gender");
+        let city = family(Entity::Item, "city");
+        let tags = family(Entity::Item, "tags");
+        for dim_pos in 0..dims.len() {
+            assert_eq!(
+                gender.distributions(dim_pos).1,
+                city.distributions(dim_pos).1
+            );
+            assert_ne!(city.distributions(dim_pos).1, tags.distributions(dim_pos).1);
+        }
+        let families = [&gender, &city, &tags];
+        let mut overalls: Vec<RatingDistribution> = families
+            .iter()
+            .flat_map(|fam| (0..dims.len()).map(|dim_pos| fam.distributions(dim_pos).1))
+            .collect();
+        overalls.sort_by(|a, b| a.counts().cmp(b.counts()));
+        overalls.dedup();
+        let distinct_overalls = overalls.len();
+        assert!(distinct_overalls < families.len() * dims.len());
+        let seen_sets = [
+            vec![RatingDistribution::from_counts(vec![4, 1, 0, 0, 3])],
+            vec![
+                RatingDistribution::from_counts(vec![0, 0, 1, 5, 2]),
+                RatingDistribution::from_counts(vec![0, 0, 0, 0, 8]),
+            ],
+        ];
+        // The two seen sets score the same overall differently, so a memo
+        // entry surviving `stage_seen` would show up as a mismatch.
+        for measure in measures {
+            let globals: Vec<f64> = seen_sets
+                .iter()
+                .map(|seen| city.raw_scores_with(0, seen, measure).global_peculiarity)
+                .collect();
+            assert_ne!(globals[0], globals[1], "{measure:?}");
+        }
+
+        let mut scratch = EstimateScratch::new();
+        for _round in 0..2 {
+            for seen in &seen_sets {
+                scratch.stage_seen(5, seen);
+                for fam in families {
+                    for dim_pos in 0..dims.len() {
+                        for measure in measures {
+                            let fresh = fam.raw_scores_with(dim_pos, seen, measure);
+                            let staged = fam.raw_scores_staged(dim_pos, measure, &mut scratch);
+                            assert_eq!(fresh, staged, "{:?} dim {dim_pos}", fam.attr);
+                        }
+                    }
+                }
+                // One memo entry per measure and distinct overall: the two
+                // single-valued families shared theirs.
+                assert_eq!(scratch.memo.len(), measures.len() * distinct_overalls);
+                scratch.begin_phase();
+                assert!(scratch.memo.is_empty());
+                for fam in families {
+                    for dim_pos in 0..dims.len() {
+                        for measure in measures {
+                            let fresh = fam.raw_scores_with(dim_pos, seen, measure);
+                            let pooled =
+                                fam.raw_scores_pooled(dim_pos, seen, measure, &mut scratch);
+                            assert_eq!(fresh, pooled, "{:?} dim {dim_pos}", fam.attr);
+                        }
+                    }
                 }
             }
         }

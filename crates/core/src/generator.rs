@@ -319,6 +319,7 @@ pub fn generate_pooled(
     let prepare_start = Instant::now();
     scratch.prepare_group(db.ratings(), group);
     out.scan_time += prepare_start.elapsed();
+    est.stage_seen(db.ratings().scale() as usize, seen_dists);
 
     let mut records_seen: u64 = 0;
     let mut dims_union: Vec<DimId> = Vec::new();
@@ -350,6 +351,7 @@ pub fn generate_pooled(
         // combine then runs once over the whole live batch.
         live.clear();
         live_scores.clear();
+        est.begin_phase();
         for (ci, cand) in candidates.iter_mut().enumerate() {
             if cand.status == Status::Pruned {
                 continue;
@@ -358,7 +360,7 @@ pub fn generate_pooled(
             let Some(dim_pos) = fam.dims().iter().position(|&d| d == cand.dim) else {
                 continue;
             };
-            let raw = fam.raw_scores_pooled(dim_pos, seen_dists, cfg.peculiarity, est);
+            let raw = fam.raw_scores_staged(dim_pos, cfg.peculiarity, est);
             cand.scores = normalizers.observe_and_normalize(&raw);
             live.push(ci);
             live_scores.push(cand.scores);
@@ -392,22 +394,22 @@ pub fn generate_pooled(
                 .count();
             let slots = cfg.k_prime.saturating_sub(accepted_count);
             if !active.is_empty() && slots > 0 {
+                // The interval width depends only on the phase.
+                let eps = hs.half_width(records_seen);
                 let envelopes: Vec<ConfidenceInterval> = active
                     .iter()
                     .map(|&i| {
                         let c = &candidates[i];
-                        let intervals: Vec<ConfidenceInterval> = c
+                        let mut intervals = c
                             .scores
                             .as_array()
-                            .into_iter()
-                            .map(|s| hs.interval(s, records_seen))
-                            .collect();
+                            .map(|s| ConfidenceInterval::around_unit(s, eps));
                         let w = if cfg.use_dw {
                             weights.dw_factor(c.dim)
                         } else {
                             1.0
                         };
-                        utility_envelope(&intervals, w)
+                        utility_envelope(&mut intervals, w)
                     })
                     .collect();
                 let keep = ci_survivors(&envelopes, slots);

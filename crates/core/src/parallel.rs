@@ -11,7 +11,6 @@
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -228,40 +227,6 @@ pub fn task_pool() -> &'static TaskPool {
     POOL.get_or_init(TaskPool::new)
 }
 
-/// Shared view over a mutable slice whose elements are each owned by
-/// exactly one pooled task. The closures handed to
-/// [`TaskPool::run`] are `Fn + Sync`, so they cannot capture `iter_mut`
-/// lanes directly; this wrapper carries the provenance across instead.
-pub(crate) struct DisjointSlots<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _marker: PhantomData<&'a mut [T]>,
-}
-
-// Safety: accessors are unsafe and require callers to touch disjoint
-// indices; `T: Send` lets the exclusive references move across threads.
-unsafe impl<T: Send> Sync for DisjointSlots<'_, T> {}
-unsafe impl<T: Send> Send for DisjointSlots<'_, T> {}
-
-impl<'a, T> DisjointSlots<'a, T> {
-    pub(crate) fn new(slice: &'a mut [T]) -> Self {
-        DisjointSlots {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-            _marker: PhantomData,
-        }
-    }
-
-    /// # Safety
-    /// At most one live reference per index: each index must be accessed by
-    /// exactly one task.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn slot(&self, index: usize) -> &mut T {
-        assert!(index < self.len, "slot index out of bounds");
-        &mut *self.ptr.add(index)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,16 +296,5 @@ mod tests {
         assert!(result.is_err());
         // The pool stays usable afterwards.
         assert_eq!(task_pool().run(3, |i| i), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn disjoint_slots_give_every_task_its_own_lane() {
-        let mut lanes = vec![0usize; 16];
-        let slots = DisjointSlots::new(&mut lanes);
-        task_pool().run(16, |i| {
-            // Safety: each task touches only its own index.
-            unsafe { *slots.slot(i) = i + 1 };
-        });
-        assert_eq!(lanes, (1..=16).collect::<Vec<_>>());
     }
 }

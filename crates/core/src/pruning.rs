@@ -54,13 +54,16 @@ impl PruningStrategy {
 /// the leading one) do not contribute; among the overlapping rest the upper
 /// bound is the largest upper bound and the lower bound the smallest lower
 /// bound (the paper's — sound, slightly conservative — choice).
-pub fn utility_envelope(criteria: &[ConfidenceInterval], weight: f64) -> ConfidenceInterval {
+///
+/// Sorts `criteria` in place (stable, by descending upper bound), so the
+/// caller's buffer — the generator's four intervals on the stack — is the
+/// sort buffer.
+pub fn utility_envelope(criteria: &mut [ConfidenceInterval], weight: f64) -> ConfidenceInterval {
     assert!(!criteria.is_empty(), "at least one criterion interval");
-    let mut sorted: Vec<ConfidenceInterval> = criteria.to_vec();
-    sorted.sort_by(|a, b| b.hi.partial_cmp(&a.hi).unwrap_or(std::cmp::Ordering::Equal));
-    let mut ub = sorted[0].hi;
-    let mut lb = sorted[0].lo;
-    for i in &sorted[1..] {
+    criteria.sort_by(|a, b| b.hi.partial_cmp(&a.hi).unwrap_or(std::cmp::Ordering::Equal));
+    let mut ub = criteria[0].hi;
+    let mut lb = criteria[0].lo;
+    for i in &criteria[1..] {
         if i.hi < lb {
             // Entirely below the current envelope: can never define the max.
             continue;
@@ -186,7 +189,7 @@ mod tests {
         let glob = ci(0.6, 0.9);
         let agr = ci(0.5, 0.7);
         let dominated = ci(0.1, 0.2);
-        let env = utility_envelope(&[glob, agr, dominated], 1.0);
+        let env = utility_envelope(&mut [glob, agr, dominated], 1.0);
         assert_eq!((env.lo, env.hi), (0.5, 0.9));
     }
 
@@ -194,13 +197,13 @@ mod tests {
     fn envelope_keeps_overlapping_intervals() {
         let a = ci(0.4, 0.9);
         let b = ci(0.3, 0.5); // overlaps the envelope → extends lb
-        let env = utility_envelope(&[a, b], 1.0);
+        let env = utility_envelope(&mut [a, b], 1.0);
         assert_eq!((env.lo, env.hi), (0.3, 0.9));
     }
 
     #[test]
     fn envelope_applies_weight() {
-        let env = utility_envelope(&[ci(0.4, 0.8)], 0.5);
+        let env = utility_envelope(&mut [ci(0.4, 0.8)], 0.5);
         assert!((env.lo - 0.2).abs() < 1e-12 && (env.hi - 0.4).abs() < 1e-12);
     }
 
@@ -299,6 +302,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one")]
     fn empty_envelope_panics() {
-        let _ = utility_envelope(&[], 1.0);
+        let _ = utility_envelope(&mut [], 1.0);
     }
 }

@@ -18,6 +18,8 @@ use crate::mapdist::{DistanceEngine, SelectionStats};
 use crate::ratingmap::ScoredRatingMap;
 use crate::selector::{select_diverse_with, SelectScratch, SelectionStrategy};
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use subdex_store::{
     AttrValue, Entity, GroupColumns, GroupRoute, RatingGroup, SelectionQuery, SubjectiveDb,
 };
@@ -94,10 +96,21 @@ pub struct EvalScratch {
 /// [`crate::plan::ExecContext`] so a session's steps 2..n re-use the
 /// grown-to-size buffers; the worker vector is sized lazily to the thread
 /// count actually used.
+///
+/// Each worker's scratch sits behind a `Mutex` only so pooled tasks can
+/// borrow their own lane mutably from a shared slice; lane `w` is locked
+/// by fan-out task `w` alone, so the lock is never contended.
 #[derive(Debug, Default)]
 pub struct RecommendScratch {
-    workers: Vec<EvalScratch>,
+    workers: Vec<Mutex<EvalScratch>>,
     candidates: Vec<SelectionQuery>,
+}
+
+/// Locks a worker lane. Every candidate rebuilds the lane's buffers from
+/// scratch (pooled evaluation is byte-identical to fresh), so a lane
+/// poisoned by a panicking candidate is as good as any other.
+fn lock(lane: &Mutex<EvalScratch>) -> MutexGuard<'_, EvalScratch> {
+    lane.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Candidate-enumeration and evaluation knobs.
@@ -401,51 +414,51 @@ pub fn recommend(
         })
     };
 
+    // `spawned` workers, each with its own scratch lane, claim candidates
+    // one at a time until none are left, so a worker that drew cheap
+    // candidates takes more of them. Every result carries its candidate's
+    // index, and the merge restores candidate order whichever worker
+    // evaluated what. A single worker runs inline on the caller.
+    let spawned = if fan_out {
+        threads.min(candidates.len())
+    } else {
+        1
+    };
+    if workers.len() < spawned {
+        workers.resize_with(spawned, Mutex::default);
+    }
+    let lanes = &workers[..spawned];
+    let candidates = &candidates[..];
+    let evaluate = &evaluate;
+    let next = AtomicUsize::new(0);
+    let results = crate::parallel::task_pool().run(spawned, |w| {
+        let es = &mut *lock(&lanes[w]);
+        let mut local = Materialization::default();
+        let mut local_sel = SelectionStats::default();
+        let mut recs = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(q) = candidates.get(i) else {
+                break;
+            };
+            if let Some(rec) = evaluate(q, es, &mut local, &mut local_sel) {
+                recs.push((i, rec));
+            }
+        }
+        (recs, local, local_sel)
+    });
     let mut stats = Materialization::default();
     let mut sel_stats = SelectionStats::default();
-    let mut recs: Vec<Recommendation> = if fan_out {
-        let chunk = candidates.len().div_ceil(threads);
-        let spawned = candidates.len().div_ceil(chunk);
-        if workers.len() < spawned {
-            workers.resize_with(spawned, EvalScratch::default);
-        }
-        let evaluate = &evaluate;
-        // One pooled scratch + one stats block per worker slot, produced on
-        // the persistent task pool; `run` hands the tuples back in slot
-        // order, preserving the deterministic worker-order merge.
-        let scratch = crate::parallel::DisjointSlots::new(&mut workers[..spawned]);
-        let results: Vec<(Vec<Recommendation>, Materialization, SelectionStats)> =
-            crate::parallel::task_pool().run(spawned, |w| {
-                // Safety: worker slot `w` owns candidate chunk `w` and
-                // scratch lane `w` exclusively.
-                let es = unsafe { scratch.slot(w) };
-                let slice = &candidates[w * chunk..((w + 1) * chunk).min(candidates.len())];
-                let mut local = Materialization::default();
-                let mut local_sel = SelectionStats::default();
-                let recs = slice
-                    .iter()
-                    .filter_map(|q| evaluate(q, es, &mut local, &mut local_sel))
-                    .collect::<Vec<_>>();
-                (recs, local, local_sel)
-            });
-        results
-            .into_iter()
-            .flat_map(|(recs, local, local_sel)| {
-                stats.merge(&local);
-                sel_stats.merge(&local_sel);
-                recs
-            })
-            .collect()
-    } else {
-        if workers.is_empty() {
-            workers.push(EvalScratch::default());
-        }
-        let es = &mut workers[0];
-        candidates
-            .iter()
-            .filter_map(|q| evaluate(q, es, &mut stats, &mut sel_stats))
-            .collect()
-    };
+    let mut tagged: Vec<(usize, Recommendation)> = results
+        .into_iter()
+        .flat_map(|(recs, local, local_sel)| {
+            stats.merge(&local);
+            sel_stats.merge(&local_sel);
+            recs
+        })
+        .collect();
+    tagged.sort_unstable_by_key(|&(i, _)| i);
+    let mut recs: Vec<Recommendation> = tagged.into_iter().map(|(_, rec)| rec).collect();
 
     recs.retain(|r| r.group_size > 0);
     recs.sort_by(|a, b| {
@@ -640,17 +653,33 @@ mod tests {
         let db = db();
         let q = SelectionQuery::all();
         let maps = displayed(&db, &q);
-        let par_cfg = RecommendConfig {
-            parallel: true,
-            threads: 4,
-            ..Default::default()
+        let candidates = enumerate_candidates(&db, &q, &maps, &serial()).len();
+        assert!(candidates > 3, "{candidates} candidates");
+        let fingerprint = |recs: &[Recommendation]| {
+            recs.iter()
+                .map(|r| {
+                    let maps: Vec<_> = r
+                        .maps
+                        .iter()
+                        .map(|m| (m.map.key, m.dw_utility.to_bits()))
+                        .collect();
+                    (r.query.clone(), r.utility.to_bits(), r.group_size, maps)
+                })
+                .collect::<Vec<_>>()
         };
-        let (a, _) = run(&db, &q, &maps, &serial(), 7, None);
-        let (b, _) = run(&db, &q, &maps, &par_cfg, 7, None);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.query, y.query);
-            assert!((x.utility - y.utility).abs() < 1e-12);
+        let (a, a_stats) = run(&db, &q, &maps, &serial(), 7, None);
+        assert!(!a.is_empty());
+        // Fewer workers than candidates, a count that does not divide
+        // them, and more workers than candidates.
+        for threads in [2, 3, 8, candidates + 1] {
+            let par_cfg = RecommendConfig {
+                parallel: true,
+                threads,
+                ..Default::default()
+            };
+            let (b, b_stats) = run(&db, &q, &maps, &par_cfg, 7, None);
+            assert_eq!(fingerprint(&a), fingerprint(&b), "{threads} threads");
+            assert_eq!(a_stats, b_stats, "{threads} threads");
         }
     }
 

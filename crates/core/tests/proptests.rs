@@ -11,7 +11,7 @@ use subdex_core::pruning::{ci_survivors, utility_envelope, SarDecision, SarState
 use subdex_core::ratingmap::{MapKey, RatingMap, ScoredRatingMap, Subgroup};
 use subdex_core::selector::{select_diverse, select_diverse_tracked, SelectionStrategy};
 use subdex_core::utility::{CriterionScores, DimensionWeights, UtilityCombiner};
-use subdex_stats::{ConfidenceInterval, RatingDistribution};
+use subdex_stats::{ConfidenceInterval, HoeffdingSerfling, RatingDistribution};
 use subdex_store::{AttrId, DimId, DistanceCache, Entity, ValueId};
 
 fn subgroups_strategy() -> impl Strategy<Value = Vec<Vec<u64>>> {
@@ -120,13 +120,51 @@ proptest! {
             .iter()
             .map(|&(a, b)| ConfidenceInterval::new(a.min(b), a.max(b)))
             .collect();
-        let env = utility_envelope(&cis, weight);
+        let env = utility_envelope(&mut cis.clone(), weight);
         // The true max of any point values drawn from the intervals lies in
         // the envelope: check the extreme cases.
         let max_of_his = cis.iter().fold(0.0f64, |m, c| m.max(c.hi)) * weight;
         let max_of_los = cis.iter().fold(0.0f64, |m, c| m.max(c.lo)) * weight;
         prop_assert!(env.hi >= max_of_his - 1e-12);
         prop_assert!(env.lo <= max_of_los + 1e-12, "paper's lb is conservative");
+    }
+
+    #[test]
+    fn hoisted_interval_equals_per_call_interval(
+        n in 4u64..100_000,
+        delta in 0.001f64..0.5,
+        (c, a, sp, g) in (-0.5f64..1.5, -0.5f64..1.5, -0.5f64..1.5, -0.5f64..1.5),
+        weight in 0.0f64..1.0,
+    ) {
+        let scores = [c, a, sp, g];
+        // The generator computes the Hoeffding–Serfling width once per
+        // phase and builds the four criterion intervals from it; that must
+        // give the bits `HoeffdingSerfling::interval` gives per call, and
+        // the bits of its formula written out here, at every boundary of
+        // the width: nothing seen, the ln ln clamp, a partial and a full
+        // population.
+        let hs = HoeffdingSerfling::new(n, delta);
+        for samples in [0, 1, 2, 3, n - 1, n, n + 1] {
+            let eps = hs.half_width(samples);
+            let hoisted = scores.map(|s| ConfidenceInterval::around_unit(s, eps));
+            for (s, h) in scores.iter().zip(&hoisted) {
+                let per_call = hs.interval(*s, samples);
+                let formula = if eps.is_infinite() {
+                    ConfidenceInterval::new(0.0, 1.0)
+                } else {
+                    ConfidenceInterval::new(s - eps, s + eps).clamp_unit()
+                };
+                for oracle in [per_call, formula] {
+                    prop_assert_eq!(h.lo.to_bits(), oracle.lo.to_bits(), "samples {}", samples);
+                    prop_assert_eq!(h.hi.to_bits(), oracle.hi.to_bits(), "samples {}", samples);
+                }
+            }
+            let mut per_call: Vec<ConfidenceInterval> =
+                scores.iter().map(|&s| hs.interval(s, samples)).collect();
+            let a = utility_envelope(&mut hoisted.clone(), weight);
+            let b = utility_envelope(&mut per_call, weight);
+            prop_assert_eq!((a.lo.to_bits(), a.hi.to_bits()), (b.lo.to_bits(), b.hi.to_bits()));
+        }
     }
 
     #[test]

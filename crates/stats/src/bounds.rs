@@ -75,6 +75,18 @@ impl ConfidenceInterval {
             hi: self.hi.clamp(0.0, 1.0),
         }
     }
+
+    /// The interval of half-width `half_width` around `mean` for a
+    /// statistic known to lie in `[0, 1]`: all of `[0, 1]` when the width
+    /// is infinite, otherwise clamped to it. This is
+    /// [`HoeffdingSerfling::interval`] with the width computed once, for
+    /// callers that bound many means after the same number of samples.
+    pub fn around_unit(mean: f64, half_width: f64) -> Self {
+        if half_width.is_infinite() {
+            return Self::new(0.0, 1.0);
+        }
+        Self::new(mean - half_width, mean + half_width).clamp_unit()
+    }
 }
 
 /// Hoeffding–Serfling confidence bound for the mean of a bounded population
@@ -142,11 +154,7 @@ impl HoeffdingSerfling {
     /// Confidence interval around a running mean for a statistic known to
     /// lie in `[0, 1]`, after `samples` observations.
     pub fn interval(&self, mean: f64, samples: u64) -> ConfidenceInterval {
-        let eps = self.half_width(samples);
-        if eps.is_infinite() {
-            return ConfidenceInterval::new(0.0, 1.0);
-        }
-        ConfidenceInterval::new(mean - eps, mean + eps).clamp_unit()
+        ConfidenceInterval::around_unit(mean, self.half_width(samples))
     }
 }
 

@@ -126,6 +126,36 @@ proptest! {
     }
 
     #[test]
+    fn recommendation_powered_path_is_independent_of_thread_count(spec in spec_db(), seed in 0u64..50) {
+        // The recommendation fan-out hands candidates to whichever worker
+        // claims them first; the session must not be able to tell. Each
+        // step follows a different-ranked recommendation, so roll-ups,
+        // changes and drill-downs all get applied.
+        let db = build(&spec);
+        let run = |threads: usize| {
+            let cfg = EngineConfig {
+                parallel: threads > 1,
+                threads,
+                seed,
+                ..EngineConfig::default()
+            };
+            let mut s = ExplorationSession::new(db.clone(), cfg, ExplorationMode::RecommendationPowered);
+            s.apply_operation(&SelectionQuery::all());
+            for step in 0..3 {
+                let n = s.recommendations().len();
+                if n == 0 {
+                    break;
+                }
+                s.apply_recommendation(step % n).expect("recommendation in range");
+            }
+            (s.path().len(), s.path_signature())
+        };
+        let serial = run(1);
+        prop_assert_eq!(run(2), serial, "2 threads");
+        prop_assert_eq!(run(4), serial, "4 threads");
+    }
+
+    #[test]
     fn seen_context_grows_monotonically(spec in spec_db()) {
         let db = build(&spec);
         let cfg = EngineConfig {
