@@ -29,21 +29,24 @@
 //!
 //! Format history:
 //!
-//! * **v1** persisted flat posting lists (sections 5/6).
+//! * **v1** persisted flat posting lists (sections 5/6). It is no longer
+//!   read: a v1 file is a [`StoreErrorKind::Format`] error.
 //! * **v2** persists the compressed hybrid containers directly
 //!   (sections 7/8), preserving each container's class so load reproduces
-//!   the in-memory index bit-for-bit. The reader accepts both: a v1 file's
-//!   flat lists are promoted to containers on load, and a file missing
-//!   index sections entirely falls back to rebuilding from the entity
-//!   tables — any snapshot with intact tables yields a queryable database.
+//!   the in-memory index bit-for-bit. It is the only format the reader
+//!   speaks. A file missing a container section is corrupt, like one
+//!   missing any other section; container tag 2 (the retired run-list
+//!   encoding) is a `Format` error.
+//!
+//! [`StoreErrorKind::Format`]: subdex_store::StoreErrorKind::Format
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
 use subdex_store::{
-    Column, CompressedIndex, Container, CsrColumn, Dictionary, Entity, EntityTable, InvertedIndex,
-    RatingTable, Schema, StoreError, SubjectiveDb, ValueId,
+    Column, CompressedIndex, Container, CsrColumn, Dictionary, Entity, EntityTable, RatingTable,
+    Schema, StoreError, SubjectiveDb, ValueId,
 };
 
 use crate::codec::{
@@ -56,18 +59,15 @@ use crate::crc::crc32;
 pub const MAGIC: &[u8; 8] = b"SDXSNAP1";
 /// Trailing magic: proves the footer (and thus the whole file) is complete.
 pub const TAIL_MAGIC: &[u8; 8] = b"SDXSNEND";
-/// Current format version; readers accept `1..=FORMAT_VERSION` and reject
-/// anything newer.
+/// Current format version; the reader accepts exactly this version.
 pub const FORMAT_VERSION: u32 = 2;
 
 const SEC_META: u16 = 1;
 const SEC_REVIEWERS: u16 = 2;
 const SEC_ITEMS: u16 = 3;
 const SEC_RATINGS: u16 = 4;
-/// Flat posting lists (format v1; still decoded, no longer written).
-const SEC_REVIEWER_INDEX: u16 = 5;
-const SEC_ITEM_INDEX: u16 = 6;
-/// Compressed hybrid containers (format v2).
+/// Compressed hybrid containers. Ids 5/6 held format v1's flat posting
+/// lists; never reuse them.
 const SEC_REVIEWER_CINDEX: u16 = 7;
 const SEC_ITEM_CINDEX: u16 = 8;
 
@@ -149,24 +149,10 @@ fn encode_ratings(r: &RatingTable) -> Vec<u8> {
     out
 }
 
-#[cfg(test)]
-fn encode_index(index: &InvertedIndex) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, index.rows() as u64);
-    put_u16(&mut out, index.posting_lists().len() as u16);
-    for lists in index.posting_lists() {
-        put_u64(&mut out, lists.len() as u64);
-        for list in lists {
-            put_u32_slice(&mut out, list);
-        }
-    }
-    out
-}
-
 /// Container payload tags; part of the on-disk format, never renumber.
+/// Tag 2 held the retired run-list encoding and is rejected on read.
 const TAG_ARRAY: u8 = 0;
 const TAG_BITMAP: u8 = 1;
-const TAG_RUNS: u8 = 2;
 
 /// Encodes a compressed index container-by-container, preserving each
 /// container's class so the loaded index is bit-for-bit the one that was
@@ -188,13 +174,6 @@ fn encode_cindex(index: &CompressedIndex) -> Vec<u8> {
                     out.push(TAG_BITMAP);
                     put_u32(&mut out, *card);
                     put_u64_slice(&mut out, words);
-                }
-                Container::Runs { runs, card } => {
-                    out.push(TAG_RUNS);
-                    put_u32(&mut out, *card);
-                    let flat: Vec<u32> =
-                        runs.iter().flat_map(|&(start, len)| [start, len]).collect();
-                    put_u32_slice(&mut out, &flat);
                 }
             }
         }
@@ -317,25 +296,6 @@ fn decode_ratings(bytes: &[u8], meta: &MetaFields) -> Result<RatingTable, StoreE
     )
 }
 
-fn decode_index(bytes: &[u8], what: &str) -> Result<InvertedIndex, StoreError> {
-    let mut c = Cursor::new(bytes, what);
-    let rows = c.u64()? as usize;
-    let attr_count = c.u16()? as usize;
-    let mut postings = Vec::with_capacity(attr_count);
-    for _ in 0..attr_count {
-        let value_count = c.len_prefix(8)?;
-        let mut lists = Vec::with_capacity(value_count);
-        for _ in 0..value_count {
-            lists.push(c.u32_vec()?);
-        }
-        postings.push(lists);
-    }
-    if !c.is_exhausted() {
-        return Err(StoreError::corrupt(format!("{what}: trailing bytes")));
-    }
-    InvertedIndex::from_parts(postings, rows)
-}
-
 fn decode_cindex(bytes: &[u8], what: &str) -> Result<CompressedIndex, StoreError> {
     let mut c = Cursor::new(bytes, what);
     let rows = c.u64()? as usize;
@@ -354,17 +314,10 @@ fn decode_cindex(bytes: &[u8], what: &str) -> Result<CompressedIndex, StoreError
                         card,
                     }
                 }
-                TAG_RUNS => {
-                    let card = c.u32()?;
-                    let flat = c.u32_vec()?;
-                    if flat.len() % 2 != 0 {
-                        return Err(StoreError::corrupt(format!(
-                            "{what}: run list has odd length {}",
-                            flat.len()
-                        )));
-                    }
-                    let runs = flat.chunks_exact(2).map(|p| (p[0], p[1])).collect();
-                    Container::Runs { runs, card }
+                2 => {
+                    return Err(StoreError::format(format!(
+                        "{what}: run-list containers (tag 2) not supported"
+                    )))
                 }
                 tag => {
                     return Err(StoreError::corrupt(format!(
@@ -379,7 +332,7 @@ fn decode_cindex(bytes: &[u8], what: &str) -> Result<CompressedIndex, StoreError
         return Err(StoreError::corrupt(format!("{what}: trailing bytes")));
     }
     // `from_containers` re-validates every structural invariant (sorted
-    // arrays, clear bitmap tails, disjoint runs, exact cardinalities), so a
+    // arrays, clear bitmap tails, exact cardinalities), so a
     // damaged-but-CRC-colliding payload still cannot produce a wrong index.
     CompressedIndex::from_containers(containers, rows)
 }
@@ -403,30 +356,6 @@ pub fn write_snapshot(db: &SubjectiveDb, last_seq: u64, path: &Path) -> Result<u
         (SEC_ITEM_CINDEX, encode_cindex(db.index(Entity::Item))),
     ];
     write_sections(FORMAT_VERSION, &sections, path)
-}
-
-/// Writes a format-**1** snapshot: flat posting-list sections instead of
-/// compressed containers. The in-memory index no longer keeps flat lists,
-/// so they are rebuilt from the entity tables here. Test-only: it proves
-/// that snapshots written before the container format still load through
-/// the promotion path.
-#[cfg(test)]
-fn write_snapshot_v1(db: &SubjectiveDb, last_seq: u64, path: &Path) -> Result<u64, StoreError> {
-    let sections: [(u16, Vec<u8>); 6] = [
-        (SEC_META, encode_meta(db, last_seq)),
-        (SEC_REVIEWERS, encode_entity_table(db.reviewers())),
-        (SEC_ITEMS, encode_entity_table(db.items())),
-        (SEC_RATINGS, encode_ratings(db.ratings())),
-        (
-            SEC_REVIEWER_INDEX,
-            encode_index(&InvertedIndex::build(db.reviewers())),
-        ),
-        (
-            SEC_ITEM_INDEX,
-            encode_index(&InvertedIndex::build(db.items())),
-        ),
-    ];
-    write_sections(1, &sections, path)
 }
 
 /// Streams `sections` to `path` under the framed-and-tabled layout
@@ -517,9 +446,9 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(SubjectiveDb, SnapshotMeta), Sto
         return Err(StoreError::format("not a SubDEx snapshot (bad magic)"));
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if !(1..=FORMAT_VERSION).contains(&version) {
+    if version != FORMAT_VERSION {
         return Err(StoreError::format(format!(
-            "snapshot format version {version} not supported (reader speaks 1..={FORMAT_VERSION})"
+            "snapshot format version {version} not supported (reader speaks {FORMAT_VERSION})"
         )));
     }
     let footer = &bytes[bytes.len() - FOOTER_LEN..];
@@ -540,13 +469,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(SubjectiveDb, SnapshotMeta), Sto
 
     let mut c = Cursor::new(table_bytes, "snapshot section table");
     let count = c.u32()? as usize;
-    let try_section = |want: u16| -> Result<Option<&[u8]>, StoreError> {
-        find_section(bytes, table_bytes, count, want)
-    };
-    let section = |want: u16| -> Result<&[u8], StoreError> {
-        try_section(want)?
-            .ok_or_else(|| StoreError::corrupt(format!("snapshot section {want} missing")))
-    };
+    let section = |want: u16| find_section(bytes, table_bytes, count, want);
 
     let meta = decode_meta(section(SEC_META)?)?;
     let reviewers = decode_entity_table(section(SEC_REVIEWERS)?, "snapshot reviewer table")?;
@@ -557,18 +480,8 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(SubjectiveDb, SnapshotMeta), Sto
         ));
     }
     let ratings = decode_ratings(section(SEC_RATINGS)?, &meta)?;
-    let reviewer_index = load_cindex(
-        try_section(SEC_REVIEWER_CINDEX)?,
-        try_section(SEC_REVIEWER_INDEX)?,
-        &reviewers,
-        "reviewer",
-    )?;
-    let item_index = load_cindex(
-        try_section(SEC_ITEM_CINDEX)?,
-        try_section(SEC_ITEM_INDEX)?,
-        &items,
-        "item",
-    )?;
+    let reviewer_index = load_cindex(section(SEC_REVIEWER_CINDEX)?, &reviewers, "reviewer")?;
+    let item_index = load_cindex(section(SEC_ITEM_CINDEX)?, &items, "item")?;
 
     let db = SubjectiveDb::from_parts(
         reviewers,
@@ -588,38 +501,26 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(SubjectiveDb, SnapshotMeta), Sto
     ))
 }
 
-/// Loads one entity side's compressed index with a three-step fallback
-/// chain: the native container section (format v2), the flat posting
-/// section (format v1, promoted to containers on load), and finally a
-/// rebuild from the already-verified entity table itself.
+/// Decodes one entity side's container section and checks that it covers
+/// `table` exactly.
 fn load_cindex(
-    cindex_bytes: Option<&[u8]>,
-    flat_bytes: Option<&[u8]>,
+    payload: &[u8],
     table: &EntityTable,
     what: &str,
 ) -> Result<CompressedIndex, StoreError> {
-    if let Some(payload) = cindex_bytes {
-        let index = decode_cindex(payload, &format!("snapshot {what} containers"))?;
-        verify_cindex_matches(&index, table, what)?;
-        return Ok(index);
-    }
-    if let Some(payload) = flat_bytes {
-        let flat = decode_index(payload, &format!("snapshot {what} postings"))?;
-        verify_index_matches(&flat, table, what)?;
-        return Ok(CompressedIndex::from_inverted(&flat));
-    }
-    Ok(CompressedIndex::from_inverted(&InvertedIndex::build(table)))
+    let index = decode_cindex(payload, &format!("snapshot {what} containers"))?;
+    verify_cindex_matches(&index, table, what)?;
+    Ok(index)
 }
 
 /// Locates section `want` via the table, verifying bounds and payload CRC;
-/// `Ok(None)` means the section simply is not present (expected when
-/// reading across format versions — callers decide whether that is fatal).
+/// a section the table does not list is corrupt.
 fn find_section<'a>(
     bytes: &'a [u8],
     table_bytes: &[u8],
     count: usize,
     want: u16,
-) -> Result<Option<&'a [u8]>, StoreError> {
+) -> Result<&'a [u8], StoreError> {
     let mut c = Cursor::new(table_bytes, "snapshot section table");
     let _ = c.u32()?;
     for _ in 0..count {
@@ -656,42 +557,16 @@ fn find_section<'a>(
                 "snapshot section {want}: crc mismatch"
             )));
         }
-        return Ok(Some(payload));
+        return Ok(payload);
     }
-    Ok(None)
+    Err(StoreError::corrupt(format!(
+        "snapshot section {want} missing"
+    )))
 }
 
-/// The persisted posting lists must cover exactly the attributes and
-/// dictionary sizes of their table — a sneaky mismatch would let stale
-/// postings answer selections for the wrong values.
-fn verify_index_matches(
-    index: &InvertedIndex,
-    table: &EntityTable,
-    what: &str,
-) -> Result<(), StoreError> {
-    if index.posting_lists().len() != table.schema().len() {
-        return Err(StoreError::corrupt(format!(
-            "snapshot {what} postings cover {} attributes, table has {}",
-            index.posting_lists().len(),
-            table.schema().len()
-        )));
-    }
-    for (attr, lists) in table.schema().attr_ids().zip(index.posting_lists()) {
-        if lists.len() != table.dictionary(attr).len() {
-            return Err(StoreError::corrupt(format!(
-                "snapshot {what} postings for attribute {} cover {} values, dictionary has {}",
-                attr.index(),
-                lists.len(),
-                table.dictionary(attr).len()
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// The container analog of [`verify_index_matches`]: the persisted
-/// compressed index must cover exactly the rows, attributes and dictionary
-/// sizes of its table.
+/// The persisted compressed index must cover exactly the rows, attributes
+/// and dictionary sizes of its table — a sneaky mismatch would let stale
+/// containers answer selections for the wrong values.
 fn verify_cindex_matches(
     index: &CompressedIndex,
     table: &EntityTable,
@@ -784,56 +659,68 @@ mod tests {
         // index is the in-memory one, not a re-derived approximation.
         let (ls, ds) = (loaded.index_stats(), db.index_stats());
         assert_eq!(
-            (ls.array_containers, ls.bitmap_containers, ls.run_containers),
-            (ds.array_containers, ds.bitmap_containers, ds.run_containers)
+            (ls.array_containers, ls.bitmap_containers),
+            (ds.array_containers, ds.bitmap_containers)
         );
         let _ = std::fs::remove_file(&path);
     }
 
+    /// Pins the v2 byte format: the length and CRC-32 of `small_db`'s
+    /// snapshot. A change to either is a new format and needs a new
+    /// `FORMAT_VERSION`.
     #[test]
-    fn v1_snapshot_loads_via_flat_posting_promotion() {
-        let db = small_db();
-        let path = temp_path("v1");
-        write_snapshot_v1(&db, 3, &path).unwrap();
+    fn small_db_snapshot_bytes_are_pinned() {
+        let path = temp_path("golden");
+        let len = write_snapshot(&small_db(), 0, &path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 1);
-        let (loaded, meta) = read_snapshot(&path).unwrap();
-        assert_eq!(meta.last_seq, 3);
-        assert_eq!(loaded.stats(), db.stats());
-        for (entity, attr, value) in [
-            (Entity::Reviewer, "age_group", Value::str("Young")),
-            (Entity::Item, "cuisine", Value::str("Pizza")),
-        ] {
-            let q = SelectionQuery::from_preds(vec![db.pred(entity, attr, &value).unwrap()]);
-            assert_eq!(
-                loaded.collect_group_records(&q),
-                db.collect_group_records(&q),
-                "query on {attr} must answer identically after v1 load"
-            );
-        }
+        assert_eq!((len, bytes.len()), (854, 854));
+        assert_eq!(crc32(&bytes), 0x165f_46ce);
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn missing_index_sections_rebuild_from_tables() {
+    fn missing_container_section_is_corrupt() {
         let db = small_db();
-        let path = temp_path("rebuild");
-        // A table-only snapshot: no index section of either format.
+        let path = temp_path("missing");
+        // Every section but the item containers.
         let sections = [
             (SEC_META, encode_meta(&db, 0)),
             (SEC_REVIEWERS, encode_entity_table(db.reviewers())),
             (SEC_ITEMS, encode_entity_table(db.items())),
             (SEC_RATINGS, encode_ratings(db.ratings())),
+            (
+                SEC_REVIEWER_CINDEX,
+                encode_cindex(db.index(Entity::Reviewer)),
+            ),
         ];
         write_sections(FORMAT_VERSION, &sections, &path).unwrap();
-        let (loaded, _) = read_snapshot(&path).unwrap();
-        let q = SelectionQuery::from_preds(vec![db
-            .pred(Entity::Item, "city", &Value::str("NYC"))
-            .unwrap()]);
-        assert_eq!(
-            loaded.collect_group_records(&q),
-            db.collect_group_records(&q)
-        );
+        let err = read_snapshot(&path).unwrap_err();
+        assert_eq!(err.kind, subdex_store::StoreErrorKind::Corrupt, "{err}");
+        assert!(err.context.contains("missing"), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn run_container_tag_is_a_format_error() {
+        let db = small_db();
+        let path = temp_path("tag2");
+        // rows u64 · attr count u16 · first attribute's value count u64,
+        // then the first container's tag.
+        let mut reviewers = encode_cindex(db.index(Entity::Reviewer));
+        assert_eq!(reviewers[18], TAG_ARRAY);
+        reviewers[18] = 2;
+        let sections = [
+            (SEC_META, encode_meta(&db, 0)),
+            (SEC_REVIEWERS, encode_entity_table(db.reviewers())),
+            (SEC_ITEMS, encode_entity_table(db.items())),
+            (SEC_RATINGS, encode_ratings(db.ratings())),
+            (SEC_REVIEWER_CINDEX, reviewers),
+            (SEC_ITEM_CINDEX, encode_cindex(db.index(Entity::Item))),
+        ];
+        write_sections(FORMAT_VERSION, &sections, &path).unwrap();
+        let err = read_snapshot(&path).unwrap_err();
+        assert_eq!(err.kind, subdex_store::StoreErrorKind::Format, "{err}");
+        assert!(err.context.contains("tag 2"), "{err}");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -855,9 +742,13 @@ mod tests {
         let path = temp_path("ver");
         write_snapshot(&db, 0, &path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[8] = 0xEE;
-        let err = decode_snapshot(&bytes).unwrap_err();
-        assert!(err.context.contains("version"), "{err}");
+        // Format 1 (flat posting lists) is no longer read either.
+        for version in [0xEE, 1] {
+            bytes[8] = version;
+            let err = decode_snapshot(&bytes).unwrap_err();
+            assert_eq!(err.kind, subdex_store::StoreErrorKind::Format, "{err}");
+            assert!(err.context.contains("version"), "{err}");
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -34,10 +34,9 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use subdex_store::{RatingDraft, StoreError, SubjectiveDb};
 
 use crate::snapshot;
@@ -194,7 +193,7 @@ impl PersistentStore {
     /// The currently published database. Cheap (`Arc` clone); the returned
     /// handle is an epoch-consistent view that later appends never mutate.
     pub fn db(&self) -> Arc<SubjectiveDb> {
-        Arc::clone(&self.published.lock())
+        Arc::clone(&lock(&self.published))
     }
 
     /// Records appended since the last checkpoint. Never waits for an
@@ -210,7 +209,7 @@ impl PersistentStore {
         if drafts.is_empty() {
             return Ok(self.db().epoch());
         }
-        let mut writer = self.wal.lock();
+        let mut writer = lock(&self.wal);
         let current = self.db();
         // Validate first: a draft the in-memory apply would reject must
         // never be made durable, or replay would fail on it.
@@ -223,7 +222,7 @@ impl PersistentStore {
             .with_appended(drafts)
             .expect("drafts validated above");
         let epoch = next.epoch();
-        *self.published.lock() = Arc::new(next);
+        *lock(&self.published) = Arc::new(next);
         let n = drafts.len() as u64;
         self.dirty.fetch_add(n, Ordering::Relaxed);
         self.appended.fetch_add(n, Ordering::Relaxed);
@@ -241,7 +240,7 @@ impl PersistentStore {
     /// log in place — its batch sequences are all `<= last_seq` of the new
     /// snapshot, so the next open replays none of them.
     pub fn compact(&self) -> Result<u64, StoreError> {
-        let mut writer = self.wal.lock();
+        let mut writer = lock(&self.wal);
         let db = self.db();
         let seq = writer.seq();
         let bytes = snapshot::write_snapshot(&db, seq, &self.dir.join(SNAPSHOT_FILE))?;
@@ -272,6 +271,12 @@ impl PersistentStore {
             epoch: self.db().epoch(),
         }
     }
+}
+
+/// Locks `m`, taking the guard even if a panicking holder poisoned it, so
+/// one panicked request never wedges the store for every later one.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -338,7 +343,7 @@ mod tests {
         store
             .append_ratings(&[RatingDraft::new(0, 1, vec![5])])
             .unwrap();
-        let held = store.wal.lock();
+        let held = lock(&store.wal);
         let reader = Arc::clone(&store);
         let (tx, rx) = std::sync::mpsc::channel();
         let handle = std::thread::spawn(move || {

@@ -271,11 +271,10 @@ impl std::fmt::Display for MetricsSnapshot {
         if let Some(i) = &self.index {
             writeln!(
                 f,
-                "index: {} arrays / {} bitmaps / {} runs, {} bytes ({} flat), \
+                "index: {} arrays / {} bitmaps, {} bytes ({} flat), \
                  {} intersections, routes {} walk / {} probe",
                 i.array_containers,
                 i.bitmap_containers,
-                i.run_containers,
                 i.resident_bytes,
                 i.flat_bytes,
                 i.intersections,
@@ -469,7 +468,6 @@ mod tests {
                 Some(IndexStats {
                     array_containers: 10,
                     bitmap_containers: 2,
-                    run_containers: 1,
                     resident_bytes: 640,
                     flat_bytes: 1_280,
                     intersections: 7,
@@ -480,7 +478,7 @@ mod tests {
             .to_string();
         assert!(
             with.contains(
-                "index: 10 arrays / 2 bitmaps / 1 runs, 640 bytes (1280 flat), \
+                "index: 10 arrays / 2 bitmaps, 640 bytes (1280 flat), \
                  7 intersections, routes 5 walk / 2 probe"
             ),
             "{with}"

@@ -2,8 +2,8 @@
 //! thread-safe map.
 //!
 //! Locking is two-level. The registry map sits behind a
-//! [`parking_lot::RwLock`], so looking a session up is a shared read;
-//! each session then has its own [`parking_lot::Mutex`], so steps on
+//! [`RwLock`], so looking a session up is a shared read;
+//! each session then has its own [`Mutex`], so steps on
 //! *different* sessions run fully in parallel while steps on the *same*
 //! session serialize (an `ExplorationSession` is inherently sequential —
 //! its seen-context evolves step by step).
@@ -14,10 +14,9 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, RwLock};
 use subdex_core::ExplorationSession;
 
 /// Opaque handle to one registered session.
@@ -71,6 +70,18 @@ impl SessionRegistry {
         self.clock_origin.elapsed().as_millis() as u64
     }
 
+    /// Shared access to the map. Poison is ignored here and on every
+    /// session mutex: a panicking step must degrade one request, never
+    /// lock every later caller out of the registry.
+    fn slots(&self) -> RwLockReadGuard<'_, HashMap<SessionId, Arc<Slot>>> {
+        self.slots.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Exclusive access to the map; poison is ignored as in [`Self::slots`].
+    fn slots_mut(&self) -> RwLockWriteGuard<'_, HashMap<SessionId, Arc<Slot>>> {
+        self.slots.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Registers a session and returns its handle.
     pub fn insert(&self, session: ExplorationSession) -> SessionId {
         let id = SessionId(self.next_id.fetch_add(1, Ordering::Relaxed));
@@ -78,7 +89,7 @@ impl SessionRegistry {
             session: Mutex::new(session),
             last_access_ms: AtomicU64::new(self.now_ms()),
         });
-        self.slots.write().insert(id, slot);
+        self.slots_mut().insert(id, slot);
         id
     }
 
@@ -93,8 +104,8 @@ impl SessionRegistry {
         id: SessionId,
         f: impl FnOnce(&mut ExplorationSession) -> R,
     ) -> Option<R> {
-        let slot = Arc::clone(self.slots.read().get(&id)?);
-        let mut session = slot.session.lock();
+        let slot = Arc::clone(self.slots().get(&id)?);
+        let mut session = slot.session.lock().unwrap_or_else(PoisonError::into_inner);
         slot.last_access_ms.store(self.now_ms(), Ordering::Relaxed);
         Some(f(&mut session))
     }
@@ -102,17 +113,17 @@ impl SessionRegistry {
     /// Unregisters a session, returning whether it existed. A worker
     /// mid-step on it finishes normally (it holds the slot `Arc`).
     pub fn remove(&self, id: SessionId) -> bool {
-        self.slots.write().remove(&id).is_some()
+        self.slots_mut().remove(&id).is_some()
     }
 
     /// Whether `id` is currently registered.
     pub fn contains(&self, id: SessionId) -> bool {
-        self.slots.read().contains_key(&id)
+        self.slots().contains_key(&id)
     }
 
     /// Number of registered sessions.
     pub fn len(&self) -> usize {
-        self.slots.read().len()
+        self.slots().len()
     }
 
     /// Whether no sessions are registered.
@@ -122,7 +133,7 @@ impl SessionRegistry {
 
     /// Registered session ids, in ascending creation order.
     pub fn ids(&self) -> Vec<SessionId> {
-        let mut ids: Vec<SessionId> = self.slots.read().keys().copied().collect();
+        let mut ids: Vec<SessionId> = self.slots().keys().copied().collect();
         ids.sort_unstable();
         ids
     }
@@ -134,11 +145,13 @@ impl SessionRegistry {
         let now_ms = self.now_ms();
         let ttl_ms = ttl.as_millis() as u64;
         let mut evicted = Vec::new();
-        let mut slots = self.slots.write();
+        let mut slots = self.slots_mut();
         slots.retain(|&id, slot| {
             // A held session lock means a step is in flight right now.
-            let Some(_busy_guard) = slot.session.try_lock() else {
-                return true;
+            let _busy_guard = match slot.session.try_lock() {
+                Ok(guard) => guard,
+                Err(TryLockError::Poisoned(p)) => p.into_inner(),
+                Err(TryLockError::WouldBlock) => return true,
             };
             let touched = slot.last_access_ms.load(Ordering::Relaxed);
             let idle = now_ms.saturating_sub(touched);

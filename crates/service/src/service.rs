@@ -15,12 +15,11 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TrySendError};
-use parking_lot::Mutex;
 
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::registry::{SessionId, SessionRegistry};
@@ -242,7 +241,7 @@ impl SubdexService {
         let handle = std::thread::spawn(move || {
             checkpointer_loop(&store, interval, threshold, &nudge_rx);
         });
-        *service.checkpointer.lock() = Some(Checkpointer {
+        *lock(&service.checkpointer) = Some(Checkpointer {
             nudge: nudge_tx,
             handle,
         });
@@ -355,7 +354,7 @@ impl SubdexService {
         session: SessionId,
         request: StepRequest,
     ) -> Result<StepTicket, SubmitError> {
-        let guard = self.submit_tx.lock();
+        let guard = lock(&self.submit_tx);
         let Some(tx) = guard.as_ref() else {
             return Err(SubmitError::ShuttingDown);
         };
@@ -409,7 +408,7 @@ impl SubdexService {
             .map_err(ServiceError::Persist)?;
         self.dist_cache.bump_epoch(epoch);
         if store.dirty_records() >= self.config.checkpoint_dirty_threshold {
-            if let Some(cp) = self.checkpointer.lock().as_ref() {
+            if let Some(cp) = lock(&self.checkpointer).as_ref() {
                 // A full nudge channel means a wake-up is already pending.
                 let _ = cp.nudge.try_send(());
             }
@@ -449,13 +448,13 @@ impl SubdexService {
         // Dropping the only Sender closes the channel; workers finish the
         // queued jobs (crossbeam receivers drain before disconnecting) and
         // exit on RecvError.
-        drop(self.submit_tx.lock().take());
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.workers.lock());
+        drop(lock(&self.submit_tx).take());
+        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *lock(&self.workers));
         for h in handles {
             let _ = h.join();
         }
         // Workers are done, so no more appends race the final compaction.
-        if let Some(cp) = self.checkpointer.lock().take() {
+        if let Some(cp) = lock(&self.checkpointer).take() {
             drop(cp.nudge);
             let _ = cp.handle.join();
         }
@@ -466,6 +465,12 @@ impl Drop for SubdexService {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// Locks `m`, taking the guard even if a panicking holder poisoned it, so
+/// a panicked worker never wedges submission or shutdown.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Background checkpointing: wake on a nudge (dirty set crossed the

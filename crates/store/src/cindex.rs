@@ -1,21 +1,17 @@
 //! Compressed hybrid posting index — roaring-style containers per
 //! (attribute, value) pair.
 //!
-//! The flat [`InvertedIndex`] stores every
-//! posting as a sorted `Vec<u32>`, which costs 4 bytes per posting no
-//! matter how dense the value is. At Yelp scale the posting mass
-//! concentrates in a few very dense values (every reviewer has *some*
-//! city; categorical attributes are heavy-tailed), so this module keeps
-//! one [`Container`] per value in whichever of three encodings is
-//! smallest **in bytes**:
+//! A flat posting list costs 4 bytes per posting no matter how dense the
+//! value is. At Yelp scale the posting mass concentrates in a few very
+//! dense values (every reviewer has *some* city; categorical attributes
+//! are heavy-tailed), so this module keeps one [`Container`] per value in
+//! whichever of two encodings is smaller **in bytes**:
 //!
 //! * [`Container::Array`] — sorted unique `Vec<u32>`, 4·n bytes. Wins for
 //!   sparse values.
 //! * [`Container::Bitmap`] — packed `u64` words over the whole row
 //!   domain, 8·⌈rows/64⌉ bytes. Wins once a value covers more than
 //!   ~1/16 of the table.
-//! * [`Container::Runs`] — `(start, len)` run list, 8·r bytes. Wins for
-//!   clustered values (sorted ingest order groups cities together).
 //!
 //! Unlike roaring proper, containers span the whole row domain instead of
 //! 16-bit chunks: entity tables top out in the low millions of rows, so
@@ -33,8 +29,8 @@
 
 use crate::bitset::BitSet;
 use crate::error::StoreError;
-use crate::index::InvertedIndex;
 use crate::schema::AttrId;
+use crate::table::EntityTable;
 use crate::value::ValueId;
 
 use subdex_stats::kernels;
@@ -47,44 +43,25 @@ pub enum Container {
     /// Packed bitmap over the whole row domain — the dense encoding.
     /// `card` caches the population so cardinality reads are O(1).
     Bitmap { words: Vec<u64>, card: u32 },
-    /// Sorted disjoint `(start, len)` runs — the clustered encoding.
-    Runs { runs: Vec<(u32, u32)>, card: u32 },
 }
 
 impl Container {
-    /// Encodes sorted unique `ids` over a `rows`-row domain, picking the
-    /// smallest of the three encodings (runs strictly smallest → runs;
-    /// else array unless the bitmap is smaller). Deterministic, so
-    /// snapshot round-trips and rebuilds agree bit-for-bit.
+    /// Encodes sorted unique `ids` over a `rows`-row domain: an array
+    /// unless the bitmap is strictly smaller. Deterministic, so snapshot
+    /// round-trips and rebuilds agree bit-for-bit.
     pub fn build(ids: &[u32], rows: usize) -> Self {
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids sorted unique");
-        let card = ids.len() as u32;
-        let arr_bytes = 4 * ids.len();
-        let bmp_bytes = 8 * rows.div_ceil(64);
-        let mut nruns = 0usize;
-        let mut prev = u32::MAX;
-        for &id in ids {
-            nruns += usize::from(prev == u32::MAX || id != prev + 1);
-            prev = id;
-        }
-        let runs_bytes = 8 * nruns;
-        if runs_bytes < arr_bytes && runs_bytes < bmp_bytes {
-            let mut runs = Vec::with_capacity(nruns);
-            for &id in ids {
-                match runs.last_mut() {
-                    Some((start, len)) if *start + *len == id => *len += 1,
-                    _ => runs.push((id, 1)),
-                }
-            }
-            Container::Runs { runs, card }
-        } else if arr_bytes <= bmp_bytes {
+        if 4 * ids.len() <= 8 * rows.div_ceil(64) {
             Container::Array(ids.to_vec())
         } else {
             let mut words = vec![0u64; rows.div_ceil(64)];
             for &id in ids {
                 words[id as usize >> 6] |= 1u64 << (id & 63);
             }
-            Container::Bitmap { words, card }
+            Container::Bitmap {
+                words,
+                card: ids.len() as u32,
+            }
         }
     }
 
@@ -93,7 +70,7 @@ impl Container {
     pub fn card(&self) -> usize {
         match self {
             Container::Array(ids) => ids.len(),
-            Container::Bitmap { card, .. } | Container::Runs { card, .. } => *card as usize,
+            Container::Bitmap { card, .. } => *card as usize,
         }
     }
 
@@ -103,7 +80,6 @@ impl Container {
         match self {
             Container::Array(ids) => 4 * ids.capacity(),
             Container::Bitmap { words, .. } => 8 * words.capacity(),
-            Container::Runs { runs, .. } => 8 * runs.capacity(),
         }
     }
 
@@ -114,13 +90,6 @@ impl Container {
             Container::Bitmap { words, .. } => {
                 let w = id as usize >> 6;
                 w < words.len() && (words[w] >> (id & 63)) & 1 == 1
-            }
-            Container::Runs { runs, .. } => {
-                let i = runs.partition_point(|&(start, _)| start <= id);
-                i > 0 && {
-                    let (start, len) = runs[i - 1];
-                    id - start < len
-                }
             }
         }
     }
@@ -139,13 +108,6 @@ impl Container {
                     *dst |= w;
                 }
             }
-            Container::Runs { runs, .. } => {
-                for &(start, len) in runs {
-                    for id in start..start + len {
-                        words[id as usize >> 6] |= 1u64 << (id & 63);
-                    }
-                }
-            }
         }
     }
 
@@ -154,11 +116,6 @@ impl Container {
         match self {
             Container::Array(ids) => out.extend_from_slice(ids),
             Container::Bitmap { words, .. } => kernels::decode_words(words, out),
-            Container::Runs { runs, .. } => {
-                for &(start, len) in runs {
-                    out.extend(start..start + len);
-                }
-            }
         }
     }
 
@@ -167,7 +124,6 @@ impl Container {
         match self {
             Container::Array(_) => "array",
             Container::Bitmap { .. } => "bitmap",
-            Container::Runs { .. } => "runs",
         }
     }
 }
@@ -240,8 +196,6 @@ pub struct ContainerStats {
     pub arrays: usize,
     /// Number of values encoded as packed bitmaps.
     pub bitmaps: usize,
-    /// Number of values encoded as run lists.
-    pub runs: usize,
     /// Resident payload bytes across all containers.
     pub resident_bytes: usize,
     /// What flat `Vec<u32>` posting lists would cost for the same
@@ -255,7 +209,6 @@ impl ContainerStats {
         ContainerStats {
             arrays: self.arrays + other.arrays,
             bitmaps: self.bitmaps + other.bitmaps,
-            runs: self.runs + other.runs,
             resident_bytes: self.resident_bytes + other.resident_bytes,
             flat_bytes: self.flat_bytes + other.flat_bytes,
         }
@@ -270,12 +223,38 @@ pub struct CompressedIndex {
 }
 
 impl CompressedIndex {
-    /// Compresses a flat inverted index (postings must be sorted unique,
-    /// which `InvertedIndex::build` guarantees).
-    pub fn from_inverted(index: &InvertedIndex) -> Self {
-        let rows = index.rows();
-        let containers = index
-            .posting_lists()
+    /// Indexes `table` by one pass over each column: every value's rows
+    /// are collected in ascending order, then encoded by
+    /// [`Container::build`].
+    pub fn build(table: &EntityTable) -> Self {
+        let rows = table.len();
+        // Every attribute's lists exist before any is encoded, and are freed
+        // together. Encoding attribute by attribute cut the build's peak
+        // heap by up to 7 MiB on the Yelp benchmark database, but left the
+        // first steps a smaller heap to grow: `explore_ud`
+        // `first_step_p50_ms` rose by a quarter.
+        let mut postings: Vec<Vec<Vec<u32>>> = table
+            .schema()
+            .attr_ids()
+            .map(|attr| vec![Vec::new(); table.dictionary(attr).len()])
+            .collect();
+        for attr in table.schema().attr_ids() {
+            let lists = &mut postings[attr.index()];
+            let col = table.column(attr);
+            for row in 0..rows as u32 {
+                for &v in col.values(row) {
+                    // A multi-valued cell may repeat a value; index the row
+                    // once so cardinalities are exact (they feed planner
+                    // cost decisions). Rows arrive ascending, so a dupe can
+                    // only be the list's current tail.
+                    let list = &mut lists[v.index()];
+                    if list.last() != Some(&row) {
+                        list.push(row);
+                    }
+                }
+            }
+        }
+        let containers = postings
             .iter()
             .map(|lists| {
                 lists
@@ -293,9 +272,7 @@ impl CompressedIndex {
     /// selections:
     /// * arrays strictly ascending with all ids `< rows`;
     /// * bitmaps exactly ⌈rows/64⌉ words with a clear tail and `card`
-    ///   equal to the popcount;
-    /// * runs strictly ascending, disjoint, non-empty, ending `≤ rows`,
-    ///   with `card` equal to the summed lengths.
+    ///   equal to the popcount.
     pub fn from_containers(
         containers: Vec<Vec<Container>>,
         rows: usize,
@@ -327,28 +304,6 @@ impl CompressedIndex {
                         let pop = kernels::popcount_words(kernels::KernelPath::Scalar, words);
                         if u64::from(*card) != pop {
                             return fail("bitmap cardinality cache wrong");
-                        }
-                    }
-                    Container::Runs { runs, card } => {
-                        let mut sum = 0u64;
-                        let mut prev_end = 0u64;
-                        for (i, &(start, len)) in runs.iter().enumerate() {
-                            if len == 0 {
-                                return fail("empty run");
-                            }
-                            let start = u64::from(start);
-                            let end = start + u64::from(len);
-                            if i > 0 && start <= prev_end {
-                                return fail("runs not sorted disjoint");
-                            }
-                            if end > rows as u64 {
-                                return fail("run past table end");
-                            }
-                            prev_end = end;
-                            sum += u64::from(len);
-                        }
-                        if u64::from(*card) != sum {
-                            return fail("run cardinality cache wrong");
                         }
                     }
                 }
@@ -402,7 +357,6 @@ impl CompressedIndex {
                 match c {
                     Container::Array(_) => s.arrays += 1,
                     Container::Bitmap { .. } => s.bitmaps += 1,
-                    Container::Runs { .. } => s.runs += 1,
                 }
                 s.resident_bytes += c.bytes();
                 s.flat_bytes += 4 * c.card();
@@ -434,17 +388,10 @@ impl CompressedIndex {
         let mut scratch: Vec<u32> = Vec::new();
         for c in order {
             acc = match (acc, c) {
-                // First container seeds the working set in its own shape;
-                // runs expand to words (they only materialize for very
-                // long runs, where words stay compact and kernel-friendly).
+                // First container seeds the working set in its own shape.
                 (MemberSet::All, Container::Array(ids)) => MemberSet::Ids(ids.clone()),
                 (MemberSet::All, Container::Bitmap { words, .. }) => {
                     MemberSet::Words(words.clone())
-                }
-                (MemberSet::All, c @ Container::Runs { .. }) => {
-                    let mut words = vec![0u64; self.rows.div_ceil(64)];
-                    c.write_words(&mut words);
-                    MemberSet::Words(words)
                 }
                 (MemberSet::Ids(ids), Container::Array(other)) => {
                     scratch.clear();
@@ -454,11 +401,6 @@ impl CompressedIndex {
                 (MemberSet::Ids(ids), Container::Bitmap { words, .. }) => {
                     scratch.clear();
                     kernels::array_bitmap_probe(&ids, words, &mut scratch);
-                    MemberSet::Ids(std::mem::take(&mut scratch))
-                }
-                (MemberSet::Ids(ids), c @ Container::Runs { .. }) => {
-                    scratch.clear();
-                    scratch.extend(ids.iter().copied().filter(|&id| c.contains(id)));
                     MemberSet::Ids(std::mem::take(&mut scratch))
                 }
                 (MemberSet::Words(mut acc_words), Container::Bitmap { words, .. }) => {
@@ -472,12 +414,6 @@ impl CompressedIndex {
                     kernels::array_bitmap_probe(ids, &words, &mut scratch);
                     MemberSet::Ids(std::mem::take(&mut scratch))
                 }
-                (MemberSet::Words(acc_words), c @ Container::Runs { .. }) => {
-                    let mut run_words = vec![0u64; acc_words.len()];
-                    c.write_words(&mut run_words);
-                    kernels::and_words(path, &mut run_words, &acc_words);
-                    MemberSet::Words(run_words)
-                }
             };
             if acc.is_empty() {
                 return acc;
@@ -490,6 +426,9 @@ impl CompressedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::Schema;
+    use crate::table::{Cell, EntityTableBuilder};
+    use crate::value::Value;
 
     fn ids_of(set: MemberSet, rows: usize) -> Vec<u32> {
         set.into_bitset(rows).to_vec()
@@ -497,17 +436,17 @@ mod tests {
 
     #[test]
     fn container_promotion_by_bytes() {
-        // 3 ids over 1024 rows: array 12 B < bitmap 128 B; not a single run.
+        // 3 ids over 1024 rows: array 12 B < bitmap 128 B.
         assert!(matches!(
             Container::build(&[1, 50, 900], 1024),
             Container::Array(_)
         ));
-        // One long run: runs 8 B beat both.
+        // 32 ids over 1024 rows: array 128 B ties the bitmap; ties stay arrays.
         assert!(matches!(
-            Container::build(&(0..900).collect::<Vec<_>>(), 1024),
-            Container::Runs { .. }
+            Container::build(&(0..32).collect::<Vec<_>>(), 1024),
+            Container::Array(_)
         ));
-        // Every even id: no runs, array 4·512 B > bitmap 128 B.
+        // Every even id: array 4·512 B > bitmap 128 B.
         let evens: Vec<u32> = (0..1024).step_by(2).collect();
         assert!(matches!(
             Container::build(&evens, 1024),
@@ -580,15 +519,15 @@ mod tests {
             card: 1,
         }]];
         assert!(CompressedIndex::from_containers(bad_tail, 10).is_err());
-        let bad_runs = vec![vec![Container::Runs {
-            runs: vec![(0, 5), (3, 2)],
-            card: 7,
-        }]];
-        assert!(CompressedIndex::from_containers(bad_runs, 10).is_err());
-        let ok = vec![vec![Container::Runs {
-            runs: vec![(0, 5), (7, 2)],
-            card: 7,
-        }]];
+        let bad_row = vec![vec![Container::Array(vec![2, 10])]];
+        assert!(CompressedIndex::from_containers(bad_row, 10).is_err());
+        let ok = vec![vec![
+            Container::Array(vec![2, 9]),
+            Container::Bitmap {
+                words: vec![0b111],
+                card: 3,
+            },
+        ]];
         assert!(CompressedIndex::from_containers(ok, 10).is_ok());
     }
 
@@ -598,15 +537,55 @@ mod tests {
         let idx = CompressedIndex::from_containers(
             vec![vec![
                 Container::build(&[1, 2, 900], rows),
-                Container::build(&(0..800).collect::<Vec<_>>(), rows),
                 Container::build(&(0..1024).step_by(2).collect::<Vec<_>>(), rows),
             ]],
             rows,
         )
         .unwrap();
         let s = idx.stats();
-        assert_eq!((s.arrays, s.runs, s.bitmaps), (1, 1, 1));
-        assert_eq!(s.flat_bytes, 4 * (3 + 800 + 512));
-        assert!(s.resident_bytes < s.flat_bytes);
+        assert_eq!((s.arrays, s.bitmaps), (1, 1));
+        assert_eq!(s.flat_bytes, 4 * (3 + 512));
+        assert_eq!(s.resident_bytes, 4 * 3 + 8 * 16);
+    }
+
+    #[test]
+    fn build_indexes_every_value_of_a_table() {
+        let mut schema = Schema::new();
+        schema.add("city", false);
+        schema.add("cuisine", true);
+        let mut b = EntityTableBuilder::new(schema);
+        b.push_row(vec![
+            "NYC".into(),
+            Cell::Many(vec![Value::str("Pizza"), Value::str("Italian")]),
+        ]);
+        b.push_row(vec!["NYC".into(), Cell::Many(vec![Value::str("Sushi")])]);
+        b.push_row(vec![
+            "Austin".into(),
+            Cell::Many(vec![Value::str("Pizza"), Value::str("Pizza")]),
+        ]);
+        let t = b.build();
+        let idx = CompressedIndex::build(&t);
+        let code = |attr: &str, v: &str| {
+            let a = t.schema().attr_by_name(attr).unwrap();
+            (a, t.dictionary(a).code(&Value::str(v)).unwrap())
+        };
+        let rows_of = |(a, v)| ids_of(idx.intersect(&[(a, v)]), t.len());
+        // Per-value rows of a single-valued attribute.
+        assert_eq!(rows_of(code("city", "NYC")), vec![0, 1]);
+        assert_eq!(rows_of(code("city", "Austin")), vec![2]);
+        // Multi-valued rows: every value of a cell is indexed.
+        assert_eq!(rows_of(code("cuisine", "Italian")), vec![0]);
+        // A value repeated inside one cell indexes its row once, so the
+        // cardinality is exact.
+        let pizza = code("cuisine", "Pizza");
+        assert_eq!(rows_of(pizza), vec![0, 2]);
+        assert_eq!(idx.cardinality(pizza.0, pizza.1), 2);
+        // An unseen value selects nothing.
+        let (city, _) = code("city", "NYC");
+        assert_eq!(idx.cardinality(city, ValueId(99)), 0);
+        assert!(idx.intersect(&[(city, ValueId(99))]).is_empty());
+        // Selectivity is the matched fraction of rows.
+        let (city, nyc) = code("city", "NYC");
+        assert!((idx.selectivity(city, nyc) - 2.0 / 3.0).abs() < 1e-12);
     }
 }

@@ -16,7 +16,6 @@ use subdex_stats::kernels;
 
 use crate::cindex::CompressedIndex;
 use crate::group::{EntityGroup, RatingGroup};
-use crate::index::InvertedIndex;
 use crate::predicate::{AttrValue, SelectionQuery};
 use crate::ratings::{RatingTable, RecordId};
 use crate::scan::GroupColumns;
@@ -78,8 +77,6 @@ pub struct IndexStats {
     pub array_containers: usize,
     /// Values encoded as packed bitmaps.
     pub bitmap_containers: usize,
-    /// Values encoded as run lists.
-    pub run_containers: usize,
     /// Resident container payload bytes.
     pub resident_bytes: usize,
     /// What flat `Vec<u32>` posting lists would cost for the same postings.
@@ -119,7 +116,7 @@ pub struct SubjectiveDb {
 }
 
 impl SubjectiveDb {
-    /// Assembles a database and builds both inverted indexes.
+    /// Assembles a database and builds both posting indexes.
     ///
     /// # Panics
     /// Panics if any rating record references an out-of-range reviewer or
@@ -134,8 +131,8 @@ impl SubjectiveDb {
             .item_column()
             .iter()
             .all(|&i| (i as usize) < items.len()));
-        let reviewer_index = CompressedIndex::from_inverted(&InvertedIndex::build(&reviewers));
-        let item_index = CompressedIndex::from_inverted(&InvertedIndex::build(&items));
+        let reviewer_index = CompressedIndex::build(&reviewers);
+        let item_index = CompressedIndex::build(&items);
         Self {
             reviewers: Arc::new(reviewers),
             items: Arc::new(items),
@@ -298,7 +295,6 @@ impl SubjectiveDb {
         IndexStats {
             array_containers: c.arrays,
             bitmap_containers: c.bitmaps,
-            run_containers: c.runs,
             resident_bytes: c.resident_bytes,
             flat_bytes: c.flat_bytes,
             intersections: self.counters.intersections.load(Ordering::Relaxed),

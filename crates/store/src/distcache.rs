@@ -28,8 +28,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::RwLock;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::pad::CachePadded;
 
@@ -105,6 +104,18 @@ impl Shard {
                 tick: 0,
             })),
         }
+    }
+
+    /// Shared access, taking the guard even if a panicking holder poisoned
+    /// the lock: entries are plain values, so a poisoned shard still holds
+    /// valid distances.
+    fn read(&self) -> RwLockReadGuard<'_, Inner> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Exclusive access; poison is ignored as in [`Shard::read`].
+    fn write(&self) -> RwLockWriteGuard<'_, Inner> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -217,7 +228,7 @@ impl DistanceCache {
             return false;
         }
         for shard in self.shards.iter() {
-            shard.inner.write().map.clear();
+            shard.write().map.clear();
         }
         true
     }
@@ -238,7 +249,7 @@ impl DistanceCache {
     /// *prunes* the pair via bounds after a miss, in which case there is no
     /// exact value to insert.
     pub fn get(&self, key: DistPairKey) -> Option<f64> {
-        let mut inner = self.shard_of(&key).inner.write();
+        let mut inner = self.shard_of(&key).write();
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(entry) = inner.map.get_mut(&key) {
@@ -257,7 +268,7 @@ impl DistanceCache {
     /// distance); the loser is counted as a rejected insert.
     pub fn insert(&self, key: DistPairKey, distance: f64) {
         debug_assert!(distance.is_finite() && distance >= 0.0);
-        let mut inner = self.shard_of(&key).inner.write();
+        let mut inner = self.shard_of(&key).write();
         inner.tick += 1;
         let tick = inner.tick;
         match inner.map.entry(key) {
@@ -288,12 +299,12 @@ impl DistanceCache {
     /// state or counters; intended for tests and introspection). One shared
     /// read lock on the pair's shard — never the whole cache.
     pub fn contains(&self, key: DistPairKey) -> bool {
-        self.shard_of(&key).inner.read().map.contains_key(&key)
+        self.shard_of(&key).read().map.contains_key(&key)
     }
 
     /// Number of resident entries: one shared read acquisition per shard.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.inner.read().map.len()).sum()
+        self.shards.iter().map(|s| s.read().map.len()).sum()
     }
 
     /// Whether the cache is empty.
@@ -304,7 +315,7 @@ impl DistanceCache {
     /// Drops every entry (counters are kept).
     pub fn clear(&self) {
         for shard in self.shards.iter() {
-            shard.inner.write().map.clear();
+            shard.write().map.clear();
         }
     }
 

@@ -17,10 +17,9 @@
 //! * the rating table is struct-of-arrays: one contiguous `Vec<u8>` per
 //!   rating dimension ([`ratings::RatingTable`]);
 //! * per attribute-value postings live in compressed hybrid containers
-//!   (sorted array / packed bitmap / run-length, byte-minimal per value)
-//!   whose kernel-driven intersections answer conjunctive selections
-//!   ([`cindex`], [`bitset::BitSet`]; the flat [`index`] remains the
-//!   build/serialization intermediate);
+//!   (sorted array / packed bitmap, byte-minimal per value) whose
+//!   kernel-driven intersections answer conjunctive selections
+//!   ([`cindex`], [`bitset::BitSet`]);
 //! * rating groups materialize as record-id vectors with a deterministic
 //!   shuffle, providing the without-replacement sample order required by the
 //!   phase-based execution framework ([`group::RatingGroup::phases`]);
@@ -37,7 +36,6 @@ pub mod database;
 pub mod distcache;
 pub mod error;
 pub mod group;
-pub mod index;
 pub mod pad;
 pub mod parse;
 pub mod predicate;
@@ -53,7 +51,6 @@ pub use database::{AttributeSummary, DbStats, GroupRoute, IndexStats, Subjective
 pub use distcache::{CacheStats, DistPairKey, DistanceCache, DEFAULT_CACHE_SHARDS};
 pub use error::{StoreError, StoreErrorKind};
 pub use group::{EntityGroup, RatingGroup};
-pub use index::InvertedIndex;
 pub use pad::CachePadded;
 pub use parse::{parse_query, ParseError};
 pub use predicate::{AttrValue, SelectionQuery};

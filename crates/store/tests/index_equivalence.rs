@@ -1,6 +1,6 @@
 //! Property tests pinning the compressed hybrid index byte-identical to
 //! the canonical adjacency walk, across query shapes (0–4 predicates over
-//! both entities), container classes (array / bitmap / runs), and kernel
+//! both entities), container classes (array / bitmap), and kernel
 //! paths (every path the host supports, scalar included).
 //!
 //! These are the byte-identity contracts the group cache and the snapshot
@@ -21,8 +21,9 @@ use subdex_store::{
 
 /// Random database whose reviewer attributes are laid out to provoke every
 /// container class: `md` (row % k — fragmented and dense, promotes to
-/// bitmaps once rows grow), `blk` (row / chunk — clustered, promotes to
-/// runs), `rnd` (random over a wide domain — sparse arrays). Items carry a
+/// bitmaps once rows grow), `blk` (row / chunk — clustered: contiguous row
+/// ranges, arrays or bitmaps by size), `rnd` (random over a wide domain —
+/// sparse arrays). Items carry a
 /// multi-valued `tags` attribute whose cells may repeat a value (the
 /// build-time dedup case) plus a `city`.
 #[derive(Debug, Clone)]
@@ -415,9 +416,9 @@ proptest! {
     }
 }
 
-/// Deterministic pin: a database large and structured enough that all
-/// three container classes actually coexist, and the routes still agree on
-/// a battery of fixed queries.
+/// Deterministic pin: a database large and structured enough that both
+/// container classes actually coexist, and the routes still agree on a
+/// battery of fixed queries.
 #[test]
 fn all_container_classes_coexist_and_routes_agree() {
     let sp = Spec {
@@ -436,7 +437,6 @@ fn all_container_classes_coexist_and_routes_agree() {
     let stats = db.index_stats();
     assert!(stats.array_containers > 0, "{stats:?}");
     assert!(stats.bitmap_containers > 0, "{stats:?}");
-    assert!(stats.run_containers > 0, "{stats:?}");
     assert!(stats.resident_bytes <= stats.flat_bytes, "{stats:?}");
 
     for picks in [
