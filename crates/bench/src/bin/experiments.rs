@@ -57,7 +57,7 @@ impl Ctx {
 
     fn study_engine(&self) -> EngineConfig {
         EngineConfig {
-            parallel: false, // subjects are the parallel axis
+            threads: 1, // subjects are the parallel axis
             max_candidates: 12,
             ..EngineConfig::default()
         }
@@ -176,7 +176,6 @@ fn fig7(ctx: &Ctx) {
         steps: None,
         engine: ctx.study_engine(),
         base_seed: 77,
-        parallel: true,
     };
     for dataset in ["movielens", "yelp"] {
         // Each subject performs the task twice (once per mode) on two
@@ -259,7 +258,6 @@ fn fig8(ctx: &Ctx) {
         steps: None,
         engine: ctx.study_engine(),
         base_seed: 88,
-        parallel: true,
     };
     let max_steps = if ctx.subjects_per_cell <= 6 { 6 } else { 12 };
     let subjects = ctx.subjects_per_cell;
@@ -533,7 +531,7 @@ fn hotels_trends(ctx: &Ctx) {
     // Shipped engine defaults (sequential), not the trimmed study engine:
     // hotels' 62-value attributes need the full candidate budget.
     let cfg = EngineConfig {
-        parallel: false,
+        threads: 1,
         ..EngineConfig::default()
     };
     for source in [OpSource::Subdex, OpSource::Sdd, OpSource::Qagview] {

@@ -9,6 +9,11 @@
 //! [`EngineConfig`] exposes every knob of the evaluation, with named
 //! constructors for the scalability baselines of Section 5.1
 //! (No-Pruning, CI Pruning, MAB Pruning, No-Parallelism, Naive).
+//! [`EngineConfig::threads`] is the one worker-count setting: the
+//! No-Parallelism and Naive baselines set it to 1. The step executor
+//! resolves it once per step, under the session's thread budget, and
+//! passes the resulting count to the generator and the recommendation
+//! builder.
 
 use crate::generator::{CriterionNormalizers, GeneratorConfig, SeenContext};
 use crate::plan::{ExecContext, StepExecutor, StepPlan, StepStats};
@@ -28,11 +33,9 @@ pub struct EngineConfig {
     pub k: usize,
     /// Next-step recommendations per step (`o`, default 3).
     pub o: usize,
-    /// Pruning-diversity factor (`l`, default 3).
-    pub l: usize,
     /// Final-selection strategy. [`EngineConfig::selection`] defaults to
-    /// `Hybrid { l }`; override for the Table 5 utility-only /
-    /// diversity-only variants.
+    /// `Hybrid { l: 3 }` (pruning-diversity factor `l`); override for the
+    /// Table 5 utility-only / diversity-only variants.
     pub selection: SelectionStrategy,
     /// Phase count `n` (default 10, as in SeeDB).
     pub phases: usize,
@@ -40,9 +43,9 @@ pub struct EngineConfig {
     pub delta: f64,
     /// Which pruning optimizations run.
     pub pruning: PruningStrategy,
-    /// Whether family scans and candidate evaluation run on worker threads.
-    pub parallel: bool,
-    /// Worker threads (`0` = all cores).
+    /// Worker threads for family scans and candidate evaluation (`0` = all
+    /// cores, `1` = serial). Resolved once per step, under the session's
+    /// thread budget.
     pub threads: usize,
     /// Criterion normalization family.
     pub normalizer: NormalizerKind,
@@ -68,12 +71,10 @@ impl Default for EngineConfig {
         Self {
             k: 3,
             o: 3,
-            l: 3,
             selection: SelectionStrategy::Hybrid { l: 3 },
             phases: 10,
             delta: 0.05,
             pruning: PruningStrategy::Both,
-            parallel: true,
             threads: 0,
             normalizer: NormalizerKind::ZLogistic,
             combiner: UtilityCombiner::Max,
@@ -119,7 +120,7 @@ impl EngineConfig {
     /// Baseline (IV): sequential recommendation builder and scans.
     pub fn no_parallelism() -> Self {
         Self {
-            parallel: false,
+            threads: 1,
             ..Self::subdex()
         }
     }
@@ -128,7 +129,7 @@ impl EngineConfig {
     pub fn naive() -> Self {
         Self {
             pruning: PruningStrategy::None,
-            parallel: false,
+            threads: 1,
             ..Self::subdex()
         }
     }
@@ -136,19 +137,18 @@ impl EngineConfig {
     /// Sets the pruning-diversity factor and keeps the selection strategy
     /// consistent (`l == 1` ⇒ utility-only).
     pub fn with_l(mut self, l: usize) -> Self {
-        self.l = l.max(1);
-        self.selection = if self.l == 1 {
+        self.selection = if l <= 1 {
             SelectionStrategy::UtilityOnly
         } else {
-            SelectionStrategy::Hybrid { l: self.l }
+            SelectionStrategy::Hybrid { l }
         };
         self
     }
 
     /// Compiles the generate-phase configuration this engine config
-    /// implies (the `k′ = k·l` focus, the Diversity-Only pruning
-    /// override, the thread counts). Public so the plan compiler and the
-    /// equivalence tests see the exact same derivation the engine uses.
+    /// implies (the `k′ = k·l` focus and the Diversity-Only pruning
+    /// override). Public so the plan compiler and the equivalence tests
+    /// see the exact same derivation the engine uses.
     pub fn generator_config(&self) -> GeneratorConfig {
         let k_prime = match self.selection {
             SelectionStrategy::UtilityOnly => self.k,
@@ -165,8 +165,6 @@ impl EngineConfig {
                 SelectionStrategy::DiversityOnly => PruningStrategy::None,
                 _ => self.pruning,
             },
-            parallel: self.parallel,
-            threads: self.threads,
             combiner: self.combiner,
             use_dw: self.dimension_weighting,
             peculiarity: self.peculiarity,
@@ -182,9 +180,6 @@ impl EngineConfig {
             k: self.k,
             selection: self.selection,
             max_candidates: self.max_candidates,
-            change_fanout: 2,
-            parallel: self.parallel,
-            threads: self.threads,
         }
     }
 }
@@ -257,11 +252,6 @@ impl SdeEngine {
     /// oversubscription budget; results are byte-identical across budgets.
     pub fn set_thread_budget(&mut self, budget: usize) {
         self.ctx.set_thread_budget(budget);
-    }
-
-    /// The current per-step worker-thread cap (`0` = uncapped).
-    pub fn thread_budget(&self) -> usize {
-        self.ctx.thread_budget()
     }
 
     /// The attached map-distance cache, if any.
@@ -378,7 +368,7 @@ mod tests {
     fn steps_are_deterministic_across_engines() {
         let run = || {
             let cfg = EngineConfig {
-                parallel: false,
+                threads: 1,
                 ..EngineConfig::default()
             };
             let mut engine = SdeEngine::new(db(), cfg);
@@ -408,10 +398,9 @@ mod tests {
             ]),
             SelectionQuery::all(),
         ];
-        let run = |parallel: bool| {
+        let run = |threads: usize| {
             let cfg = EngineConfig {
-                parallel,
-                threads: if parallel { 4 } else { 0 },
+                threads,
                 ..EngineConfig::default()
             };
             let mut engine = SdeEngine::new(db.clone(), cfg);
@@ -426,14 +415,14 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        assert_eq!(run(true), run(false));
+        assert_eq!(run(4), run(1));
     }
 
     #[test]
     fn step_reports_materialization_paths() {
         let db = db();
         let cfg = EngineConfig {
-            parallel: false,
+            threads: 1,
             ..EngineConfig::default()
         };
         // The stepped group comes from the index, every add-predicate
@@ -452,7 +441,7 @@ mod tests {
     fn step_reports_selection_breakdown() {
         let db = db();
         let cfg = EngineConfig {
-            parallel: false,
+            threads: 1,
             selection: SelectionStrategy::DiversityOnly,
             ..EngineConfig::default()
         };
@@ -473,7 +462,7 @@ mod tests {
         use subdex_store::DistanceCache;
         let db = db();
         let cfg = EngineConfig {
-            parallel: false,
+            threads: 1,
             selection: SelectionStrategy::DiversityOnly,
             ..EngineConfig::default()
         };
@@ -512,10 +501,10 @@ mod tests {
     #[test]
     fn baseline_constructors() {
         assert_eq!(EngineConfig::no_pruning().pruning, PruningStrategy::None);
-        assert!(EngineConfig::no_pruning().parallel);
+        assert_eq!(EngineConfig::no_pruning().threads, 0);
         assert_eq!(EngineConfig::naive().pruning, PruningStrategy::None);
-        assert!(!EngineConfig::naive().parallel);
-        assert!(!EngineConfig::no_parallelism().parallel);
+        assert_eq!(EngineConfig::naive().threads, 1);
+        assert_eq!(EngineConfig::no_parallelism().threads, 1);
         assert_eq!(
             EngineConfig::no_parallelism().pruning,
             PruningStrategy::Both
@@ -556,16 +545,13 @@ mod tests {
         );
         assert_eq!(
             EngineConfig::no_parallelism(),
-            EngineConfig {
-                parallel: false,
-                ..base
-            }
+            EngineConfig { threads: 1, ..base }
         );
         assert_eq!(
             EngineConfig::naive(),
             EngineConfig {
                 pruning: PruningStrategy::None,
-                parallel: false,
+                threads: 1,
                 ..base
             }
         );

@@ -8,9 +8,9 @@
 //! * gathers the fraction into a columnar [`ScanBlock`](subdex_store::ScanBlock)
 //!   (entity rows and score bytes resolved once) and updates the shared
 //!   per-attribute accumulators with one record-major scan per entity side
-//!   ([`scan_block`]) — in parallel over record chunks when enabled, so
-//!   thread utilization does not depend on how many grouping attributes the
-//!   schema has (the paper's "parallel query execution"),
+//!   ([`scan_block`]) — in parallel over record chunks when given more than
+//!   one worker, so thread utilization does not depend on how many grouping
+//!   attributes the schema has (the paper's "parallel query execution"),
 //! * re-estimates each candidate's four normalized criteria and its
 //!   dimension-weighted utility,
 //! * applies confidence-interval pruning (Algorithm 3) and/or the
@@ -28,7 +28,6 @@ use std::time::{Duration, Instant};
 use crate::accumulator::{
     candidate_keys, scan_block, CountScratch, EstimateScratch, FamilyAccumulator, RawScores,
 };
-use crate::parallel::resolve_threads;
 use crate::pruning::{ci_survivors, utility_envelope, PruningStrategy, SarDecision, SarState};
 use crate::ratingmap::{RatingMap, ScoredRatingMap};
 use crate::utility::{CriterionScores, DimensionWeights, UtilityCombiner};
@@ -156,10 +155,6 @@ pub struct GeneratorConfig {
     pub delta: f64,
     /// Which pruning schemes run.
     pub pruning: PruningStrategy,
-    /// Scan attribute families on multiple threads.
-    pub parallel: bool,
-    /// Worker threads (`0` = all available cores).
-    pub threads: usize,
     /// How criteria combine into utility.
     pub combiner: UtilityCombiner,
     /// Apply dimension weighting (Equation 1). Disabled only by the
@@ -176,8 +171,6 @@ impl Default for GeneratorConfig {
             phases: 10,
             delta: 0.05,
             pruning: PruningStrategy::Both,
-            parallel: true,
-            threads: 0,
             combiner: UtilityCombiner::Max,
             use_dw: true,
             peculiarity: crate::interest::PeculiarityMeasure::TotalVariation,
@@ -237,7 +230,9 @@ impl GenerateScratch {
 }
 
 /// Runs Algorithm 1 over `group` for the candidates admissible under
-/// `query`, returning every surviving map scored and ranked.
+/// `query`, returning every surviving map scored and ranked. The phase
+/// scans split each block over up to `threads` workers (a resolved count,
+/// at least 1); the output does not depend on it.
 ///
 /// Allocates a throwaway [`GenerateScratch`]; steady-state callers (the
 /// engine, the recommendation evaluator) hold one across steps and use
@@ -249,9 +244,19 @@ pub fn generate(
     seen: &SeenContext,
     normalizers: &mut CriterionNormalizers,
     cfg: &GeneratorConfig,
+    threads: usize,
 ) -> GeneratorOutput {
     let mut scratch = GenerateScratch::new();
-    generate_pooled(db, group, query, seen, normalizers, cfg, &mut scratch)
+    generate_pooled(
+        db,
+        group,
+        query,
+        seen,
+        normalizers,
+        cfg,
+        threads,
+        &mut scratch,
+    )
 }
 
 /// [`generate`] with every reusable buffer caller-provided. This is the
@@ -260,6 +265,7 @@ pub fn generate(
 /// scan and re-estimate `candidates × phases` times without allocating.
 /// Pooling recycles capacity only — output is byte-identical to
 /// [`generate`].
+#[allow(clippy::too_many_arguments)]
 pub fn generate_pooled(
     db: &SubjectiveDb,
     group: &RatingGroup,
@@ -267,6 +273,7 @@ pub fn generate_pooled(
     seen: &SeenContext,
     normalizers: &mut CriterionNormalizers,
     cfg: &GeneratorConfig,
+    threads: usize,
     scratch: &mut GenerateScratch,
 ) -> GeneratorOutput {
     let GenerateScratch {
@@ -311,11 +318,6 @@ pub fn generate_pooled(
     let seen_dists = seen.seen_distributions();
     let weights = seen.weights();
 
-    let threads = if cfg.parallel {
-        resolve_threads(cfg.threads)
-    } else {
-        1
-    };
     let prepare_start = Instant::now();
     scratch.prepare_group(db.ratings(), group);
     out.scan_time += prepare_start.elapsed();
@@ -524,11 +526,15 @@ mod tests {
     }
 
     fn run(cfg: &GeneratorConfig, db: &SubjectiveDb) -> GeneratorOutput {
+        run_on(cfg, db, 1)
+    }
+
+    fn run_on(cfg: &GeneratorConfig, db: &SubjectiveDb, threads: usize) -> GeneratorOutput {
         let q = SelectionQuery::all();
         let group = db.rating_group(&q, 42);
         let seen = SeenContext::new(db.ratings().dim_count());
         let mut norms = CriterionNormalizers::new(NormalizerKind::ZLogistic);
-        generate(db, &group, &q, &seen, &mut norms, cfg)
+        generate(db, &group, &q, &seen, &mut norms, cfg, threads)
     }
 
     #[test]
@@ -536,7 +542,6 @@ mod tests {
         let db = build_db(true);
         let cfg = GeneratorConfig {
             pruning: PruningStrategy::None,
-            parallel: false,
             ..Default::default()
         };
         let out = run(&cfg, &db);
@@ -555,7 +560,6 @@ mod tests {
         let db = build_db(true);
         let base = GeneratorConfig {
             pruning: PruningStrategy::None,
-            parallel: false,
             k_prime: 3,
             ..Default::default()
         };
@@ -569,7 +573,6 @@ mod tests {
         ] {
             let cfg = GeneratorConfig {
                 pruning: strategy,
-                parallel: false,
                 k_prime: 3,
                 ..Default::default()
             };
@@ -590,7 +593,6 @@ mod tests {
         let db = build_db(true);
         let cfg = GeneratorConfig {
             pruning: PruningStrategy::Mab,
-            parallel: false,
             k_prime: 2,
             ..Default::default()
         };
@@ -602,19 +604,12 @@ mod tests {
     #[test]
     fn parallel_matches_sequential() {
         let db = build_db(true);
-        let seq = GeneratorConfig {
+        let cfg = GeneratorConfig {
             pruning: PruningStrategy::None,
-            parallel: false,
             ..Default::default()
         };
-        let par = GeneratorConfig {
-            pruning: PruningStrategy::None,
-            parallel: true,
-            threads: 4,
-            ..Default::default()
-        };
-        let a = run(&seq, &db);
-        let b = run(&par, &db);
+        let a = run(&cfg, &db);
+        let b = run_on(&cfg, &db, 4);
         assert_eq!(a.pool.len(), b.pool.len());
         for (x, y) in a.pool.iter().zip(&b.pool) {
             assert_eq!(x.map.key, y.map.key);
@@ -691,6 +686,7 @@ mod tests {
             &seen,
             &mut norms,
             &GeneratorConfig::default(),
+            1,
         );
         assert!(out.pool.is_empty());
     }
@@ -717,10 +713,9 @@ mod tests {
         let mut norms = CriterionNormalizers::new(NormalizerKind::ZLogistic);
         let cfg = GeneratorConfig {
             pruning: PruningStrategy::None,
-            parallel: false,
             ..Default::default()
         };
-        let out = generate(&db, &group, &q, &seen, &mut norms, &cfg);
+        let out = generate(&db, &group, &q, &seen, &mut norms, &cfg, 1);
         // Every dim-0 candidate has weight 0 → dw 0; dim-1 candidates rank first.
         let first_dims: Vec<u16> = out.pool.iter().take(4).map(|m| m.map.key.dim.0).collect();
         assert!(

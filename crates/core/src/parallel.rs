@@ -1,11 +1,10 @@
 //! Thread-count resolution and the persistent step-worker pool shared by
 //! every parallel code path.
 //!
-//! The generator's phase scan, the recommendation evaluator, the
-//! simulation study runner, and the service worker pool all accept a
-//! thread count where `0` means "use every available core".
-//! This module is the single home of that convention, of the
-//! oversubscription budget that clamps it, and of the process-wide
+//! `EngineConfig::threads`, the simulation study runner, and the service
+//! worker pool all take a thread count where `0` means "use every
+//! available core". This module is the single home of that convention, of
+//! the oversubscription budget that clamps it, and of the process-wide
 //! [`TaskPool`] that executes the per-phase fan-outs without re-spawning OS
 //! threads on every step.
 

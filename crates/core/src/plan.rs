@@ -127,6 +127,9 @@ pub struct StepPlan {
     nodes: Vec<PlanNode>,
     gen_cfg: GeneratorConfig,
     rec_cfg: RecommendConfig,
+    /// The configured worker count ([`EngineConfig::threads`]); the
+    /// executor resolves it under the session's budget.
+    threads: usize,
     k: usize,
     selection: SelectionStrategy,
     base_seed: u64,
@@ -195,6 +198,7 @@ impl StepPlan {
             nodes,
             gen_cfg,
             rec_cfg,
+            threads: config.threads,
             k: config.k,
             selection: config.selection,
             base_seed: config.seed,
@@ -214,21 +218,6 @@ impl StepPlan {
     /// The compiled recommendation-phase configuration.
     pub fn recommend_config(&self) -> &RecommendConfig {
         &self.rec_cfg
-    }
-
-    /// Resolves the plan's per-phase thread counts under an
-    /// oversubscription budget (`0` = no budget, the compiled counts pass
-    /// through). The budget only clamps *how many* workers each phase may
-    /// use — results are byte-identical across budgets because every
-    /// parallel phase merges in deterministic task-index order.
-    pub fn with_thread_budget(&self, budget: usize) -> (GeneratorConfig, RecommendConfig) {
-        let mut gen_cfg = self.gen_cfg;
-        let mut rec_cfg = self.rec_cfg;
-        if budget > 0 {
-            gen_cfg.threads = crate::parallel::budget_threads(gen_cfg.threads, budget);
-            rec_cfg.threads = crate::parallel::budget_threads(rec_cfg.threads, budget);
-        }
-        (gen_cfg, rec_cfg)
     }
 
     /// Whether the plan contains a [`PhaseOp::RecommendOps`] node.
@@ -374,11 +363,6 @@ impl ExecContext {
     pub fn set_thread_budget(&mut self, budget: usize) {
         self.thread_budget = budget;
     }
-
-    /// The current per-step worker-thread cap (`0` = uncapped).
-    pub fn thread_budget(&self) -> usize {
-        self.thread_budget
-    }
 }
 
 /// Interprets a [`StepPlan`] against borrowed session state. Constructed
@@ -403,9 +387,11 @@ impl StepExecutor<'_> {
     pub fn run(&mut self, plan: &StepPlan, query: &SelectionQuery, step: usize) -> StepResult {
         let start = Instant::now();
         let seed = plan.step_seed(step);
-        // Clamp the compiled per-phase thread counts to the session's
-        // oversubscription budget (no-op when the budget is 0/unset).
-        let (gen_cfg, rec_cfg) = plan.with_thread_budget(self.ctx.thread_budget());
+        // The step's one worker-count resolution: the configured count,
+        // clamped to the session's oversubscription budget (0 = uncapped).
+        // Budgets change only scheduling, never results, because every
+        // parallel phase merges in deterministic task-index order.
+        let threads = crate::parallel::budget_threads(plan.threads, self.ctx.thread_budget);
         let mut stats = StepStats::default();
         // Keep the step's pre-shuffle columns alive past the group build:
         // every add-predicate recommendation candidate derives its group by
@@ -433,7 +419,8 @@ impl StepExecutor<'_> {
                         query,
                         self.seen,
                         self.normalizers,
-                        &gen_cfg,
+                        &plan.gen_cfg,
+                        threads,
                         &mut self.ctx.generate,
                     );
                     stats.phases.generate = t.elapsed();
@@ -491,8 +478,9 @@ impl StepExecutor<'_> {
                         &pool,
                         self.seen,
                         self.normalizers,
-                        &gen_cfg,
-                        &rec_cfg,
+                        &plan.gen_cfg,
+                        &plan.rec_cfg,
+                        threads,
                         seed,
                         parent_cols.as_ref(),
                         dist_engine.as_ref(),
@@ -565,13 +553,14 @@ mod tests {
         assert!(ops(&ci).contains(&"PruneCi") && !ops(&ci).contains(&"PruneMab"));
         let mab = StepPlan::compile(&EngineConfig::mab_pruning(), &q);
         assert!(!ops(&mab).contains(&"PruneCi") && ops(&mab).contains(&"PruneMab"));
-        // No-parallelism changes the executor's thread counts, not the DAG.
+        // No-parallelism changes the executor's worker count, not the DAG.
         let seq = StepPlan::compile(&EngineConfig::no_parallelism(), &q);
         assert_eq!(
             ops(&seq),
             ops(&StepPlan::compile(&EngineConfig::subdex(), &q))
         );
-        assert!(!seq.gen_cfg.parallel);
+        assert_eq!(seq.threads, 1);
+        assert_eq!(StepPlan::compile(&EngineConfig::subdex(), &q).threads, 0);
     }
 
     #[test]

@@ -113,6 +113,9 @@ fn lock(lane: &Mutex<EvalScratch>) -> MutexGuard<'_, EvalScratch> {
     lane.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Alternative values tried per changed predicate.
+const CHANGE_FANOUT: usize = 2;
+
 /// Candidate-enumeration and evaluation knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecommendConfig {
@@ -124,12 +127,6 @@ pub struct RecommendConfig {
     pub selection: SelectionStrategy,
     /// Hard cap on evaluated candidates.
     pub max_candidates: usize,
-    /// Alternative values tried per changed predicate.
-    pub change_fanout: usize,
-    /// Evaluate candidates on multiple threads.
-    pub parallel: bool,
-    /// Worker threads (`0` = all cores).
-    pub threads: usize,
 }
 
 impl Default for RecommendConfig {
@@ -139,9 +136,6 @@ impl Default for RecommendConfig {
             k: 3,
             selection: SelectionStrategy::Hybrid { l: 3 },
             max_candidates: 48,
-            change_fanout: 2,
-            parallel: true,
-            threads: 0,
         }
     }
 }
@@ -234,7 +228,7 @@ pub fn enumerate_candidates_into(
             .filter(|&(n, _)| n > 0)
             .collect();
         siblings.sort_by_key(|&(n, _)| std::cmp::Reverse(n));
-        for (_, v) in siblings.into_iter().take(cfg.change_fanout) {
+        for (_, v) in siblings.into_iter().take(CHANGE_FANOUT) {
             changes.push((*p, v));
         }
     }
@@ -319,9 +313,10 @@ pub fn enumerate_candidates_into(
 }
 
 /// Evaluates candidates and returns the top-`o` recommendations
-/// (Problem 2). Candidates run concurrently when `cfg.parallel` — the
-/// engine-level "recommendation builder in parallel" optimization whose
-/// absence is the paper's *No-Parallelism* baseline.
+/// (Problem 2). Candidates run concurrently on up to `threads` workers (a
+/// resolved count, at least 1) — the engine-level "recommendation builder
+/// in parallel" optimization whose absence (`threads == 1`) is the
+/// paper's *No-Parallelism* baseline.
 ///
 /// Each candidate's group comes from `materialize`: `parent`, the
 /// pre-shuffle [`GroupColumns`] of `query` itself (the engine has them from
@@ -349,6 +344,7 @@ pub fn recommend(
     normalizers: &CriterionNormalizers,
     gen_cfg: &GeneratorConfig,
     cfg: &RecommendConfig,
+    threads: usize,
     seed: u64,
     parent: Option<&GroupColumns>,
     dist: Option<&DistanceEngine>,
@@ -370,17 +366,16 @@ pub fn recommend(
     let dist_engine = &dist.cloned().unwrap_or_default();
 
     // Each candidate is evaluated inside an (optionally) already-parallel
-    // worker. When the fan-out gives every pool worker a candidate, a
-    // parallel phase scan inside each would only re-enter the pool once
-    // per phase. Chunk merges are exact, so the serial scan
-    // produces the same bits. Fewer candidates than workers (a lone
-    // candidate included) or a serial recommender leave cores idle, so the
-    // generator keeps its own parallelism there.
-    let threads = crate::parallel::resolve_threads(cfg.threads);
-    let fan_out = cfg.parallel && threads > 1 && candidates.len() > 1;
-    let gen_cfg = &GeneratorConfig {
-        parallel: gen_cfg.parallel && !(fan_out && candidates.len() >= threads),
-        ..*gen_cfg
+    // worker. When the fan-out gives every worker a candidate, a parallel
+    // phase scan inside each would only re-enter the pool once per phase.
+    // Chunk merges are exact, so the serial scan produces the same bits.
+    // Fewer candidates than workers (a lone candidate included) leave
+    // cores idle, so the generator keeps the full count there.
+    let fan_out = threads > 1 && candidates.len() > 1;
+    let scan_threads = if fan_out && candidates.len() >= threads {
+        1
+    } else {
+        threads
     };
 
     let parent = parent.map(|cols| (query, cols));
@@ -398,8 +393,16 @@ pub fn recommend(
         }
         let group = RatingGroup::from_columns(&materialize(db, q, parent, stats), seed ^ fxhash(q));
         let mut norms = normalizers.clone();
-        let out =
-            generator::generate_pooled(db, &group, q, seen, &mut norms, gen_cfg, &mut es.generate);
+        let out = generator::generate_pooled(
+            db,
+            &group,
+            q,
+            seen,
+            &mut norms,
+            gen_cfg,
+            scan_threads,
+            &mut es.generate,
+        );
         let pool_size = cfg.selection.pool_size(cfg.k, out.pool.len());
         let pool: Vec<ScoredRatingMap> = out.pool.into_iter().take(pool_size.max(cfg.k)).collect();
         let (maps, sel) =
@@ -530,10 +533,9 @@ mod tests {
         let mut norms = CriterionNormalizers::new(NormalizerKind::ZLogistic);
         let cfg = GeneratorConfig {
             pruning: PruningStrategy::None,
-            parallel: false,
             ..Default::default()
         };
-        let out = generator::generate(db, &group, q, &seen, &mut norms, &cfg);
+        let out = generator::generate(db, &group, q, &seen, &mut norms, &cfg, 1);
         out.pool.into_iter().take(3).collect()
     }
 
@@ -591,13 +593,13 @@ mod tests {
         assert!(cands.iter().all(|c| c.len() == 1));
     }
 
-    /// [`recommend`] over fresh session state, a serial unpruned generator
-    /// and a fresh scratch.
+    /// [`recommend`] on `threads` workers over fresh session state, an
+    /// unpruned generator and a fresh scratch.
     fn run(
         db: &SubjectiveDb,
         q: &SelectionQuery,
         maps: &[ScoredRatingMap],
-        cfg: &RecommendConfig,
+        threads: usize,
         seed: u64,
         parent: Option<&GroupColumns>,
     ) -> (Vec<Recommendation>, Materialization) {
@@ -605,7 +607,6 @@ mod tests {
         let norms = CriterionNormalizers::new(NormalizerKind::ZLogistic);
         let gen_cfg = GeneratorConfig {
             pruning: PruningStrategy::None,
-            parallel: false,
             ..Default::default()
         };
         let (recs, m, _) = recommend(
@@ -615,7 +616,8 @@ mod tests {
             &seen,
             &norms,
             &gen_cfg,
-            cfg,
+            &RecommendConfig::default(),
+            threads,
             seed,
             parent,
             None,
@@ -624,20 +626,12 @@ mod tests {
         (recs, m)
     }
 
-    fn serial() -> RecommendConfig {
-        RecommendConfig {
-            parallel: false,
-            ..Default::default()
-        }
-    }
-
     #[test]
     fn recommend_ranks_by_utility_and_truncates() {
         let db = db();
         let q = SelectionQuery::all();
         let maps = displayed(&db, &q);
-        let cfg = RecommendConfig { o: 3, ..serial() };
-        let (recs, _) = run(&db, &q, &maps, &cfg, 11, None);
+        let (recs, _) = run(&db, &q, &maps, 1, 11, None);
         assert!(recs.len() <= 3 && !recs.is_empty());
         for w in recs.windows(2) {
             assert!(w[0].utility >= w[1].utility);
@@ -653,7 +647,7 @@ mod tests {
         let db = db();
         let q = SelectionQuery::all();
         let maps = displayed(&db, &q);
-        let candidates = enumerate_candidates(&db, &q, &maps, &serial()).len();
+        let candidates = enumerate_candidates(&db, &q, &maps, &RecommendConfig::default()).len();
         assert!(candidates > 3, "{candidates} candidates");
         let fingerprint = |recs: &[Recommendation]| {
             recs.iter()
@@ -667,17 +661,12 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        let (a, a_stats) = run(&db, &q, &maps, &serial(), 7, None);
+        let (a, a_stats) = run(&db, &q, &maps, 1, 7, None);
         assert!(!a.is_empty());
         // Fewer workers than candidates, a count that does not divide
         // them, and more workers than candidates.
         for threads in [2, 3, 8, candidates + 1] {
-            let par_cfg = RecommendConfig {
-                parallel: true,
-                threads,
-                ..Default::default()
-            };
-            let (b, b_stats) = run(&db, &q, &maps, &par_cfg, 7, None);
+            let (b, b_stats) = run(&db, &q, &maps, threads, 7, None);
             assert_eq!(fingerprint(&a), fingerprint(&b), "{threads} threads");
             assert_eq!(a_stats, b_stats, "{threads} threads");
         }
@@ -719,7 +708,7 @@ mod tests {
         );
         assert_eq!(cands, vec![bad], "the ghost drill-down is the only edit");
 
-        let (recs, stats) = run(&db, &q, &[ghost], &serial(), 11, None);
+        let (recs, stats) = run(&db, &q, &[ghost], 1, 11, None);
         assert!(recs.is_empty());
         // Skipped before materialization: no group was walked or probed.
         assert_eq!(
@@ -743,11 +732,11 @@ mod tests {
                 .map(|r| (r.query.clone(), r.utility.to_bits(), r.group_size))
                 .collect::<Vec<_>>()
         };
-        let (walked, walked_stats) = run(&db, &q, &maps, &serial(), 7, None);
+        let (walked, walked_stats) = run(&db, &q, &maps, 1, 7, None);
         assert_eq!(walked_stats.derived, 0);
         assert!(walked_stats.walked + walked_stats.probed > 0);
 
-        let (derived, derived_stats) = run(&db, &q, &maps, &serial(), 7, Some(&parent));
+        let (derived, derived_stats) = run(&db, &q, &maps, 1, 7, Some(&parent));
         assert!(derived_stats.derived > 0, "{derived_stats:?}");
         assert_eq!(
             derived_stats.records_filtered,

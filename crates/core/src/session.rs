@@ -242,7 +242,7 @@ mod tests {
 
     fn quick_cfg() -> EngineConfig {
         EngineConfig {
-            parallel: false,
+            threads: 1,
             max_candidates: 12,
             ..EngineConfig::default()
         }

@@ -293,7 +293,7 @@ mod tests {
     fn replay_reproduces_a_session() {
         let db = db();
         let cfg = EngineConfig {
-            parallel: false,
+            threads: 1,
             ..EngineConfig::default()
         };
         // Original session.
@@ -324,7 +324,7 @@ mod tests {
     fn stats_annotated_log_round_trips() {
         let db = db();
         let cfg = EngineConfig {
-            parallel: false,
+            threads: 1,
             ..EngineConfig::default()
         };
         let mut engine = SdeEngine::new(db.clone(), cfg);

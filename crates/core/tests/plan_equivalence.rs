@@ -91,6 +91,7 @@ impl LegacyEngine {
             &self.seen,
             &mut self.normalizers,
             &gen_cfg,
+            subdex_core::resolve_threads(self.config.threads),
             &mut GenerateScratch::new(),
         );
         let (total, ci, mab) = (out.candidates_total, out.pruned_ci, out.pruned_mab);
@@ -124,6 +125,7 @@ impl LegacyEngine {
                 &self.normalizers,
                 &gen_cfg,
                 &self.config.recommend_config(),
+                subdex_core::resolve_threads(self.config.threads),
                 seed,
                 Some(&parent_cols),
                 Some(&dist_engine),
@@ -449,7 +451,7 @@ fn pinned_variants_on_fixed_db() {
     });
     variants.push(EngineConfig {
         selection: subdex_core::selector::SelectionStrategy::DiversityOnly,
-        parallel: false,
+        threads: 1,
         ..EngineConfig::subdex()
     });
     for cfg in variants {

@@ -5,12 +5,12 @@
 //! pass) now run on the process-wide task pool under an oversubscription
 //! thread budget, and the shared distance cache is sharded. None of those
 //! knobs may change results: over randomized databases and drill-down
-//! paths, every thread count {1, 2, 4, 8} × distance-cache shard count
-//! {1, 4, 16} × thread budget must produce bit-exact displayed maps,
-//! recommendations, and counters — materialization counters included —
-//! against the serial single-shard baseline (the scoped-spawn path's serial
-//! fallback, which the `plan_equivalence` suite pins against the
-//! pre-refactor engine).
+//! paths, every thread count {0 (all cores), 1, 2, 4, 8} × distance-cache
+//! shard count {1, 4, 16} × thread budget must produce bit-exact displayed
+//! maps, recommendations, and counters — materialization counters
+//! included — against the serial (`threads: 1`) single-shard baseline,
+//! which the `plan_equivalence` suite pins against the pre-refactor
+//! engine.
 
 use std::sync::Arc;
 
@@ -95,7 +95,8 @@ fn run_path(
     queries.iter().map(|q| step_fp(&e.step(q))).collect()
 }
 
-const THREAD_GRID: [usize; 4] = [1, 2, 4, 8];
+/// `0` is the default: one worker per available core.
+const THREAD_GRID: [usize; 5] = [0, 1, 2, 4, 8];
 const SHARD_GRID: [usize; 3] = [1, 4, 16];
 
 /// The serial single-shard baseline every grid cell must match.
@@ -104,11 +105,7 @@ fn baseline(
     cfg: EngineConfig,
     queries: &[SelectionQuery],
 ) -> Vec<Fingerprint> {
-    let serial = EngineConfig {
-        parallel: false,
-        threads: 1,
-        ..cfg
-    };
+    let serial = EngineConfig { threads: 1, ..cfg };
     run_path(db, serial, queries, 1, 0)
 }
 
@@ -118,11 +115,7 @@ fn assert_pool_grid_equal(db: &Arc<SubjectiveDb>, cfg: EngineConfig, queries: &[
     let expect = baseline(db, cfg, queries);
     for threads in THREAD_GRID {
         for shards in SHARD_GRID {
-            let pooled = EngineConfig {
-                parallel: true,
-                threads,
-                ..cfg
-            };
+            let pooled = EngineConfig { threads, ..cfg };
             assert_eq!(
                 run_path(db, pooled, queries, shards, 0),
                 expect,
@@ -131,11 +124,7 @@ fn assert_pool_grid_equal(db: &Arc<SubjectiveDb>, cfg: EngineConfig, queries: &[
         }
     }
     for budget in THREAD_GRID {
-        let pooled = EngineConfig {
-            parallel: true,
-            threads: 8,
-            ..cfg
-        };
+        let pooled = EngineConfig { threads: 8, ..cfg };
         assert_eq!(
             run_path(db, pooled, queries, 4, budget),
             expect,
@@ -304,11 +293,7 @@ fn pooled_fixed_db_grid_and_midpath_rebudget() {
     // Re-budgeting between steps (as the service's busy-divided budget
     // does) must leave the path byte-identical too.
     let expect = baseline(&db, cfg, &queries);
-    let pooled = EngineConfig {
-        parallel: true,
-        threads: 8,
-        ..cfg
-    };
+    let pooled = EngineConfig { threads: 8, ..cfg };
     let mut e = SdeEngine::new(db.clone(), pooled);
     e.set_distance_cache(Some(Arc::new(DistanceCache::with_shards(1 << 20, 4))));
     let budgets = [4usize, 1, 2];

@@ -302,10 +302,9 @@ proptest! {
         let mut norms = subdex_core::generator::CriterionNormalizers::new(Default::default());
         let gcfg = subdex_core::generator::GeneratorConfig {
             pruning: subdex_core::PruningStrategy::None,
-            parallel: false,
             ..Default::default()
         };
-        let pool = subdex_core::generator::generate(&db, &group, &q, &seen, &mut norms, &gcfg).pool;
+        let pool = subdex_core::generator::generate(&db, &group, &q, &seen, &mut norms, &gcfg, 1).pool;
         let cfg = subdex_core::recommend::RecommendConfig {
             max_candidates: cap,
             ..Default::default()

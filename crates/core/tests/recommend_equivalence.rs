@@ -130,11 +130,10 @@ fn displayed(db: &SubjectiveDb, q: &SelectionQuery) -> Vec<ScoredRatingMap> {
     let mut norms = CriterionNormalizers::new(NormalizerKind::ZLogistic);
     let cfg = GeneratorConfig {
         pruning: PruningStrategy::None,
-        parallel: false,
         phases: 4,
         ..GeneratorConfig::default()
     };
-    let out = generator::generate(db, &group, q, &seen, &mut norms, &cfg);
+    let out = generator::generate(db, &group, q, &seen, &mut norms, &cfg, 1);
     out.pool.into_iter().take(3).collect()
 }
 
@@ -206,17 +205,14 @@ proptest! {
         let norms = CriterionNormalizers::new(NormalizerKind::ZLogistic);
         let gen_cfg = GeneratorConfig {
             pruning: PruningStrategy::None,
-            parallel: false,
             phases: 4,
             ..GeneratorConfig::default()
         };
-        let run = |derive: bool, parallel: bool, scratch: &mut RecommendScratch| {
-            let cfg = RecommendConfig {
-                max_candidates: 16,
-                parallel,
-                threads: if parallel { 3 } else { 0 },
-                ..RecommendConfig::default()
-            };
+        let cfg = RecommendConfig {
+            max_candidates: 16,
+            ..RecommendConfig::default()
+        };
+        let run = |derive: bool, threads: usize, scratch: &mut RecommendScratch| {
             let (recs, m, _) = recommend(
                 &db,
                 &query,
@@ -225,6 +221,7 @@ proptest! {
                 &norms,
                 &gen_cfg,
                 &cfg,
+                threads,
                 seed,
                 derive.then_some(&parent_cols),
                 None,
@@ -233,20 +230,20 @@ proptest! {
             (fingerprint(&recs), m)
         };
 
-        let (reference, walked) = run(false, false, &mut RecommendScratch::default());
+        let (reference, walked) = run(false, 1, &mut RecommendScratch::default());
         prop_assert_eq!(walked.derived, 0);
         let mut reused = RecommendScratch::default();
         for derive in [false, true] {
-            let (_, serial) = run(derive, false, &mut RecommendScratch::default());
-            for parallel in [false, true] {
+            let (_, serial) = run(derive, 1, &mut RecommendScratch::default());
+            for threads in [1, 3] {
                 for pass in 0..2 {
-                    let (fp, m) = run(derive, parallel, &mut reused);
+                    let (fp, m) = run(derive, threads, &mut reused);
                     prop_assert_eq!(
                         &fp,
                         &reference,
-                        "derive={} parallel={} pass={}",
+                        "derive={} threads={} pass={}",
                         derive,
-                        parallel,
+                        threads,
                         pass
                     );
                     prop_assert_eq!(m, serial, "counters depend on the schedule");

@@ -201,7 +201,6 @@ fn run_generate(
     db: &SubjectiveDb,
     group: &RatingGroup,
     pruning: PruningStrategy,
-    parallel: bool,
     threads: usize,
 ) -> generator::GeneratorOutput {
     let q = SelectionQuery::all();
@@ -209,12 +208,10 @@ fn run_generate(
     let mut norms = CriterionNormalizers::new(Default::default());
     let cfg = GeneratorConfig {
         pruning,
-        parallel,
-        threads,
         phases: 4,
         ..GeneratorConfig::default()
     };
-    generator::generate(db, group, &q, &seen, &mut norms, &cfg)
+    generator::generate(db, group, &q, &seen, &mut norms, &cfg, threads)
 }
 
 const THREADS: [usize; 3] = [1, 2, 4];
@@ -314,12 +311,12 @@ proptest! {
             PruningStrategy::Mab,
             PruningStrategy::Both,
         ] {
-            let reference = pool_fingerprint(&run_generate(&db, &group, pruning, false, 0));
+            let reference = pool_fingerprint(&run_generate(&db, &group, pruning, 1));
             for threads in [2usize, 4] {
-                let parallel = run_generate(&db, &group, pruning, true, threads);
+                let parallel = run_generate(&db, &group, pruning, threads);
                 prop_assert_eq!(&pool_fingerprint(&parallel), &reference);
             }
-            let via_columns = run_generate(&db, &columnar, pruning, false, 0);
+            let via_columns = run_generate(&db, &columnar, pruning, 1);
             prop_assert_eq!(&pool_fingerprint(&via_columns), &reference);
         }
     }

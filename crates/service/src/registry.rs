@@ -200,7 +200,7 @@ mod tests {
 
     fn session() -> ExplorationSession {
         let cfg = EngineConfig {
-            parallel: false,
+            threads: 1,
             ..EngineConfig::default()
         };
         ExplorationSession::new(tiny_db(), cfg, ExplorationMode::UserDriven)

@@ -615,7 +615,7 @@ mod tests {
             workers: 2,
             queue_capacity: 8,
             engine: EngineConfig {
-                parallel: false,
+                threads: 1,
                 max_candidates: 12,
                 ..EngineConfig::default()
             },

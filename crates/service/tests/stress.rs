@@ -28,7 +28,7 @@ fn study_db() -> Arc<SubjectiveDb> {
 
 fn engine_config() -> EngineConfig {
     EngineConfig {
-        parallel: false,
+        threads: 1,
         max_candidates: 8,
         ..EngineConfig::default()
     }

@@ -225,7 +225,7 @@ mod tests {
 
     fn cfg() -> EngineConfig {
         EngineConfig {
-            parallel: false,
+            threads: 1,
             max_candidates: 16,
             ..EngineConfig::default()
         }

@@ -39,8 +39,6 @@ pub struct StudyConfig {
     pub engine: EngineConfig,
     /// Base seed; subject seeds derive from it.
     pub base_seed: u64,
-    /// Run subjects on worker threads.
-    pub parallel: bool,
 }
 
 impl Default for StudyConfig {
@@ -48,7 +46,7 @@ impl Default for StudyConfig {
         let engine = EngineConfig {
             // Subjects are parallelized across threads; keep each engine
             // sequential so the study scales with cores.
-            parallel: false,
+            threads: 1,
             max_candidates: 16,
             ..EngineConfig::default()
         };
@@ -57,7 +55,6 @@ impl Default for StudyConfig {
             steps: None,
             engine,
             base_seed: 7,
-            parallel: true,
         }
     }
 }
@@ -448,23 +445,21 @@ fn run_study_impl(w: &Workload, w2: Option<&Workload>, cfg: &StudyConfig) -> Stu
             (i, order, first.count(), second.count())
         };
 
-        let results: Vec<(usize, [ExplorationMode; 2], usize, usize)> = if cfg.parallel {
-            let threads = subdex_core::resolve_threads(0);
-            let chunk = subject_runs.len().div_ceil(threads);
-            let mut collected = Vec::new();
-            std::thread::scope(|s| {
-                let handles: Vec<_> = subject_runs
-                    .chunks(chunk)
-                    .map(|slice| s.spawn(move || slice.iter().map(run_one).collect::<Vec<_>>()))
-                    .collect();
-                for h in handles {
-                    collected.extend(h.join().expect("subject worker panicked"));
-                }
-            });
-            collected
-        } else {
-            subject_runs.iter().map(run_one).collect()
-        };
+        // Subjects run on one scoped thread per core, each over a chunk.
+        let chunk = subject_runs
+            .len()
+            .div_ceil(subdex_core::resolve_threads(0))
+            .max(1);
+        let mut results: Vec<(usize, [ExplorationMode; 2], usize, usize)> = Vec::new();
+        std::thread::scope(|s| {
+            let handles: Vec<_> = subject_runs
+                .chunks(chunk)
+                .map(|slice| s.spawn(move || slice.iter().map(run_one).collect::<Vec<_>>()))
+                .collect();
+            for h in handles {
+                results.extend(h.join().expect("subject worker panicked"));
+            }
+        });
 
         // Column-major: scores per mode, subjects ordered so the first half
         // performed that mode first.
@@ -559,7 +554,6 @@ mod tests {
         StudyConfig {
             subjects_per_cell: 6,
             steps: Some(5),
-            parallel: true,
             ..StudyConfig::default()
         }
     }

@@ -27,12 +27,11 @@ fn cfg(n: usize) -> StudyConfig {
         subjects_per_cell: n,
         steps: Some(6),
         engine: EngineConfig {
-            parallel: false,
+            threads: 1,
             max_candidates: 12,
             ..EngineConfig::default()
         },
         base_seed: 99,
-        parallel: true,
     }
 }
 

@@ -46,7 +46,7 @@ fn main() {
         workers: 4,
         queue_capacity: 8,
         engine: EngineConfig {
-            parallel: false, // the worker pool is the parallelism
+            threads: 1, // the worker pool is the parallelism
             max_candidates: 12,
             ..EngineConfig::default()
         },

@@ -18,7 +18,7 @@ fn main() {
     let ds = subdex::data::yelp::dataset(GenParams::new(2_000, 93, 15_000, 3));
     let db = Arc::new(ds.db);
     let cfg = EngineConfig {
-        parallel: false, // determinism is easiest to show single-threaded
+        threads: 1, // determinism is easiest to show single-threaded
         ..EngineConfig::default()
     };
 

@@ -25,7 +25,7 @@ fn workload() -> Workload {
 fn all_three_sources_drive_paths() {
     let w = workload();
     let cfg = EngineConfig {
-        parallel: false,
+        threads: 1,
         max_candidates: 12,
         ..EngineConfig::default()
     };
@@ -74,7 +74,7 @@ fn subdex_surfaces_at_least_as_many_irregulars() {
     // least as many irregular groups as each drill-down-only baseline —
     // the Table 4 shape.
     let cfg = EngineConfig {
-        parallel: false,
+        threads: 1,
         max_candidates: 12,
         ..EngineConfig::default()
     };

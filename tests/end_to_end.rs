@@ -131,7 +131,7 @@ fn pruning_variants_agree_on_top_map() {
             db.clone(),
             EngineConfig {
                 recommendations: false,
-                parallel: false,
+                threads: 1,
                 ..cfg
             },
         );

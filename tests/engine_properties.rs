@@ -68,7 +68,7 @@ proptest! {
     fn engine_never_panics_and_keeps_shapes(spec in spec_db(), seed in 0u64..50) {
         let db = build(&spec);
         let cfg = EngineConfig {
-            parallel: false,
+            threads: 1,
             max_candidates: 8,
             seed,
             ..EngineConfig::default()
@@ -99,7 +99,7 @@ proptest! {
         let db = build(&spec);
         let run = |pruning: PruningStrategy| {
             let cfg = EngineConfig {
-                parallel: false,
+                threads: 1,
                 pruning,
                 recommendations: false,
                 ..EngineConfig::default()
@@ -118,7 +118,7 @@ proptest! {
         let db = build(&spec);
         let mut s = ExplorationSession::new(
             db,
-            EngineConfig { parallel: false, ..EngineConfig::default() },
+            EngineConfig { threads: 1, ..EngineConfig::default() },
             ExplorationMode::UserDriven,
         );
         s.apply_operation(&SelectionQuery::all());
@@ -134,7 +134,6 @@ proptest! {
         let db = build(&spec);
         let run = |threads: usize| {
             let cfg = EngineConfig {
-                parallel: threads > 1,
                 threads,
                 seed,
                 ..EngineConfig::default()
@@ -159,7 +158,7 @@ proptest! {
     fn seen_context_grows_monotonically(spec in spec_db()) {
         let db = build(&spec);
         let cfg = EngineConfig {
-            parallel: false,
+            threads: 1,
             recommendations: false,
             ..EngineConfig::default()
         };

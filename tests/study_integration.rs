@@ -26,12 +26,11 @@ fn cfg(subjects: usize) -> StudyConfig {
         subjects_per_cell: subjects,
         steps: Some(6),
         engine: EngineConfig {
-            parallel: false,
+            threads: 1,
             max_candidates: 12,
             ..EngineConfig::default()
         },
         base_seed: 4242,
-        parallel: true,
     }
 }
 
