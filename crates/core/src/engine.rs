@@ -458,6 +458,21 @@ mod tests {
     }
 
     #[test]
+    fn recommendation_step_skips_previews_that_cannot_rank() {
+        let cfg = EngineConfig {
+            threads: 1,
+            ..EngineConfig::default()
+        };
+        let mut engine = SdeEngine::new(db(), cfg);
+        let r = engine.step(&SelectionQuery::all());
+        // More candidates than `o`, and some whose utility bounds fall
+        // below the third-best lower bound: their previews never run.
+        assert_eq!(r.recommendations.len(), 3);
+        let s = r.stats.selection;
+        assert!(s.previews_skipped > 0, "{s:?}");
+    }
+
+    #[test]
     fn shared_distance_cache_replays_byte_identically() {
         use subdex_store::DistanceCache;
         let db = db();

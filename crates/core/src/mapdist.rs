@@ -44,7 +44,7 @@ use std::time::Duration;
 
 use crate::ratingmap::RatingMap;
 use subdex_stats::distance::emd_1d_normalized_from_cdfs;
-use subdex_stats::emd::emd_transport_matrix;
+use subdex_stats::emd::{emd_transport_matrix_with, TransportScratch};
 use subdex_stats::kernels::{self, BatchScratch};
 use subdex_store::DistanceCache;
 
@@ -180,12 +180,14 @@ impl ContentHasher {
 }
 
 /// Reusable buffers for pairwise distance evaluation: the ground-cost
-/// matrix, the column-minimum buffer of the matrix lower bound, and the
-/// mixture-CDF staging area of the batched row prestage — each grown to
-/// the largest shape seen, so steady-state GMM rows allocate nothing.
+/// matrix, the column-minimum buffer of the matrix lower bound, the
+/// mixture-CDF staging area of the batched row prestage, and the
+/// transportation solver's buffers — each grown to the largest shape seen,
+/// so steady-state GMM rows allocate nothing.
 #[derive(Debug, Default)]
 pub struct DistScratch {
     cost: Vec<f64>,
+    transport: TransportScratch,
     /// Per-column minima of the demand-side matrix lower bound.
     mins: Vec<f64>,
     /// Score-major staging of candidate mixture CDFs for the batched
@@ -209,6 +211,10 @@ pub struct SelectionStats {
     pub pruned_matrix: u64,
     /// Pairs answered from the shared [`DistanceCache`].
     pub cache_hits: u64,
+    /// Recommendation candidates whose diverse-selection preview never
+    /// ran, because their utility bounds proved they cannot reach the top
+    /// `o` (see [`crate::recommend::recommend`]).
+    pub previews_skipped: u64,
     /// Wall-clock time spent inside diverse selection.
     pub select_time: Duration,
 }
@@ -220,6 +226,7 @@ impl SelectionStats {
         self.pruned_mixture += other.pruned_mixture;
         self.pruned_matrix += other.pruned_matrix;
         self.cache_hits += other.cache_hits;
+        self.previews_skipped += other.previews_skipped;
         self.select_time += other.select_time;
     }
 
@@ -278,7 +285,12 @@ fn build_cost_matrix(a: &MapSignature, b: &MapSignature, cost: &mut Vec<f64>) {
 /// Exact distance of a canonically ordered, non-degenerate pair.
 fn exact_ordered(a: &MapSignature, b: &MapSignature, scratch: &mut DistScratch) -> f64 {
     build_cost_matrix(a, b, &mut scratch.cost);
-    emd_transport_matrix(&a.weights, &b.weights, &scratch.cost)
+    emd_transport_matrix_with(
+        &a.weights,
+        &b.weights,
+        &scratch.cost,
+        &mut scratch.transport,
+    )
 }
 
 /// O(m) centroid/projection lower bound on [`map_distance`].
@@ -522,7 +534,12 @@ impl DistanceEngine {
             }
             // Both bounds failed: solve on the matrix already in scratch —
             // the identical arithmetic `exact_ordered` would run.
-            let d = emd_transport_matrix(&x.weights, &y.weights, &scratch.cost);
+            let d = emd_transport_matrix_with(
+                &x.weights,
+                &y.weights,
+                &scratch.cost,
+                &mut scratch.transport,
+            );
             stats.exact_solves += 1;
             if let Some(cache) = &self.cache {
                 cache.insert(key, d);
@@ -907,6 +924,7 @@ mod tests {
             pruned_mixture: 1,
             pruned_matrix: 3,
             cache_hits: 4,
+            previews_skipped: 2,
             select_time: Duration::from_micros(10),
         };
         let b = SelectionStats {
@@ -914,10 +932,12 @@ mod tests {
             pruned_mixture: 0,
             pruned_matrix: 1,
             cache_hits: 0,
+            previews_skipped: 1,
             select_time: Duration::from_micros(5),
         };
         a.merge(&b);
         assert_eq!(a.exact_solves, 3);
+        assert_eq!(a.previews_skipped, 3);
         assert_eq!(a.pruned(), 5);
         assert_eq!(a.evaluations(), 12);
         assert_eq!(a.select_time, Duration::from_micros(15));

@@ -328,10 +328,18 @@ pub fn enumerate_candidates_into(
 /// before any materialization. The returned [`Materialization`] counts the
 /// paths taken.
 ///
+/// Evaluation runs in two passes. The first generates every candidate's
+/// utility-ranked map pool; after it, `utility_bounds` brackets each
+/// candidate's Equation 2 utility, and the second pass runs the diverse
+/// selection preview only for candidates whose upper bound can still reach
+/// the `o`-th best lower bound (`preview_skips`). The rest rank below
+/// `o` others whatever their preview picks, so the output is the one every
+/// preview would give.
+///
 /// `dist` configures the [`DistanceEngine`] behind each candidate's
 /// diverse-selection preview (its bounds and shared cache; the default
 /// engine when `None`). The returned [`SelectionStats`] aggregate those
-/// previews.
+/// previews and count the skipped ones.
 ///
 /// `scratch` pools the candidate vector and the per-worker generate and
 /// select buffers across calls; it recycles containers, never values.
@@ -371,99 +379,98 @@ pub fn recommend(
     // Chunk merges are exact, so the serial scan produces the same bits.
     // Fewer candidates than workers (a lone candidate included) leave
     // cores idle, so the generator keeps the full count there.
-    let fan_out = threads > 1 && candidates.len() > 1;
-    let scan_threads = if fan_out && candidates.len() >= threads {
+    let workers_for = |items: usize| {
+        if threads > 1 && items > 1 {
+            threads.min(items)
+        } else {
+            1
+        }
+    };
+    let spawned = workers_for(candidates.len());
+    let scan_threads = if spawned > 1 && candidates.len() >= threads {
         1
     } else {
         threads
     };
-
-    let parent = parent.map(|cols| (query, cols));
-    let evaluate = |q: &SelectionQuery,
-                    es: &mut EvalScratch,
-                    stats: &mut Materialization,
-                    sel_stats: &mut SelectionStats|
-     -> Option<Recommendation> {
-        // Provably-empty candidates (some predicate has an empty posting
-        // list) are dropped from the index alone, before any group is
-        // built or the generator runs.
-        if db.index_cardinality_bound(q) == 0 {
-            stats.skipped_empty += 1;
-            return None;
-        }
-        let group = RatingGroup::from_columns(&materialize(db, q, parent, stats), seed ^ fxhash(q));
-        let mut norms = normalizers.clone();
-        let out = generator::generate_pooled(
-            db,
-            &group,
-            q,
-            seen,
-            &mut norms,
-            gen_cfg,
-            scan_threads,
-            &mut es.generate,
-        );
-        let pool_size = cfg.selection.pool_size(cfg.k, out.pool.len());
-        let pool: Vec<ScoredRatingMap> = out.pool.into_iter().take(pool_size.max(cfg.k)).collect();
-        let (maps, sel) =
-            select_diverse_with(pool, cfg.k, cfg.selection, dist_engine, &mut es.select);
-        sel_stats.merge(&sel);
-        let utility = maps.iter().map(|m| m.dw_utility).sum();
-        Some(Recommendation {
-            query: q.clone(),
-            utility,
-            group_size: group.len(),
-            maps,
-        })
-    };
-
-    // `spawned` workers, each with its own scratch lane, claim candidates
-    // one at a time until none are left, so a worker that drew cheap
-    // candidates takes more of them. Every result carries its candidate's
-    // index, and the merge restores candidate order whichever worker
-    // evaluated what. A single worker runs inline on the caller.
-    let spawned = if fan_out {
-        threads.min(candidates.len())
-    } else {
-        1
-    };
     if workers.len() < spawned {
         workers.resize_with(spawned, Mutex::default);
     }
-    let lanes = &workers[..spawned];
     let candidates = &candidates[..];
-    let evaluate = &evaluate;
-    let next = AtomicUsize::new(0);
-    let results = crate::parallel::task_pool().run(spawned, |w| {
-        let es = &mut *lock(&lanes[w]);
-        let mut local = Materialization::default();
-        let mut local_sel = SelectionStats::default();
-        let mut recs = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(q) = candidates.get(i) else {
-                break;
-            };
-            if let Some(rec) = evaluate(q, es, &mut local, &mut local_sel) {
-                recs.push((i, rec));
-            }
-        }
-        (recs, local, local_sel)
-    });
-    let mut stats = Materialization::default();
-    let mut sel_stats = SelectionStats::default();
-    let mut tagged: Vec<(usize, Recommendation)> = results
-        .into_iter()
-        .flat_map(|(recs, local, local_sel)| {
-            stats.merge(&local);
-            sel_stats.merge(&local_sel);
-            recs
-        })
-        .collect();
-    tagged.sort_unstable_by_key(|&(i, _)| i);
-    let mut recs: Vec<Recommendation> = tagged.into_iter().map(|(_, rec)| rec).collect();
 
-    recs.retain(|r| r.group_size > 0);
+    // Pass 1: materialize and generate every candidate, keeping the pool
+    // its preview would select from. Provably-empty candidates (some
+    // predicate has an empty posting list) are dropped from the index
+    // alone, and candidates whose group turns out empty right after
+    // materialization, since the ranking drops them anyway.
+    let parent = parent.map(|cols| (query, cols));
+    let (generated, stats, _) =
+        claim_each(&workers[..spawned], candidates.len(), |i, es, stats, _| {
+            let q = &candidates[i];
+            if db.index_cardinality_bound(q) == 0 {
+                stats.skipped_empty += 1;
+                return None;
+            }
+            let group =
+                RatingGroup::from_columns(&materialize(db, q, parent, stats), seed ^ fxhash(q));
+            if group.is_empty() {
+                return None;
+            }
+            let mut norms = normalizers.clone();
+            let out = generator::generate_pooled(
+                db,
+                &group,
+                q,
+                seen,
+                &mut norms,
+                gen_cfg,
+                scan_threads,
+                &mut es.generate,
+            );
+            let pool_size = cfg.selection.pool_size(cfg.k, out.pool.len());
+            let pool: Vec<ScoredRatingMap> =
+                out.pool.into_iter().take(pool_size.max(cfg.k)).collect();
+            Some((group.len(), pool))
+        });
+
+    // The barrier: bound every candidate's utility and decide, in
+    // candidate order, which previews cannot change the top `o`.
+    let bounds: Vec<(f64, f64)> = generated
+        .iter()
+        .map(|(_, (_, pool))| utility_bounds(pool, cfg.k))
+        .collect();
+    let skip = preview_skips(&bounds, cfg.o);
+    let pending: Vec<_> = generated
+        .into_iter()
+        .zip(&skip)
+        .filter(|(_, &skipped)| !skipped)
+        .map(|((i, (group_size, pool)), _)| Mutex::new(Some((i, group_size, pool))))
+        .collect();
+
+    // Pass 2: the previews that can still rank, claimed one at a time on
+    // the same lanes.
+    let (previewed, _, mut sel_stats) = claim_each(
+        &workers[..workers_for(pending.len())],
+        pending.len(),
+        |slot, es, _, sel_stats| {
+            let (i, group_size, pool) = pending[slot]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take()?;
+            let (maps, sel) =
+                select_diverse_with(pool, cfg.k, cfg.selection, dist_engine, &mut es.select);
+            sel_stats.merge(&sel);
+            let utility = maps.iter().map(|m| m.dw_utility).sum();
+            Some(Recommendation {
+                query: candidates[i].clone(),
+                utility,
+                group_size,
+                maps,
+            })
+        },
+    );
+    sel_stats.previews_skipped = skip.iter().filter(|&&s| s).count() as u64;
+
+    let mut recs: Vec<Recommendation> = previewed.into_iter().map(|(_, rec)| rec).collect();
     recs.sort_by(|a, b| {
         b.utility
             .partial_cmp(&a.utility)
@@ -472,6 +479,108 @@ pub fn recommend(
     });
     recs.truncate(cfg.o);
     (recs, stats, sel_stats)
+}
+
+/// Runs `work` over items `0..count` on one worker per lane. Workers claim
+/// items one at a time until none are left, so a worker that drew cheap
+/// items takes more of them. Every result carries its item's index and
+/// comes back in item order whichever worker produced it; the counters are
+/// integer (and `Duration`) sums, so their merge order does not matter
+/// either. A single lane runs inline on the caller.
+fn claim_each<T, F>(
+    lanes: &[Mutex<EvalScratch>],
+    count: usize,
+    work: F,
+) -> (Vec<(usize, T)>, Materialization, SelectionStats)
+where
+    T: Send,
+    F: Fn(usize, &mut EvalScratch, &mut Materialization, &mut SelectionStats) -> Option<T> + Sync,
+{
+    let next = AtomicUsize::new(0);
+    let results = crate::parallel::task_pool().run(lanes.len(), |w| {
+        let es = &mut *lock(&lanes[w]);
+        let mut local = Materialization::default();
+        let mut local_sel = SelectionStats::default();
+        let mut out = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= count {
+                break;
+            }
+            if let Some(t) = work(i, es, &mut local, &mut local_sel) {
+                out.push((i, t));
+            }
+        }
+        (out, local, local_sel)
+    });
+    let mut stats = Materialization::default();
+    let mut sel_stats = SelectionStats::default();
+    let mut tagged: Vec<(usize, T)> = results
+        .into_iter()
+        .flat_map(|(out, local, local_sel)| {
+            stats.merge(&local);
+            sel_stats.merge(&local_sel);
+            out
+        })
+        .collect();
+    tagged.sort_unstable_by_key(|&(i, _)| i);
+    (tagged, stats, sel_stats)
+}
+
+/// Exact bounds `(lb, ub)` on the Equation 2 utility a candidate's preview
+/// can yield from `pool`, its maps by descending DW utility.
+///
+/// Every selection strategy returns `pool[0]` plus `t − 1` other maps of
+/// the pool, `t = min(k, |pool|)`: the prefix, or GMM seeded with
+/// `pool[0]`. So the utility is at least `pool[0]` plus the `t − 1`
+/// smallest of the rest, and at most the sum of the first `t`. A pool
+/// holding a non-finite utility gets `(−∞, +∞)`; an empty one (or `k = 0`)
+/// selects nothing and gets `(0, 0)`.
+pub(crate) fn utility_bounds(pool: &[ScoredRatingMap], k: usize) -> (f64, f64) {
+    let t = k.min(pool.len());
+    if t == 0 {
+        return (0.0, 0.0);
+    }
+    if pool.iter().any(|m| !m.dw_utility.is_finite()) {
+        return (f64::NEG_INFINITY, f64::INFINITY);
+    }
+    debug_assert!(pool.windows(2).all(|w| w[0].dw_utility >= w[1].dw_utility));
+    let ub: f64 = pool[..t].iter().map(|m| m.dw_utility).sum();
+    let smallest_rest: f64 = pool[pool.len() + 1 - t..]
+        .iter()
+        .map(|m| m.dw_utility)
+        .sum();
+    (pool[0].dw_utility + smallest_rest, ub)
+}
+
+/// Which candidates' previews cannot change the top `o`, given each
+/// candidate's [`utility_bounds`] in candidate order.
+///
+/// `thr` is the `o`-th largest lower bound. A candidate is skipped when
+/// `ub + m < thr − m`, `m = 1e-9 · max(1, |thr|)`: at least `o` others
+/// then have a utility above its own, so it ranks below all of them. The
+/// margin absorbs rounding, because the bounds sum in pool order and the
+/// preview in pick order. If any bound is not finite nothing is skipped: a
+/// NaN utility makes the ranking's comparator partial, and under a partial
+/// order dropping one element can reorder the rest.
+pub(crate) fn preview_skips(bounds: &[(f64, f64)], o: usize) -> Vec<bool> {
+    let mut skip = vec![false; bounds.len()];
+    if o == 0
+        || bounds.len() <= o
+        || bounds
+            .iter()
+            .any(|&(lb, ub)| !lb.is_finite() || !ub.is_finite())
+    {
+        return skip;
+    }
+    let mut lower: Vec<f64> = bounds.iter().map(|&(lb, _)| lb).collect();
+    lower.sort_unstable_by(|a, b| b.total_cmp(a));
+    let thr = lower[o - 1];
+    let m = 1e-9 * thr.abs().max(1.0);
+    for (s, &(_, ub)) in skip.iter_mut().zip(bounds) {
+        *s = ub + m < thr - m;
+    }
+    skip
 }
 
 /// Cheap deterministic hash of a query, used to vary rating-group shuffle
@@ -496,6 +605,8 @@ mod tests {
     use super::*;
     use crate::generator::{CriterionNormalizers, SeenContext};
     use crate::pruning::PruningStrategy;
+    use crate::ratingmap::{MapKey, RatingMap, Subgroup};
+    use proptest::prelude::*;
     use subdex_stats::normalize::NormalizerKind;
     use subdex_store::{Cell, EntityTableBuilder, RatingTableBuilder, Schema, Value};
 
@@ -603,27 +714,49 @@ mod tests {
         seed: u64,
         parent: Option<&GroupColumns>,
     ) -> (Vec<Recommendation>, Materialization) {
-        let seen = SeenContext::new(2);
-        let norms = CriterionNormalizers::new(NormalizerKind::ZLogistic);
-        let gen_cfg = GeneratorConfig {
-            pruning: PruningStrategy::None,
-            ..Default::default()
-        };
-        let (recs, m, _) = recommend(
+        let (recs, m, _) = run_with(
             db,
             q,
             maps,
-            &seen,
-            &norms,
-            &gen_cfg,
             &RecommendConfig::default(),
+            threads,
+            seed,
+            parent,
+        );
+        (recs, m)
+    }
+
+    /// [`run`] under `cfg`, keeping the selection counters.
+    fn run_with(
+        db: &SubjectiveDb,
+        q: &SelectionQuery,
+        maps: &[ScoredRatingMap],
+        cfg: &RecommendConfig,
+        threads: usize,
+        seed: u64,
+        parent: Option<&GroupColumns>,
+    ) -> (Vec<Recommendation>, Materialization, SelectionStats) {
+        recommend(
+            db,
+            q,
+            maps,
+            &SeenContext::new(2),
+            &CriterionNormalizers::new(NormalizerKind::ZLogistic),
+            &unpruned(),
+            cfg,
             threads,
             seed,
             parent,
             None,
             &mut RecommendScratch::default(),
-        );
-        (recs, m)
+        )
+    }
+
+    fn unpruned() -> GeneratorConfig {
+        GeneratorConfig {
+            pruning: PruningStrategy::None,
+            ..Default::default()
+        }
     }
 
     #[test]
@@ -674,7 +807,6 @@ mod tests {
 
     #[test]
     fn unsatisfiable_candidate_skipped_before_materialization() {
-        use crate::ratingmap::{MapKey, RatingMap, Subgroup};
         use crate::utility::CriterionScores;
         use subdex_store::{AttrId, DimId, ValueId};
 
@@ -756,6 +888,228 @@ mod tests {
         assert!(
             cands.iter().any(|c| c.is_empty()),
             "roll-up still available"
+        );
+    }
+
+    /// Blueprint of a random database: reviewer (gender, age) codes, item
+    /// cities, and (reviewer, item, two scores) ratings.
+    type DbSpec = (Vec<(usize, usize)>, Vec<usize>, Vec<(u32, u32, u8, u8)>);
+
+    fn db_spec() -> impl Strategy<Value = DbSpec> {
+        (4usize..16, 2usize..8).prop_flat_map(|(reviewers, items)| {
+            (
+                prop::collection::vec((0usize..2, 0usize..3), reviewers),
+                prop::collection::vec(0usize..3, items),
+                prop::collection::vec(
+                    (0..reviewers as u32, 0..items as u32, 1u8..=5, 1u8..=5),
+                    1..60,
+                ),
+            )
+        })
+    }
+
+    fn random_db((reviewers, items, ratings): &DbSpec) -> SubjectiveDb {
+        let mut us = Schema::new();
+        us.add("gender", false);
+        us.add("age", false);
+        let mut ub = EntityTableBuilder::new(us);
+        for &(g, a) in reviewers {
+            ub.push_row(vec![
+                Cell::from(["F", "M"][g]),
+                Cell::from(["young", "adult", "old"][a]),
+            ]);
+        }
+        let mut is = Schema::new();
+        is.add("city", false);
+        let mut ib = EntityTableBuilder::new(is);
+        for &c in items {
+            ib.push_row(vec![Cell::from(["NYC", "SF", "LA"][c])]);
+        }
+        let mut rb = RatingTableBuilder::new(vec!["overall".into(), "food".into()], 5);
+        let mut seen = HashSet::new();
+        for &(r, i, a, b) in ratings {
+            if seen.insert((r, i)) {
+                rb.push(r, i, &[a, b]);
+            }
+        }
+        SubjectiveDb::new(
+            ub.build(),
+            ib.build(),
+            rb.build(reviewers.len(), items.len()),
+        )
+    }
+
+    /// Every candidate evaluated in full — generate, then the preview —
+    /// the way [`recommend`] evaluated them before previews could be
+    /// skipped, in candidate order, each with its [`utility_bounds`].
+    fn evaluate_all(
+        db: &SubjectiveDb,
+        q: &SelectionQuery,
+        maps: &[ScoredRatingMap],
+        cfg: &RecommendConfig,
+        seed: u64,
+    ) -> Vec<((f64, f64), Recommendation)> {
+        let seen = SeenContext::new(2);
+        let norms = CriterionNormalizers::new(NormalizerKind::ZLogistic);
+        let mut out = Vec::new();
+        for c in enumerate_candidates(db, q, maps, cfg) {
+            if db.index_cardinality_bound(&c) == 0 {
+                continue;
+            }
+            let cols = materialize(db, &c, None, &mut Materialization::default());
+            let group = RatingGroup::from_columns(&cols, seed ^ fxhash(&c));
+            if group.is_empty() {
+                continue;
+            }
+            let generated =
+                generator::generate(db, &group, &c, &seen, &mut norms.clone(), &unpruned(), 1);
+            let pool_size = cfg.selection.pool_size(cfg.k, generated.pool.len());
+            let pool: Vec<ScoredRatingMap> = generated
+                .pool
+                .into_iter()
+                .take(pool_size.max(cfg.k))
+                .collect();
+            let bounds = utility_bounds(&pool, cfg.k);
+            let maps = crate::selector::select_diverse(pool, cfg.k, cfg.selection);
+            let utility = maps.iter().map(|m| m.dw_utility).sum();
+            out.push((
+                bounds,
+                Recommendation {
+                    query: c,
+                    utility,
+                    group_size: group.len(),
+                    maps,
+                },
+            ));
+        }
+        out
+    }
+
+    fn rec_fingerprint(recs: &[Recommendation]) -> Vec<(SelectionQuery, u64, usize, Vec<MapKey>)> {
+        recs.iter()
+            .map(|r| {
+                let keys = r.maps.iter().map(|m| m.map.key).collect();
+                (r.query.clone(), r.utility.to_bits(), r.group_size, keys)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The skip rule against full evaluation: every candidate's exact
+        /// utility lies within its bounds (up to the margin), `recommend`
+        /// returns exactly the full ranking's top `o`, and every skipped
+        /// candidate's utility is strictly below the `o`-th — for every
+        /// selection strategy, `o` of 1, 3 and more than the candidates,
+        /// serial and fanned out.
+        #[test]
+        fn top_o_bound_oracle(
+            spec in db_spec(),
+            pick in 0usize..8,
+            k in 1usize..=3,
+            seed in 0u64..1000,
+        ) {
+            let db = random_db(&spec);
+            let preds: Vec<AttrValue> = [("city", Entity::Item, ["NYC", "SF", "LA"].as_slice()),
+                ("age", Entity::Reviewer, ["young", "adult", "old"].as_slice())]
+                .iter()
+                .flat_map(|(attr, e, vals)| vals.iter().filter_map(|v| db.pred(*e, attr, &Value::str(*v))))
+                .collect();
+            let q = match preds.get(pick) {
+                Some(&p) => SelectionQuery::from_preds(vec![p]),
+                None => SelectionQuery::all(),
+            };
+            let maps = displayed(&db, &q);
+            for selection in [
+                SelectionStrategy::UtilityOnly,
+                SelectionStrategy::Hybrid { l: 3 },
+                SelectionStrategy::DiversityOnly,
+            ] {
+                let base = RecommendConfig { k, selection, ..RecommendConfig::default() };
+                let full = evaluate_all(&db, &q, &maps, &base, seed);
+                for &(lb, ub) in full.iter().map(|(b, _)| b) {
+                    prop_assert!(lb.is_finite() && ub.is_finite() && lb <= ub + 1e-9);
+                }
+                for ((lb, ub), rec) in &full {
+                    let m = 1e-9 * rec.utility.abs().max(1.0);
+                    prop_assert!(*lb - m <= rec.utility && rec.utility <= *ub + m,
+                        "{:?}: {} outside [{}, {}]", selection, rec.utility, lb, ub);
+                }
+                let mut ranked: Vec<Recommendation> = full.iter().map(|(_, r)| r.clone()).collect();
+                ranked.sort_by(|a, b| {
+                    b.utility
+                        .partial_cmp(&a.utility)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then_with(|| a.query.preds().len().cmp(&b.query.preds().len()))
+                });
+                let bounds: Vec<(f64, f64)> = full.iter().map(|&(b, _)| b).collect();
+                for o in [1, 3, full.len() + 1] {
+                    let cfg = RecommendConfig { o, ..base };
+                    let skip = preview_skips(&bounds, o);
+                    let top = &ranked[..o.min(ranked.len())];
+                    for ((_, rec), _) in full.iter().zip(&skip).filter(|(_, &s)| s) {
+                        prop_assert!(rec.utility < top[o - 1].utility,
+                            "{:?} o={}: skipped {} vs o-th {}", selection, o, rec.utility, top[o - 1].utility);
+                    }
+                    for threads in [1, 3] {
+                        let (recs, _, sel) = run_with(&db, &q, &maps, &cfg, threads, seed, None);
+                        prop_assert_eq!(rec_fingerprint(&recs), rec_fingerprint(top),
+                            "{:?} o={} threads={}", selection, o, threads);
+                        prop_assert_eq!(sel.previews_skipped, skip.iter().filter(|&&s| s).count() as u64);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bounds_and_skips_on_fixed_inputs() {
+        use crate::utility::CriterionScores;
+        use subdex_store::{AttrId, DimId, ValueId};
+        let map = |attr: u16, dw: f64| ScoredRatingMap {
+            map: RatingMap::from_subgroups(
+                MapKey::new(Entity::Item, AttrId(attr), DimId(0)),
+                vec![Subgroup {
+                    value: ValueId(0),
+                    distribution: subdex_stats::RatingDistribution::from_counts(vec![
+                        1, 0, 0, 0, 1,
+                    ]),
+                    avg_score: None,
+                }],
+                5,
+            ),
+            utility: dw,
+            dw_utility: dw,
+            criteria: CriterionScores::default(),
+        };
+        let pool: Vec<ScoredRatingMap> = [0.9, 0.7, 0.5, 0.2, 0.1]
+            .iter()
+            .enumerate()
+            .map(|(i, &dw)| map(i as u16, dw))
+            .collect();
+        let (lb, ub) = utility_bounds(&pool, 3);
+        assert!((lb - (0.9 + 0.2 + 0.1)).abs() < 1e-12 && (ub - (0.9 + 0.7 + 0.5)).abs() < 1e-12);
+        assert_eq!(utility_bounds(&pool, 0), (0.0, 0.0));
+        assert_eq!(utility_bounds(&[], 3), (0.0, 0.0));
+        let (lb1, ub1) = utility_bounds(&pool[..1], 3);
+        assert_eq!((lb1, ub1), (0.9, 0.9));
+        let mut nan = pool.clone();
+        nan[4].dw_utility = f64::NAN;
+        assert_eq!(utility_bounds(&nan, 3), (f64::NEG_INFINITY, f64::INFINITY));
+
+        // thr = 2nd-best lower bound = 1.0; only the third candidate's
+        // upper bound lies below it.
+        let bounds = [(1.2, 1.5), (1.0, 1.1), (0.5, 0.9), (0.95, 1.0)];
+        assert_eq!(preview_skips(&bounds, 2), vec![false, false, true, false]);
+        assert_eq!(preview_skips(&bounds, 4), vec![false; 4], "o >= candidates");
+        assert_eq!(preview_skips(&bounds, 0), vec![false; 4]);
+        let mut inf = bounds.to_vec();
+        inf[0].1 = f64::INFINITY;
+        assert_eq!(
+            preview_skips(&inf, 2),
+            vec![false; 4],
+            "a non-finite bound disables skipping"
         );
     }
 }

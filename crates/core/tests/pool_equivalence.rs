@@ -38,16 +38,17 @@ type Fingerprint = (
     Vec<(SelectionQuery, u64, usize)>, // recommendations
     (usize, usize, usize),             // generator counters
     Materialization,                   // materialization paths
-    (u64, u64, u64, u64),              // selection counters sans time
+    (u64, u64, u64, u64, u64),         // selection counters sans time
     u64,                               // db epoch
 );
 
-fn sel_fp(s: &SelectionStats) -> (u64, u64, u64, u64) {
+fn sel_fp(s: &SelectionStats) -> (u64, u64, u64, u64, u64) {
     (
         s.exact_solves,
         s.pruned_mixture,
         s.pruned_matrix,
         s.cache_hits,
+        s.previews_skipped,
     )
 }
 

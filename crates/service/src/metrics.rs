@@ -44,6 +44,7 @@ pub struct ServiceMetrics {
     dist_pruned_mixture: AtomicU64,
     dist_pruned_matrix: AtomicU64,
     dist_cache_hits: AtomicU64,
+    previews_skipped: AtomicU64,
     /// Cumulative wall-clock time steps spent in diverse selection, in
     /// microseconds.
     select_time_us: AtomicU64,
@@ -114,7 +115,8 @@ impl ServiceMetrics {
     /// Accumulates one served step's selection-phase counters
     /// (`StepStats::selection`): how the GMM distance evaluations resolved
     /// — exact transportation solves, bound-pruned pairs, and
-    /// distance-cache hits — plus time spent selecting.
+    /// distance-cache hits — the recommendation previews skipped, and time
+    /// spent selecting.
     fn record_selection(&self, s: &SelectionStats) {
         self.dist_exact_solves
             .fetch_add(s.exact_solves, Ordering::Relaxed);
@@ -124,6 +126,8 @@ impl ServiceMetrics {
             .fetch_add(s.pruned_matrix, Ordering::Relaxed);
         self.dist_cache_hits
             .fetch_add(s.cache_hits, Ordering::Relaxed);
+        self.previews_skipped
+            .fetch_add(s.previews_skipped, Ordering::Relaxed);
         let us = s.select_time.as_micros().min(u128::from(u64::MAX)) as u64;
         self.select_time_us.fetch_add(us, Ordering::Relaxed);
     }
@@ -169,6 +173,7 @@ impl ServiceMetrics {
                 pruned_mixture: self.dist_pruned_mixture.load(Ordering::Relaxed),
                 pruned_matrix: self.dist_pruned_matrix.load(Ordering::Relaxed),
                 cache_hits: self.dist_cache_hits.load(Ordering::Relaxed),
+                previews_skipped: self.previews_skipped.load(Ordering::Relaxed),
                 select_time: Duration::from_micros(self.select_time_us.load(Ordering::Relaxed)),
             },
             cache: None,
@@ -245,13 +250,15 @@ impl std::fmt::Display for MetricsSnapshot {
         if s.evaluations() > 0 {
             writeln!(
                 f,
-                "selection: {} exact / {} pruned ({} mixture, {} matrix) / {} cache hits, {}µs",
+                "selection: {} exact / {} pruned ({} mixture, {} matrix) / {} cache hits, {}µs, \
+                 {} previews skipped",
                 s.exact_solves,
                 s.pruned(),
                 s.pruned_mixture,
                 s.pruned_matrix,
                 s.cache_hits,
-                s.select_time.as_micros()
+                s.select_time.as_micros(),
+                s.previews_skipped
             )?;
         }
         if let Some(c) = &self.dist_cache {
@@ -358,6 +365,7 @@ mod tests {
                 pruned_mixture: 1,
                 pruned_matrix: 0,
                 cache_hits: 1,
+                previews_skipped: 0,
                 select_time: Duration::from_micros(90),
             },
             ..StepStats::default()
@@ -403,6 +411,7 @@ mod tests {
             pruned_mixture: 2,
             pruned_matrix: 1,
             cache_hits: 3,
+            previews_skipped: 2,
             select_time: Duration::from_micros(120),
         });
         m.record_selection(&SelectionStats {
@@ -410,6 +419,7 @@ mod tests {
             pruned_mixture: 0,
             pruned_matrix: 2,
             cache_hits: 0,
+            previews_skipped: 1,
             select_time: Duration::from_micros(30),
         });
         let snap = m.snapshot(None, None, None);
@@ -417,9 +427,11 @@ mod tests {
         assert_eq!(snap.selection.pruned(), 5);
         assert_eq!(snap.selection.cache_hits, 3);
         assert_eq!(snap.selection.select_time, Duration::from_micros(150));
+        assert_eq!(snap.selection.previews_skipped, 3);
         assert!(snap
             .to_string()
             .contains("selection: 5 exact / 5 pruned (2 mixture, 3 matrix) / 3 cache hits, 150µs"));
+        assert!(snap.to_string().contains("150µs, 3 previews skipped"));
     }
 
     #[test]

@@ -79,7 +79,13 @@ where
             c[i * m + j] = v.max(0.0);
         }
     }
-    transport_on_matrix(supplies, demands, &c, true)
+    transport_on_matrix(
+        supplies,
+        demands,
+        &c,
+        true,
+        &mut TransportScratch::default(),
+    )
 }
 
 /// [`emd_transport`] over a pre-built row-major cost matrix
@@ -93,9 +99,23 @@ where
 /// `costs.len() != supplies.len() * demands.len()`, or if any cost is
 /// negative or non-finite.
 pub fn emd_transport_matrix(supplies: &[f64], demands: &[f64], costs: &[f64]) -> f64 {
+    emd_transport_matrix_with(supplies, demands, costs, &mut TransportScratch::default())
+}
+
+/// [`emd_transport_matrix`] over caller-pooled solver buffers: the same
+/// bits for every instance, without the per-call allocations.
+///
+/// # Panics
+/// Panics on the same conditions as [`emd_transport_matrix`].
+pub fn emd_transport_matrix_with(
+    supplies: &[f64],
+    demands: &[f64],
+    costs: &[f64],
+    scratch: &mut TransportScratch,
+) -> f64 {
     validate_sides(supplies, demands);
     validate_costs(supplies.len(), demands.len(), costs);
-    transport_on_matrix(supplies, demands, costs, true)
+    transport_on_matrix(supplies, demands, costs, true, scratch)
 }
 
 /// [`emd_transport_matrix`] with the single-subgroup closed-form fast path
@@ -106,7 +126,13 @@ pub fn emd_transport_matrix(supplies: &[f64], demands: &[f64], costs: &[f64]) ->
 pub fn emd_transport_general(supplies: &[f64], demands: &[f64], costs: &[f64]) -> f64 {
     validate_sides(supplies, demands);
     validate_costs(supplies.len(), demands.len(), costs);
-    transport_on_matrix(supplies, demands, costs, false)
+    transport_on_matrix(
+        supplies,
+        demands,
+        costs,
+        false,
+        &mut TransportScratch::default(),
+    )
 }
 
 fn validate_sides(supplies: &[f64], demands: &[f64]) {
@@ -138,11 +164,35 @@ fn validate_costs(n: usize, m: usize, costs: &[f64]) {
     }
 }
 
+/// Reusable buffers of the augmenting-path solver: the normalized
+/// supplies and demands, the flow matrix, and the Bellman–Ford state, each
+/// grown to the largest instance seen. A caller that solves many instances
+/// (the map-distance engine) holds one and allocates nothing per solve;
+/// results do not depend on what the buffers held before.
+#[derive(Debug, Default)]
+pub struct TransportScratch {
+    supply: Vec<f64>,
+    demand: Vec<f64>,
+    flow: Vec<f64>,
+    dist: Vec<f64>,
+    pred: Vec<Option<usize>>,
+    /// Whether the node's distance decreased since its out-arcs were last
+    /// relaxed (see `transport_on_matrix`).
+    dirty: Vec<bool>,
+    path: Vec<(usize, usize, bool)>,
+}
+
 /// Core dispatch over a validated instance: closed-form when one side is a
 /// single point (every unit of mass must ship to/from it, so the optimum is
 /// the demand- or supply-weighted average of that row/column of ground
 /// costs — no flow search needed), the augmenting-path solver otherwise.
-fn transport_on_matrix(supplies: &[f64], demands: &[f64], c: &[f64], fast_path: bool) -> f64 {
+fn transport_on_matrix(
+    supplies: &[f64],
+    demands: &[f64],
+    c: &[f64],
+    fast_path: bool,
+    scratch: &mut TransportScratch,
+) -> f64 {
     let n = supplies.len();
     let m = demands.len();
     let total_s: f64 = supplies.iter().sum();
@@ -165,11 +215,23 @@ fn transport_on_matrix(supplies: &[f64], demands: &[f64], c: &[f64], fast_path: 
         return d.max(0.0);
     }
 
-    let mut supply: Vec<f64> = supplies.iter().map(|&s| s / total_s).collect();
-    let mut demand: Vec<f64> = demands.iter().map(|&d| d / total_d).collect();
+    let TransportScratch {
+        supply,
+        demand,
+        flow,
+        dist,
+        pred,
+        dirty,
+        path,
+    } = scratch;
+    supply.clear();
+    supply.extend(supplies.iter().map(|&s| s / total_s));
+    demand.clear();
+    demand.extend(demands.iter().map(|&d| d / total_d));
 
     // flow[i*m + j] — current shipment from source i to sink j.
-    let mut flow = vec![0.0f64; n * m];
+    flow.clear();
+    flow.resize(n * m, 0.0);
     let mut total_cost = 0.0f64;
 
     // Successive shortest paths on the residual network. Nodes:
@@ -195,36 +257,52 @@ fn transport_on_matrix(supplies: &[f64], demands: &[f64], c: &[f64], fast_path: 
         }
 
         // Bellman–Ford from a virtual super-source connected (cost 0) to all
-        // sources with remaining supply.
-        let mut dist = vec![f64::INFINITY; node_count];
-        let mut pred: Vec<Option<usize>> = vec![None; node_count];
+        // sources with remaining supply. A node is relaxed only while it is
+        // dirty — its distance decreased since its out-arcs were last
+        // relaxed. Relaxing an unchanged distance repeats the same `nd`
+        // onto targets whose distances have only decreased since, so
+        // `nd + EPS < dist` cannot pass: skipping it changes no update,
+        // and the passes, `dist`, `pred` and the path below are the ones
+        // relaxing every reached node gives. Every dirty node has a finite
+        // distance.
+        dist.clear();
+        dist.resize(node_count, f64::INFINITY);
+        pred.clear();
+        pred.resize(node_count, None);
+        dirty.clear();
+        dirty.resize(node_count, false);
         for (i, &s) in supply.iter().enumerate() {
             if s > EPS {
                 dist[i] = 0.0;
+                dirty[i] = true;
             }
         }
         for _ in 0..node_count {
             let mut changed = false;
             for i in 0..n {
-                if dist[i].is_finite() {
+                if dirty[i] {
+                    dirty[i] = false;
                     for j in 0..m {
                         let nd = dist[i] + c[i * m + j];
                         if nd + EPS < dist[n + j] {
                             dist[n + j] = nd;
                             pred[n + j] = Some(i);
+                            dirty[n + j] = true;
                             changed = true;
                         }
                     }
                 }
             }
             for j in 0..m {
-                if dist[n + j].is_finite() {
+                if dirty[n + j] {
+                    dirty[n + j] = false;
                     for i in 0..n {
                         if flow[i * m + j] > EPS {
                             let nd = dist[n + j] - c[i * m + j];
                             if nd + EPS < dist[i] {
                                 dist[i] = nd;
                                 pred[i] = Some(n + j);
+                                dirty[i] = true;
                                 changed = true;
                             }
                         }
@@ -250,8 +328,9 @@ fn transport_on_matrix(supplies: &[f64], demands: &[f64], c: &[f64], fast_path: 
             break;
         };
 
-        // Trace the augmenting path back to a source, recording arcs.
-        let mut path: Vec<(usize, usize, bool)> = Vec::new(); // (i, j, forward)
+        // Trace the augmenting path back to a source, recording arcs as
+        // (i, j, forward).
+        path.clear();
         let mut node = n + t;
         loop {
             match pred[node] {
@@ -273,14 +352,14 @@ fn transport_on_matrix(supplies: &[f64], demands: &[f64], c: &[f64], fast_path: 
 
         // Bottleneck: remaining supply, remaining demand, and backward flows.
         let mut push = supply[src].min(demand[t]);
-        for &(i, j, forward) in &path {
+        for &(i, j, forward) in path.iter() {
             if !forward {
                 push = push.min(flow[i * m + j]);
             }
         }
         debug_assert!(push > 0.0);
 
-        for &(i, j, forward) in &path {
+        for &(i, j, forward) in path.iter() {
             if forward {
                 flow[i * m + j] += push;
                 total_cost += push * c[i * m + j];
