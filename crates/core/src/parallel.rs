@@ -8,7 +8,6 @@
 //! [`TaskPool`] that executes the per-phase fan-outs without re-spawning OS
 //! threads on every step.
 
-use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -115,14 +114,6 @@ pub struct TaskPool {
     shared: Arc<PoolShared>,
 }
 
-/// Result slot written exactly once by whichever thread claims its index.
-struct TaskSlot<T>(UnsafeCell<Option<T>>);
-
-// Safety: each slot index is claimed exactly once via the batch's atomic
-// counter, so writes are exclusive; reads happen only after the `done`
-// mutex hand-off in `run`.
-unsafe impl<T: Send> Sync for TaskSlot<T> {}
-
 impl TaskPool {
     fn new() -> Self {
         TaskPool {
@@ -132,11 +123,6 @@ impl TaskPool {
                 spawned: Mutex::new(0),
             }),
         }
-    }
-
-    /// Number of pool threads spawned so far (grows lazily, never shrinks).
-    pub fn threads_spawned(&self) -> usize {
-        *self.shared.spawned.lock().unwrap()
     }
 
     fn ensure_workers(&self, wanted: usize) {
@@ -168,14 +154,14 @@ impl TaskPool {
         if tasks == 1 {
             return vec![f(0)];
         }
-        let slots: Vec<TaskSlot<T>> = (0..tasks)
-            .map(|_| TaskSlot(UnsafeCell::new(None)))
-            .collect();
-        let slots_ref: &[TaskSlot<T>] = &slots;
+        // One result slot per task, written once by whichever thread claims
+        // its index; its lock is uncontended.
+        let slots: Vec<Mutex<Option<T>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
+        let slots_ref: &[Mutex<Option<T>>] = &slots;
         let job = move |index: usize| {
             let value = f(index);
-            // Safety: `index` is claimed exactly once (see TaskSlot).
-            unsafe { *slots_ref[index].0.get() = Some(value) };
+            // The lock is held only for this store, which cannot panic.
+            *slots_ref[index].lock().expect("result slot poisoned") = Some(value);
         };
         let job_ref: &(dyn Fn(usize) + Sync) = &job;
         // Safety: the batch only escapes to pool threads, which never call
@@ -212,8 +198,8 @@ impl TaskPool {
         slots
             .into_iter()
             .map(|slot| {
-                slot.0
-                    .into_inner()
+                slot.into_inner()
+                    .expect("result slot poisoned")
                     .expect("pooled task left its slot empty")
             })
             .collect()

@@ -2,15 +2,14 @@
 //! scheduling knobs the persistent task pool introduced.
 //!
 //! The engine's parallel phases (phase scan, candidate evaluation, GMM row
-//! pass) now run on the process-wide task pool under an oversubscription
-//! thread budget, and the shared distance cache is sharded. None of those
-//! knobs may change results: over randomized databases and drill-down
-//! paths, every thread count {0 (all cores), 1, 2, 4, 8} × distance-cache
-//! shard count {1, 4, 16} × thread budget must produce bit-exact displayed
-//! maps, recommendations, and counters — materialization counters
-//! included — against the serial (`threads: 1`) single-shard baseline,
-//! which the `plan_equivalence` suite pins against the pre-refactor
-//! engine.
+//! pass) run on the process-wide task pool under an oversubscription
+//! thread budget, with a distance cache shared by every thread. None of
+//! those knobs may change results: over randomized databases and
+//! drill-down paths, every thread count {0 (all cores), 1, 2, 4, 8} ×
+//! thread budget must produce bit-exact displayed maps, recommendations,
+//! and counters — materialization counters included — against the serial
+//! (`threads: 1`) baseline, which the `plan_equivalence` suite pins
+//! against the pre-refactor engine.
 
 use std::sync::Arc;
 
@@ -81,53 +80,49 @@ fn step_fp(r: &StepResult) -> Fingerprint {
     )
 }
 
-/// Runs the query path with the given distance-cache shard count and
-/// per-step thread budget, fingerprinting every step.
+/// Runs the query path with a fresh distance cache and the given per-step
+/// thread budget, fingerprinting every step.
 fn run_path(
     db: &Arc<SubjectiveDb>,
     cfg: EngineConfig,
     queries: &[SelectionQuery],
-    shards: usize,
     budget: usize,
 ) -> Vec<Fingerprint> {
     let mut e = SdeEngine::new(db.clone(), cfg);
-    e.set_distance_cache(Some(Arc::new(DistanceCache::with_shards(1 << 20, shards))));
+    e.set_distance_cache(Some(Arc::new(DistanceCache::new(1 << 20))));
     e.set_thread_budget(budget);
     queries.iter().map(|q| step_fp(&e.step(q))).collect()
 }
 
 /// `0` is the default: one worker per available core.
 const THREAD_GRID: [usize; 5] = [0, 1, 2, 4, 8];
-const SHARD_GRID: [usize; 3] = [1, 4, 16];
 
-/// The serial single-shard baseline every grid cell must match.
+/// The serial baseline every grid cell must match.
 fn baseline(
     db: &Arc<SubjectiveDb>,
     cfg: EngineConfig,
     queries: &[SelectionQuery],
 ) -> Vec<Fingerprint> {
     let serial = EngineConfig { threads: 1, ..cfg };
-    run_path(db, serial, queries, 1, 0)
+    run_path(db, serial, queries, 0)
 }
 
-/// Asserts the full pool grid — thread counts × shard counts, plus every
-/// thread budget at the widest thread count — against the serial baseline.
+/// Asserts the full pool grid — every thread count, plus every thread
+/// budget at the widest thread count — against the serial baseline.
 fn assert_pool_grid_equal(db: &Arc<SubjectiveDb>, cfg: EngineConfig, queries: &[SelectionQuery]) {
     let expect = baseline(db, cfg, queries);
     for threads in THREAD_GRID {
-        for shards in SHARD_GRID {
-            let pooled = EngineConfig { threads, ..cfg };
-            assert_eq!(
-                run_path(db, pooled, queries, shards, 0),
-                expect,
-                "threads={threads} shards={shards} cfg={cfg:?}"
-            );
-        }
+        let pooled = EngineConfig { threads, ..cfg };
+        assert_eq!(
+            run_path(db, pooled, queries, 0),
+            expect,
+            "threads={threads} cfg={cfg:?}"
+        );
     }
     for budget in THREAD_GRID {
         let pooled = EngineConfig { threads: 8, ..cfg };
         assert_eq!(
-            run_path(db, pooled, queries, 4, budget),
+            run_path(db, pooled, queries, budget),
             expect,
             "thread_budget={budget} cfg={cfg:?}"
         );
@@ -225,10 +220,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Pool-executed steps equal the serial baseline across thread counts
-    /// × shard counts × thread budgets, over randomized databases and
-    /// drill-down paths, under the full SubDEx preset.
+    /// and thread budgets, over randomized databases and drill-down paths,
+    /// under the full SubDEx preset.
     #[test]
-    fn pooled_steps_equal_serial_across_budgets_and_shards(
+    fn pooled_steps_equal_serial_across_threads_and_budgets(
         spec in db_spec(),
         pick in 0usize..16,
         seed in 0u64..100,
@@ -296,7 +291,7 @@ fn pooled_fixed_db_grid_and_midpath_rebudget() {
     let expect = baseline(&db, cfg, &queries);
     let pooled = EngineConfig { threads: 8, ..cfg };
     let mut e = SdeEngine::new(db.clone(), pooled);
-    e.set_distance_cache(Some(Arc::new(DistanceCache::with_shards(1 << 20, 4))));
+    e.set_distance_cache(Some(Arc::new(DistanceCache::new(1 << 20))));
     let budgets = [4usize, 1, 2];
     let got: Vec<Fingerprint> = queries
         .iter()

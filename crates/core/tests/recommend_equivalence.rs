@@ -162,7 +162,7 @@ proptest! {
         let parent_cols = db.collect_group_columns(&parent);
         for &pred in &preds {
             let child = parent.with_added(pred);
-            let derived = db.derive_refinement_columns(&parent_cols, &pred);
+            let derived = db.derive_refinement_columns_multi(&parent_cols, &[pred]);
             let walked = db.collect_group_columns(&child);
             prop_assert_eq!(derived, walked, "parent {:?} + {:?}", &parent, pred);
         }

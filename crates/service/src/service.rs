@@ -3,23 +3,23 @@
 //!
 //! Clients [`submit`](SubdexService::submit) step requests and receive a
 //! [`StepTicket`] redeemable for the [`StepResult`]. The submit queue is a
-//! bounded crossbeam channel: when it is full, submission fails *fast* with
-//! [`SubmitError::Rejected`] carrying the observed queue depth, instead of
-//! blocking the caller — the service's load-shedding contract.
+//! bounded `Mutex<VecDeque>`: when it is full, submission fails *fast* with
+//! [`SubmitError::Rejected`] carrying the queue depth, instead of blocking
+//! the caller — the service's load-shedding contract.
 //!
-//! Workers pull jobs off the shared queue (MPMC, so any worker may serve
-//! any session; per-session ordering is enforced by the registry's slot
-//! mutex, not by the queue). [`shutdown`](SubdexService::shutdown) closes
-//! the queue and joins the workers, draining every job already accepted —
+//! Workers pull jobs off the shared queue (any worker may serve any
+//! session; per-session ordering is enforced by the registry's slot mutex,
+//! not by the queue). [`shutdown`](SubdexService::shutdown) closes the
+//! queue and joins the workers, draining every job already accepted —
 //! accepted work is never dropped.
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TrySendError};
 
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::registry::{SessionId, SessionRegistry};
@@ -86,8 +86,7 @@ pub enum StepRequest {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
     /// The bounded queue was full — backpressure. `queue_depth` is the
-    /// depth observed at rejection time (the configured capacity, unless
-    /// workers drained the queue in the meantime).
+    /// depth at rejection time, i.e. the configured capacity.
     Rejected {
         /// Observed queue depth at rejection.
         queue_depth: usize,
@@ -168,7 +167,40 @@ struct Job {
     session: SessionId,
     request: StepRequest,
     submitted: Instant,
-    reply: Sender<Result<StepResult, ServiceError>>,
+    reply: SyncSender<Result<StepResult, ServiceError>>,
+}
+
+/// The bounded submit queue the workers share: accepted jobs in arrival
+/// order, and whether [`shutdown`](SubdexService::shutdown) has closed it.
+struct JobQueue {
+    state: Mutex<QueueState>,
+    /// Signalled on every push and on close.
+    ready: Condvar,
+}
+
+struct QueueState {
+    jobs: VecDeque<Job>,
+    closed: bool,
+}
+
+impl JobQueue {
+    /// Blocks until a job is queued, or returns `None` once the queue is
+    /// closed *and* drained — workers finish accepted work before exiting.
+    fn pop(&self) -> Option<Job> {
+        let mut state = lock(&self.state);
+        loop {
+            if let Some(job) = state.jobs.pop_front() {
+                return Some(job);
+            }
+            if state.closed {
+                return None;
+            }
+            state = self
+                .ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
 }
 
 /// Claim on an accepted step; redeem with [`wait`](StepTicket::wait).
@@ -182,17 +214,12 @@ impl StepTicket {
     pub fn wait(self) -> Result<StepResult, ServiceError> {
         self.rx.recv().unwrap_or(Err(ServiceError::ShuttingDown))
     }
-
-    /// Non-blocking poll; `None` while the step is still queued or running.
-    pub fn try_wait(&self) -> Option<Result<StepResult, ServiceError>> {
-        self.rx.try_recv().ok()
-    }
 }
 
 /// The background checkpointer's handle: a nudge channel (appends poke it
 /// when the dirty set crosses the threshold) and the thread itself.
 struct Checkpointer {
-    nudge: Sender<()>,
+    nudge: SyncSender<()>,
     handle: JoinHandle<()>,
 }
 
@@ -204,7 +231,7 @@ pub struct SubdexService {
     metrics: Arc<ServiceMetrics>,
     dist_cache: Arc<DistanceCache>,
     store: Option<Arc<PersistentStore>>,
-    submit_tx: Mutex<Option<Sender<Job>>>,
+    queue: Arc<JobQueue>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     checkpointer: Mutex<Option<Checkpointer>>,
     /// The workers' stepping-now counter, for tests to watch.
@@ -235,7 +262,7 @@ impl SubdexService {
     /// Panics if `config.queue_capacity == 0`.
     pub fn start_persistent(store: Arc<PersistentStore>, config: ServiceConfig) -> Self {
         let service = Self::start_inner(store.db(), Some(Arc::clone(&store)), config);
-        let (nudge_tx, nudge_rx) = channel::bounded::<()>(1);
+        let (nudge_tx, nudge_rx) = sync_channel::<()>(1);
         let interval = config.checkpoint_interval;
         let threshold = config.checkpoint_dirty_threshold.max(1);
         let handle = std::thread::spawn(move || {
@@ -258,7 +285,13 @@ impl SubdexService {
         let registry = Arc::new(SessionRegistry::new());
         let metrics = Arc::new(ServiceMetrics::new());
         let dist_cache = Arc::new(DistanceCache::new(config.dist_cache_capacity_bytes));
-        let (tx, rx) = channel::bounded::<Job>(config.queue_capacity);
+        let queue = Arc::new(JobQueue {
+            state: Mutex::new(QueueState {
+                jobs: VecDeque::new(),
+                closed: false,
+            }),
+            ready: Condvar::new(),
+        });
         // Oversubscription budget: workers stepping concurrently split the
         // core budget (`max(1, cores / busy)`) instead of each phase
         // claiming every core.
@@ -266,11 +299,11 @@ impl SubdexService {
         let busy = Arc::new(AtomicUsize::new(0));
         let workers = (0..worker_count)
             .map(|_| {
-                let rx = rx.clone();
+                let queue = Arc::clone(&queue);
                 let registry = Arc::clone(&registry);
                 let metrics = Arc::clone(&metrics);
                 let busy = Arc::clone(&busy);
-                std::thread::spawn(move || worker_loop(&rx, &registry, &metrics, &busy, cores))
+                std::thread::spawn(move || worker_loop(&queue, &registry, &metrics, &busy, cores))
             })
             .collect();
         Self {
@@ -280,7 +313,7 @@ impl SubdexService {
             metrics,
             dist_cache,
             store,
-            submit_tx: Mutex::new(Some(tx)),
+            queue,
             workers: Mutex::new(workers),
             checkpointer: Mutex::new(None),
             #[cfg(test)]
@@ -354,30 +387,26 @@ impl SubdexService {
         session: SessionId,
         request: StepRequest,
     ) -> Result<StepTicket, SubmitError> {
-        let guard = lock(&self.submit_tx);
-        let Some(tx) = guard.as_ref() else {
+        let mut state = lock(&self.queue.state);
+        if state.closed {
             return Err(SubmitError::ShuttingDown);
-        };
-        let (reply_tx, reply_rx) = channel::bounded(1);
-        let job = Job {
+        }
+        let depth = state.jobs.len();
+        if depth == self.config.queue_capacity {
+            self.metrics.record_rejected();
+            return Err(SubmitError::Rejected { queue_depth: depth });
+        }
+        let (reply_tx, reply_rx) = sync_channel(1);
+        state.jobs.push_back(Job {
             session,
             request,
             submitted: Instant::now(),
             reply: reply_tx,
-        };
-        match tx.try_send(job) {
-            Ok(()) => {
-                self.metrics.observe_queue_depth(tx.len());
-                Ok(StepTicket { rx: reply_rx })
-            }
-            Err(TrySendError::Full(_)) => {
-                self.metrics.record_rejected();
-                Err(SubmitError::Rejected {
-                    queue_depth: tx.len(),
-                })
-            }
-            Err(TrySendError::Disconnected(_)) => Err(SubmitError::ShuttingDown),
-        }
+        });
+        self.metrics.observe_queue_depth(depth + 1);
+        drop(state);
+        self.queue.ready.notify_one();
+        Ok(StepTicket { rx: reply_rx })
     }
 
     /// Submits and waits — the blocking convenience wrapper around
@@ -445,10 +474,9 @@ impl SubdexService {
     /// act is compacting any dirty WAL records into a snapshot. Idempotent;
     /// also invoked on drop.
     pub fn shutdown(&self) {
-        // Dropping the only Sender closes the channel; workers finish the
-        // queued jobs (crossbeam receivers drain before disconnecting) and
-        // exit on RecvError.
-        drop(lock(&self.submit_tx).take());
+        // Workers finish the queued jobs, then see the closed flag and exit.
+        lock(&self.queue.state).closed = true;
+        self.queue.ready.notify_all();
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *lock(&self.workers));
         for h in handles {
             let _ = h.join();
@@ -508,7 +536,7 @@ fn checkpointer_loop(
 }
 
 fn worker_loop(
-    rx: &Receiver<Job>,
+    queue: &JobQueue,
     registry: &SessionRegistry,
     metrics: &ServiceMetrics,
     busy: &AtomicUsize,
@@ -524,7 +552,7 @@ fn worker_loop(
         }
     }
 
-    while let Ok(job) = rx.recv() {
+    while let Some(job) = queue.pop() {
         // A panicking step costs its own request, not the worker: the
         // unwind stops here, releasing the session lock on its way.
         // `AssertUnwindSafe`: the only state the closure can leave torn is
@@ -570,9 +598,12 @@ fn worker_loop(
 /// shared by client threads); prove at compile time that this is sound.
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
+    fn assert_send<T: Send>() {}
     assert_send_sync::<SubdexService>();
     assert_send_sync::<SessionRegistry>();
     assert_send_sync::<ServiceMetrics>();
+    // A ticket may be redeemed on another thread than the one submitting.
+    assert_send::<StepTicket>();
 };
 
 #[cfg(test)]
@@ -709,8 +740,9 @@ mod tests {
         });
         started_rx.recv().unwrap();
 
-        // Job 1 is picked up by the worker and wedges; jobs 2-3 fill the
-        // queue; job 4 must be rejected with the observed depth.
+        // Job 1 is picked up by the worker and wedges (or still waits in
+        // the queue); the victim's jobs fill the queue; the first one past
+        // capacity must be rejected with the full depth.
         let t1 = service
             .submit(blocker, StepRequest::Operation(SelectionQuery::all()))
             .unwrap();
@@ -726,7 +758,7 @@ mod tests {
             }
         }
         match rejected.expect("bounded queue must eventually reject") {
-            SubmitError::Rejected { queue_depth } => assert!(queue_depth > 0),
+            SubmitError::Rejected { queue_depth } => assert_eq!(queue_depth, 2),
             other => panic!("expected Rejected, got {other:?}"),
         }
         assert!(service.metrics().requests_rejected >= 1);
@@ -742,34 +774,45 @@ mod tests {
 
     #[test]
     fn shutdown_drains_accepted_work() {
-        let config = ServiceConfig {
-            workers: 1,
-            queue_capacity: 8,
-            ..quick_config()
-        };
-        let service = SubdexService::start(test_db(), config);
-        let id = service.create_session();
-        let tickets: Vec<StepTicket> = (0..4)
-            .map(|_| {
+        for workers in [1, 2] {
+            let config = ServiceConfig {
+                workers,
+                queue_capacity: 8,
+                ..quick_config()
+            };
+            let service = SubdexService::start(test_db(), config);
+            let id = service.create_session();
+            let tickets: Vec<StepTicket> = (0..4)
+                .map(|_| {
+                    service
+                        .submit(id, StepRequest::Operation(SelectionQuery::all()))
+                        .unwrap()
+                })
+                .collect();
+            service.shutdown();
+            // Every accepted job completed despite the shutdown racing them.
+            // Two workers may take the session's jobs out of submission
+            // order, so the steps are compared as a set.
+            let mut steps: Vec<usize> = tickets
+                .into_iter()
+                .enumerate()
+                .map(|(i, t)| {
+                    t.wait()
+                        .unwrap_or_else(|e| panic!("workers={workers}: job {i} dropped: {e}"))
+                        .step
+                })
+                .collect();
+            steps.sort_unstable();
+            assert_eq!(steps, [0, 1, 2, 3], "workers={workers}");
+            // After shutdown, new submissions are refused.
+            assert_eq!(
                 service
                     .submit(id, StepRequest::Operation(SelectionQuery::all()))
-                    .unwrap()
-            })
-            .collect();
-        service.shutdown();
-        // Every accepted job completed despite the shutdown racing them.
-        for (i, t) in tickets.into_iter().enumerate() {
-            let step = t.wait().unwrap_or_else(|e| panic!("job {i} dropped: {e}"));
-            assert_eq!(step.step, i);
+                    .err(),
+                Some(SubmitError::ShuttingDown)
+            );
+            assert_eq!(service.metrics().requests_served, 4, "workers={workers}");
         }
-        // After shutdown, new submissions are refused.
-        assert_eq!(
-            service
-                .submit(id, StepRequest::Operation(SelectionQuery::all()))
-                .err(),
-            Some(SubmitError::ShuttingDown)
-        );
-        assert_eq!(service.metrics().requests_served, 4);
     }
 
     #[test]

@@ -450,7 +450,7 @@ impl SubjectiveDb {
         // The walk's raw emission order depends on which entity side drives
         // it, so the result is sorted before returning: ascending record-id
         // order is a pure function of the query, is preserved by subset
-        // filtering ([`GroupColumns::derive_refinement`] relies on this),
+        // filtering ([`GroupColumns::derive_refinement_multi`] relies on this),
         // and keeps the result independent of which side happened to be
         // cheaper.
         let mut records: Vec<RecordId> = Vec::new();
@@ -486,38 +486,18 @@ impl SubjectiveDb {
         (records, GroupRoute::Walk)
     }
 
-    /// Gather columns for the refinement `parent-query ∪ {pred}`, derived
-    /// by filtering `parent`'s already-gathered columns against `pred`'s
-    /// posting list — no adjacency walk, no re-gather (see
-    /// [`GroupColumns::derive_refinement`]).
+    /// Gather columns for the refinement `ancestor-query ∪ preds`, derived
+    /// by one probe pass over `ancestor`'s already-gathered columns against
+    /// the added predicates' container intersections (one word mask per
+    /// constrained side). No adjacency walk, no re-gather (see
+    /// [`GroupColumns::derive_refinement_multi`]).
     ///
     /// Byte-identity contract: the result equals
     /// [`collect_group_columns`](Self::collect_group_columns) on the
     /// refined query bit-for-bit, because both are in canonical ascending
-    /// record order. `parent` must be the gather columns of a query that
-    /// does **not** already constrain records on `pred` (i.e. the
-    /// refinement adds `pred` as a new conjunct).
-    pub fn derive_refinement_columns(
-        &self,
-        parent: &GroupColumns,
-        pred: &AttrValue,
-    ) -> GroupColumns {
-        parent.derive_refinement(pred.entity, pred, self.index(pred.entity))
-    }
-
-    /// Gather columns for the refinement `ancestor-query ∪ preds`, derived
-    /// by one probe pass over `ancestor`'s already-gathered columns against
-    /// the added predicates' container intersections (one word mask per
-    /// constrained side) — the generalization of
-    /// [`derive_refinement_columns`](Self::derive_refinement_columns) from
-    /// one added predicate to any added predicate set. No adjacency walk,
-    /// no re-gather.
-    ///
-    /// Byte-identity contract: the result equals
-    /// [`collect_group_columns`](Self::collect_group_columns) on the
-    /// refined query bit-for-bit. `ancestor` must be the gather columns of
-    /// a query none of whose conjuncts is in `preds` (the refinement adds
-    /// every predicate as a new conjunct).
+    /// record order. `ancestor` must be the gather columns of a query none
+    /// of whose conjuncts is in `preds` (the refinement adds every
+    /// predicate as a new conjunct).
     pub fn derive_refinement_columns_multi(
         &self,
         ancestor: &GroupColumns,
@@ -909,7 +889,7 @@ mod tests {
                     continue;
                 }
                 let child = parent.with_added(pred);
-                let derived = db.derive_refinement_columns(&parent_cols, &pred);
+                let derived = db.derive_refinement_columns_multi(&parent_cols, &[pred]);
                 let walked = db.collect_group_columns(&child);
                 assert_eq!(derived, walked, "parent {parent:?} + {pred:?}");
             }

@@ -19,23 +19,19 @@
 //! distances in the same canonical order, so cached and freshly computed
 //! values agree bitwise regardless of argument order.
 //!
-//! The map is split into power-of-two **shards** — selected by an FNV-1a
-//! hash of the 32-byte pair key — each with its own lock and its own slice
-//! of the entry budget, so the per-pair lookups the GMM loop issues from
-//! concurrent sessions stop serializing on one global mutex. Eviction is
-//! least-recently-used per shard under the shard's budget slice; entries
-//! are tiny and uniform, so the budget is in effect an entry-count bound.
+//! One mutex guards the whole memo. Every lookup writes (a hit may promote
+//! its entry), and a step issues only tens of lookups, so neither a
+//! reader-writer lock nor sharding would pay for itself. Eviction is a
+//! **two-generation** policy — amortized O(1) per insert, where a scan for
+//! the least-recently-used entry is O(entries): new entries go into the
+//! *hot* generation; when it reaches half the entry budget the generations
+//! *flip* — the *cold* generation is dropped and the hot one becomes cold.
+//! A hit on a cold entry promotes it back to hot, so an entry used since the
+//! last flip always outlives one that was not. Entries are tiny and uniform,
+//! so the byte budget is in effect an entry-count bound.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-use crate::pad::CachePadded;
-
-/// Default shard count of a [`DistanceCache`]. Must be a power of two;
-/// eight is enough that a handful of service workers rarely collide while
-/// keeping the per-shard budget slices coarse.
-pub const DEFAULT_CACHE_SHARDS: usize = 8;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Counters describing cache effectiveness; see [`DistanceCache::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,7 +63,7 @@ impl CacheStats {
 }
 
 /// What one memoized distance charges against the byte budget: the pair key
-/// (32 bytes), the value, LRU clock, and amortized hash-map slot overhead.
+/// (32 bytes), the value, and amortized hash-map slot overhead.
 pub const DIST_ENTRY_BYTES: usize = 96;
 
 /// An order-normalized pair of 128-bit map content hashes.
@@ -76,126 +72,102 @@ pub const DIST_ENTRY_BYTES: usize = 96;
 /// comes first so `d(a, b)` and `d(b, a)` share one entry.
 pub type DistPairKey = (u128, u128);
 
-struct Entry {
-    distance: f64,
-    /// Logical clock value of the most recent touch (per shard).
-    last_used: u64,
-}
-
 struct Inner {
-    map: HashMap<DistPairKey, Entry>,
-    /// Monotonic logical clock; bumped on every touch. Per-shard — LRU
-    /// only ever compares entries within one shard.
-    tick: u64,
+    /// Entries inserted or used since the last flip.
+    hot: HashMap<DistPairKey, f64>,
+    /// The generation before: dropped whole by the next flip unless a hit
+    /// promotes an entry back to `hot` first.
+    cold: HashMap<DistPairKey, f64>,
+    /// Resident-entry bound (`hot` + `cold`), at least one.
+    budget: usize,
+    /// Hot-generation size that triggers a flip: half the budget, at least
+    /// one.
+    generation: usize,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+    rejected: u64,
+    /// Database epoch the resident entries were computed against; see
+    /// [`DistanceCache::bump_epoch`].
+    epoch: u64,
 }
 
-/// One shard, padded to its own cache line (pair); see the rationale on
-/// [`CachePadded`] — the GMM loop hammers `get`/`insert` from every worker,
-/// so adjacent shards' lock words must not share a line.
-struct Shard {
-    inner: CachePadded<RwLock<Inner>>,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Self {
-            inner: CachePadded::new(RwLock::new(Inner {
-                map: HashMap::new(),
-                tick: 0,
-            })),
+impl Inner {
+    /// The resident distance of `key`, promoting a cold entry to hot.
+    fn touch(&mut self, key: DistPairKey) -> Option<f64> {
+        if let Some(&distance) = self.hot.get(&key) {
+            return Some(distance);
         }
+        let distance = self.cold.remove(&key)?;
+        self.insert_hot(key, distance);
+        Some(distance)
     }
 
-    /// Shared access, taking the guard even if a panicking holder poisoned
-    /// the lock: entries are plain values, so a poisoned shard still holds
-    /// valid distances.
-    fn read(&self) -> RwLockReadGuard<'_, Inner> {
-        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    /// Inserts into the hot generation, first flipping while it is full —
+    /// or while the whole budget is, which only happens at a one-entry
+    /// budget, where no cold generation fits beside the new entry.
+    fn insert_hot(&mut self, key: DistPairKey, distance: f64) {
+        while self.hot.len() >= self.generation || self.hot.len() + self.cold.len() >= self.budget {
+            self.evictions += self.cold.len() as u64;
+            self.cold = std::mem::take(&mut self.hot);
+        }
+        self.hot.insert(key, distance);
     }
 
-    /// Exclusive access; poison is ignored as in [`Shard::read`].
-    fn write(&self) -> RwLockWriteGuard<'_, Inner> {
-        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    fn len(&self) -> usize {
+        self.hot.len() + self.cold.len()
+    }
+
+    fn clear(&mut self) {
+        self.hot.clear();
+        self.cold.clear();
     }
 }
 
-/// A thread-safe sharded LRU memo of exact map distances, keyed by
-/// order-normalized content-hash pairs and bounded by resident bytes.
+/// A thread-safe memo of exact map distances, keyed by order-normalized
+/// content-hash pairs and bounded by resident bytes.
 ///
 /// Shared across sessions behind an `Arc`; all methods take `&self`.
 pub struct DistanceCache {
-    shards: Box<[Shard]>,
-    /// `shards.len() - 1`; the key-hash mask selecting a shard.
-    shard_mask: u64,
+    inner: Mutex<Inner>,
     capacity_bytes: usize,
-    /// Entry budget per shard (the byte budget split evenly, floored at one
-    /// entry so a tiny cache still memoizes something).
-    shard_budget_entries: usize,
-    // Aggregate counters, each on its own cache line: every lookup from
-    // every thread bumps one of these, and packed together a hit on one
-    // core would invalidate the miss counter's line on every other.
-    hits: CachePadded<AtomicU64>,
-    misses: CachePadded<AtomicU64>,
-    evictions: CachePadded<AtomicU64>,
-    rejected: CachePadded<AtomicU64>,
-    /// Database epoch the resident entries were computed against; see
-    /// [`bump_epoch`](Self::bump_epoch).
-    epoch: CachePadded<AtomicU64>,
 }
 
 impl std::fmt::Debug for DistanceCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DistanceCache")
             .field("capacity_bytes", &self.capacity_bytes)
-            .field("shards", &self.shards.len())
             .field("stats", &self.stats())
             .finish()
     }
 }
 
-/// FNV-1a over the 32 bytes of the order-normalized pair key. The content
-/// hashes are already well-mixed, but folding both halves keeps shard
-/// selection balanced even if callers key on low-entropy hashes.
-fn shard_hash(key: &DistPairKey) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for half in [key.0, key.1] {
-        for chunk in [half as u64, (half >> 64) as u64] {
-            h ^= chunk;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
-}
-
 impl DistanceCache {
     /// Creates a cache bounded to roughly `capacity_bytes` of entries (each
-    /// entry costs [`DIST_ENTRY_BYTES`]), with [`DEFAULT_CACHE_SHARDS`]
-    /// shards.
+    /// entry costs [`DIST_ENTRY_BYTES`]; a tiny budget still holds one).
     pub fn new(capacity_bytes: usize) -> Self {
-        Self::with_shards(capacity_bytes, DEFAULT_CACHE_SHARDS)
+        let budget = (capacity_bytes / DIST_ENTRY_BYTES).max(1);
+        Self {
+            inner: Mutex::new(Inner {
+                hot: HashMap::new(),
+                cold: HashMap::new(),
+                budget,
+                generation: (budget / 2).max(1),
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+                rejected: 0,
+                epoch: 0,
+            }),
+            capacity_bytes,
+        }
     }
 
-    /// Creates a cache with an explicit shard count (power of two). Each
-    /// shard gets an even slice of the entry budget.
-    ///
-    /// # Panics
-    /// If `shards` is not a power of two.
-    pub fn with_shards(capacity_bytes: usize, shards: usize) -> Self {
-        assert!(
-            shards.is_power_of_two(),
-            "shard count must be a power of two"
-        );
-        Self {
-            shards: (0..shards).map(|_| Shard::new()).collect(),
-            shard_mask: (shards - 1) as u64,
-            capacity_bytes,
-            shard_budget_entries: (capacity_bytes / shards / DIST_ENTRY_BYTES).max(1),
-            hits: CachePadded::new(AtomicU64::new(0)),
-            misses: CachePadded::new(AtomicU64::new(0)),
-            evictions: CachePadded::new(AtomicU64::new(0)),
-            rejected: CachePadded::new(AtomicU64::new(0)),
-            epoch: CachePadded::new(AtomicU64::new(0)),
-        }
+    /// Exclusive access, taking the guard even if a panicking holder
+    /// poisoned the lock: entries are plain values, so a poisoned cache
+    /// still holds valid distances.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The configured byte budget.
@@ -203,18 +175,9 @@ impl DistanceCache {
         self.capacity_bytes
     }
 
-    /// The number of shards the key space is split across.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The database epoch this cache's entries are valid for.
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
-    }
-
-    fn shard_of(&self, key: &DistPairKey) -> &Shard {
-        &self.shards[(shard_hash(key) & self.shard_mask) as usize]
+        self.lock().epoch
     }
 
     /// Invalidates every resident entry if `db_epoch` is newer than the
@@ -224,12 +187,12 @@ impl DistanceCache {
     /// Counters are kept. Returns whether the epoch advanced (racing bumps
     /// to the same epoch advance once).
     pub fn bump_epoch(&self, db_epoch: u64) -> bool {
-        if self.epoch.fetch_max(db_epoch, Ordering::Relaxed) >= db_epoch {
+        let mut inner = self.lock();
+        if inner.epoch >= db_epoch {
             return false;
         }
-        for shard in self.shards.iter() {
-            shard.write().map.clear();
-        }
+        inner.epoch = db_epoch;
+        inner.clear();
         true
     }
 
@@ -249,62 +212,40 @@ impl DistanceCache {
     /// *prunes* the pair via bounds after a miss, in which case there is no
     /// exact value to insert.
     pub fn get(&self, key: DistPairKey) -> Option<f64> {
-        let mut inner = self.shard_of(&key).write();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(entry) = inner.map.get_mut(&key) {
-            entry.last_used = tick;
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            Some(entry.distance)
+        let mut inner = self.lock();
+        let found = inner.touch(key);
+        if found.is_some() {
+            inner.hits += 1;
         } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            None
+            inner.misses += 1;
         }
+        found
     }
 
-    /// Memoizes an exact distance, evicting the shard's LRU entries past
-    /// its budget slice. A racing insert of the same key keeps the
-    /// incumbent value (both racers computed the same canonical-order
-    /// distance); the loser is counted as a rejected insert.
+    /// Memoizes an exact distance, flipping generations to stay within the
+    /// budget. A racing insert of the same key keeps (and touches) the
+    /// incumbent value — both racers computed the same canonical-order
+    /// distance; the loser is counted as a rejected insert.
     pub fn insert(&self, key: DistPairKey, distance: f64) {
         debug_assert!(distance.is_finite() && distance >= 0.0);
-        let mut inner = self.shard_of(&key).write();
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                e.get_mut().last_used = tick;
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(Entry {
-                    distance,
-                    last_used: tick,
-                });
-            }
-        }
-        while inner.map.len() > self.shard_budget_entries {
-            let victim = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-                .expect("map checked non-empty");
-            inner.map.remove(&victim);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+        let mut inner = self.lock();
+        if inner.touch(key).is_some() {
+            inner.rejected += 1;
+        } else {
+            inner.insert_hot(key, distance);
         }
     }
 
-    /// Whether the pair currently has a resident entry (does not touch LRU
-    /// state or counters; intended for tests and introspection). One shared
-    /// read lock on the pair's shard — never the whole cache.
+    /// Whether the pair currently has a resident entry (does not promote it
+    /// or touch counters; intended for tests and introspection).
     pub fn contains(&self, key: DistPairKey) -> bool {
-        self.shard_of(&key).read().map.contains_key(&key)
+        let inner = self.lock();
+        inner.hot.contains_key(&key) || inner.cold.contains_key(&key)
     }
 
-    /// Number of resident entries: one shared read acquisition per shard.
+    /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().map.len()).sum()
+        self.lock().len()
     }
 
     /// Whether the cache is empty.
@@ -314,20 +255,18 @@ impl DistanceCache {
 
     /// Drops every entry (counters are kept).
     pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            shard.write().map.clear();
-        }
+        self.lock().clear();
     }
 
-    /// A snapshot of the effectiveness counters: atomics plus one shared
-    /// read acquisition per shard.
+    /// A snapshot of the effectiveness counters.
     pub fn stats(&self) -> CacheStats {
-        let entries = self.len();
+        let inner = self.lock();
+        let entries = inner.len();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            rejected_inserts: self.rejected.load(Ordering::Relaxed),
+            hits: inner.hits,
+            misses: inner.misses,
+            evictions: inner.evictions,
+            rejected_inserts: inner.rejected,
             entries,
             resident_bytes: entries * DIST_ENTRY_BYTES,
         }
@@ -338,12 +277,6 @@ impl DistanceCache {
 mod tests {
     use super::*;
 
-    /// Single-shard cache: the LRU/entry-count pins below assume one budget
-    /// slice covering the whole capacity.
-    fn unsharded(capacity_bytes: usize) -> DistanceCache {
-        DistanceCache::with_shards(capacity_bytes, 1)
-    }
-
     #[test]
     fn pair_key_is_order_normalized() {
         assert_eq!(DistanceCache::pair_key(7, 3), (3, 7));
@@ -353,7 +286,7 @@ mod tests {
 
     #[test]
     fn miss_then_hit() {
-        let cache = DistanceCache::new(10 * DIST_ENTRY_BYTES * DEFAULT_CACHE_SHARDS);
+        let cache = DistanceCache::new(10 * DIST_ENTRY_BYTES);
         let key = DistanceCache::pair_key(1, 2);
         assert_eq!(cache.get(key), None);
         cache.insert(key, 0.25);
@@ -365,7 +298,7 @@ mod tests {
 
     #[test]
     fn symmetric_lookups_share_an_entry() {
-        let cache = DistanceCache::new(10 * DIST_ENTRY_BYTES * DEFAULT_CACHE_SHARDS);
+        let cache = DistanceCache::new(10 * DIST_ENTRY_BYTES);
         cache.insert(DistanceCache::pair_key(9, 4), 0.5);
         assert_eq!(cache.get(DistanceCache::pair_key(4, 9)), Some(0.5));
         assert_eq!(cache.len(), 1);
@@ -373,22 +306,96 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let cache = unsharded(2 * DIST_ENTRY_BYTES);
+        // Four entries: generations of two.
+        let cache = DistanceCache::new(4 * DIST_ENTRY_BYTES);
         cache.insert((1, 2), 0.1);
         cache.insert((3, 4), 0.2);
-        // Touch (1, 2) so (3, 4) is the LRU entry.
-        assert_eq!(cache.get((1, 2)), Some(0.1));
+        // Hot is full: this flips both into the cold generation.
         cache.insert((5, 6), 0.3);
+        assert_eq!(cache.len(), 3);
+        // Touch (1, 2) so it is promoted and (3, 4) is the one left cold.
+        assert_eq!(cache.get((1, 2)), Some(0.1));
+        cache.insert((7, 8), 0.4);
         assert!(cache.contains((1, 2)), "recently used entry kept");
-        assert!(!cache.contains((3, 4)), "LRU entry evicted");
+        assert!(
+            !cache.contains((3, 4)),
+            "entry unused since the flip evicted"
+        );
         assert!(cache.contains((5, 6)));
+        assert!(cache.contains((7, 8)));
         assert_eq!(cache.stats().evictions, 1);
         assert!(cache.stats().resident_bytes <= cache.capacity_bytes());
     }
 
+    /// The documented policy over a long run: the entry bound holds after
+    /// every insert, an entry used since the last flip survives the next
+    /// one, and every dropped entry is counted.
+    #[test]
+    fn two_generation_eviction_bounds_and_counts() {
+        const BUDGET: usize = 8;
+        let cache = DistanceCache::new(BUDGET * DIST_ENTRY_BYTES);
+        let favourite = (0, 0);
+        cache.insert(favourite, 0.5);
+        let mut inserted = 1u64;
+        for i in 1..=100u128 {
+            cache.insert((i, i), i as f64);
+            inserted += 1;
+            assert!(cache.len() <= BUDGET, "bound broken after {i} inserts");
+            // Used after every insert, so never cold at a flip.
+            assert_eq!(cache.get(favourite), Some(0.5), "after {i} inserts");
+        }
+        let stats = cache.stats();
+        assert!(stats.evictions > 0);
+        assert_eq!(stats.evictions + stats.entries as u64, inserted);
+        assert_eq!(stats.misses, 0);
+    }
+
+    /// Four threads racing over overlapping keys on a budget small enough to
+    /// keep evicting: a lookup only ever sees a key's one canonical value,
+    /// every lookup is counted once, and the bound holds throughout.
+    #[test]
+    fn concurrent_overlapping_keys_stay_canonical_and_bounded() {
+        const BUDGET: usize = 16;
+        const KEYS: u128 = 40;
+        let canonical = |k: u128| k as f64 / 8.0;
+        let cache = DistanceCache::new(BUDGET * DIST_ENTRY_BYTES);
+        let start = std::sync::Barrier::new(4);
+        let lookups: u64 = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..4u128)
+                .map(|t| {
+                    let (cache, start) = (&cache, &start);
+                    s.spawn(move || {
+                        // Released together, so the threads' lookups overlap.
+                        start.wait();
+                        let mut lookups = 0u64;
+                        for round in 0..500u128 {
+                            let k = (t + round) % KEYS;
+                            let key = DistanceCache::pair_key(k + 1, k);
+                            // Look up, fill a miss, and look up again.
+                            for _ in 0..2 {
+                                lookups += 1;
+                                match cache.get(key) {
+                                    Some(d) => assert_eq!(d, canonical(k), "key {k}"),
+                                    None => cache.insert(key, canonical(k)),
+                                }
+                                assert!(cache.len() <= BUDGET);
+                            }
+                        }
+                        lookups
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).sum()
+        });
+        let stats = cache.stats();
+        assert_eq!(stats.hits + stats.misses, lookups);
+        assert!(stats.hits > 0 && stats.evictions > 0, "{stats:?}");
+        assert!(stats.entries <= BUDGET);
+    }
+
     #[test]
     fn reinsert_keeps_incumbent_value_and_counts_rejection() {
-        let cache = DistanceCache::new(10 * DIST_ENTRY_BYTES * DEFAULT_CACHE_SHARDS);
+        let cache = DistanceCache::new(10 * DIST_ENTRY_BYTES);
         cache.insert((1, 2), 0.1);
         cache.insert((1, 2), 0.9);
         assert_eq!(cache.get((1, 2)), Some(0.1));
@@ -398,7 +405,7 @@ mod tests {
 
     #[test]
     fn bump_epoch_invalidates_entries_once() {
-        let cache = DistanceCache::new(10 * DIST_ENTRY_BYTES * DEFAULT_CACHE_SHARDS);
+        let cache = DistanceCache::new(10 * DIST_ENTRY_BYTES);
         cache.insert((1, 2), 0.1);
         assert!(!cache.bump_epoch(0), "stale bump is a no-op");
         assert!(cache.bump_epoch(2));
@@ -411,46 +418,27 @@ mod tests {
 
     #[test]
     fn tiny_budget_still_holds_one_entry() {
-        let cache = unsharded(1);
+        let cache = DistanceCache::new(1);
         cache.insert((1, 2), 0.1);
         assert_eq!(cache.get((1, 2)), Some(0.1));
         cache.insert((3, 4), 0.2);
         assert_eq!(cache.len(), 1, "budget floor is one entry");
+        assert_eq!(
+            cache.get((3, 4)),
+            Some(0.2),
+            "the newest entry is the one kept"
+        );
+        assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]
     fn clear_resets_entries_but_keeps_counters() {
-        let cache = DistanceCache::new(10 * DIST_ENTRY_BYTES * DEFAULT_CACHE_SHARDS);
+        let cache = DistanceCache::new(10 * DIST_ENTRY_BYTES);
         cache.insert((1, 2), 0.1);
         let _ = cache.get((1, 2));
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().resident_bytes, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn shard_count_must_be_a_power_of_two() {
-        let _ = DistanceCache::with_shards(1 << 20, 6);
-    }
-
-    #[test]
-    fn sharded_cache_spreads_entries_and_keeps_aggregates() {
-        let cache = DistanceCache::new(64 * DIST_ENTRY_BYTES * DEFAULT_CACHE_SHARDS);
-        for i in 0..64u128 {
-            cache.insert(DistanceCache::pair_key(i, i + 1), i as f64 / 64.0);
-        }
-        assert_eq!(cache.len(), 64, "ample budget: nothing evicted");
-        for i in 0..64u128 {
-            assert_eq!(
-                cache.get(DistanceCache::pair_key(i + 1, i)),
-                Some(i as f64 / 64.0),
-                "symmetric lookup hits across shards"
-            );
-        }
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (64, 0));
-        assert_eq!(stats.entries, 64);
     }
 }

@@ -36,7 +36,6 @@ pub mod database;
 pub mod distcache;
 pub mod error;
 pub mod group;
-pub mod pad;
 pub mod parse;
 pub mod predicate;
 pub mod ratings;
@@ -48,10 +47,9 @@ pub mod value;
 pub use cindex::{CompressedIndex, Container, ContainerStats, MemberSet};
 pub use column::{Column, CsrColumn};
 pub use database::{AttributeSummary, DbStats, GroupRoute, IndexStats, SubjectiveDb};
-pub use distcache::{CacheStats, DistPairKey, DistanceCache, DEFAULT_CACHE_SHARDS};
+pub use distcache::{CacheStats, DistPairKey, DistanceCache};
 pub use error::{StoreError, StoreErrorKind};
 pub use group::{EntityGroup, RatingGroup};
-pub use pad::CachePadded;
 pub use parse::{parse_query, ParseError};
 pub use predicate::{AttrValue, SelectionQuery};
 pub use ratings::{DimId, RatingDraft, RatingTable, RatingTableBuilder, RecordId};

@@ -25,9 +25,7 @@ use std::ops::Range;
 
 use subdex_stats::kernels;
 
-use crate::cindex::CompressedIndex;
 use crate::group::RatingGroup;
-use crate::predicate::AttrValue;
 use crate::ratings::{DimId, RatingTable, RecordId};
 use crate::schema::Entity;
 
@@ -59,30 +57,6 @@ impl GroupColumns {
             records,
             reviewer_rows,
             item_rows,
-        }
-    }
-
-    /// Derives the gather columns of the refinement `query ∪ {pred}` from
-    /// this (the parent query's) columns — the single-predicate wrapper
-    /// over [`derive_refinement_multi`](Self::derive_refinement_multi).
-    /// No adjacency walk, no re-gather.
-    ///
-    /// `entity` selects which row column is probed and must match
-    /// `pred.entity`; `index` must be the compressed index of that
-    /// entity's table.
-    pub fn derive_refinement(
-        &self,
-        entity: Entity,
-        pred: &AttrValue,
-        index: &CompressedIndex,
-    ) -> GroupColumns {
-        debug_assert_eq!(entity, pred.entity, "probe side must match the predicate");
-        let words = index
-            .intersect(&[(pred.attr, pred.value)])
-            .into_words(index.rows());
-        match entity {
-            Entity::Reviewer => self.derive_refinement_multi(words.as_deref(), None),
-            Entity::Item => self.derive_refinement_multi(None, words.as_deref()),
         }
     }
 
