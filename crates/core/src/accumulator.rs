@@ -287,36 +287,6 @@ impl FamilyAccumulator {
         (subs, overall)
     }
 
-    /// Raw criterion scores for one active dimension, given the
-    /// distributions of previously displayed maps (for global peculiarity).
-    pub fn raw_scores(&self, dim_pos: usize, seen: &[RatingDistribution]) -> RawScores {
-        self.raw_scores_with(dim_pos, seen, interest::PeculiarityMeasure::TotalVariation)
-    }
-
-    /// [`Self::raw_scores`] with a configurable peculiarity distance.
-    pub fn raw_scores_with(
-        &self,
-        dim_pos: usize,
-        seen: &[RatingDistribution],
-        measure: interest::PeculiarityMeasure,
-    ) -> RawScores {
-        self.raw_scores_pooled(dim_pos, seen, measure, &mut EstimateScratch::new())
-    }
-
-    /// [`Self::raw_scores_with`] over caller-pooled buffers: stages `seen`
-    /// into `scratch`, then runs [`Self::raw_scores_staged`]. Byte-identical
-    /// scores; only capacity is recycled.
-    pub fn raw_scores_pooled(
-        &self,
-        dim_pos: usize,
-        seen: &[RatingDistribution],
-        measure: interest::PeculiarityMeasure,
-        scratch: &mut EstimateScratch,
-    ) -> RawScores {
-        scratch.stage_seen(self.scale, seen);
-        self.raw_scores_staged(dim_pos, measure, scratch)
-    }
-
     /// Raw criterion scores for one active dimension against the seen maps
     /// last staged by [`EstimateScratch::stage_seen`]. The subgroup and
     /// overall distributions are refilled from the count matrix on each
@@ -879,13 +849,25 @@ mod tests {
         assert_eq!(fam.records_processed(), 0);
     }
 
+    /// Scores of one dimension against `seen`, on a throwaway scratch.
+    fn fresh_scores(
+        fam: &FamilyAccumulator,
+        dim_pos: usize,
+        seen: &[RatingDistribution],
+        measure: interest::PeculiarityMeasure,
+    ) -> RawScores {
+        let mut scratch = EstimateScratch::new();
+        scratch.stage_seen(fam.scale, seen);
+        fam.raw_scores_staged(dim_pos, measure, &mut scratch)
+    }
+
     #[test]
     fn raw_scores_are_finite() {
         let db = fixture::build();
         let gender = db.reviewers().schema().attr_by_name("gender").unwrap();
         let mut fam = FamilyAccumulator::new(&db, Entity::Reviewer, gender, vec![DimId(1)]);
         fam.update(&db, &(0..8).collect::<Vec<_>>());
-        let raw = fam.raw_scores(0, &[]);
+        let raw = fresh_scores(&fam, 0, &[], interest::PeculiarityMeasure::TotalVariation);
         assert!(raw.conciseness > 0.0 && raw.conciseness.is_finite());
         assert!(raw.agreement > 0.0 && raw.agreement <= 1.0);
         assert!((0.0..=1.0).contains(&raw.self_peculiarity));
@@ -944,7 +926,7 @@ mod tests {
         for measure in measures {
             let globals: Vec<f64> = seen_sets
                 .iter()
-                .map(|seen| city.raw_scores_with(0, seen, measure).global_peculiarity)
+                .map(|seen| fresh_scores(&city, 0, seen, measure).global_peculiarity)
                 .collect();
             assert_ne!(globals[0], globals[1], "{measure:?}");
         }
@@ -956,7 +938,7 @@ mod tests {
                 for fam in families {
                     for dim_pos in 0..dims.len() {
                         for measure in measures {
-                            let fresh = fam.raw_scores_with(dim_pos, seen, measure);
+                            let fresh = fresh_scores(fam, dim_pos, seen, measure);
                             let staged = fam.raw_scores_staged(dim_pos, measure, &mut scratch);
                             assert_eq!(fresh, staged, "{:?} dim {dim_pos}", fam.attr);
                         }
@@ -970,9 +952,9 @@ mod tests {
                 for fam in families {
                     for dim_pos in 0..dims.len() {
                         for measure in measures {
-                            let fresh = fam.raw_scores_with(dim_pos, seen, measure);
-                            let pooled =
-                                fam.raw_scores_pooled(dim_pos, seen, measure, &mut scratch);
+                            let fresh = fresh_scores(fam, dim_pos, seen, measure);
+                            scratch.stage_seen(fam.scale, seen);
+                            let pooled = fam.raw_scores_staged(dim_pos, measure, &mut scratch);
                             assert_eq!(fresh, pooled, "{:?} dim {dim_pos}", fam.attr);
                         }
                     }

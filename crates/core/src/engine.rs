@@ -10,21 +10,24 @@
 //! constructors for the scalability baselines of Section 5.1
 //! (No-Pruning, CI Pruning, MAB Pruning, No-Parallelism, Naive).
 //! [`EngineConfig::threads`] is the one worker-count setting: the
-//! No-Parallelism and Naive baselines set it to 1. The step executor
+//! No-Parallelism and Naive baselines set it to 1. [`SdeEngine::step`]
 //! resolves it once per step, under the session's thread budget, and
 //! passes the resulting count to the generator and the recommendation
 //! builder.
 
-use crate::generator::{CriterionNormalizers, GeneratorConfig, SeenContext};
-use crate::plan::{ExecContext, StepExecutor, StepPlan, StepStats};
+use crate::generator::{self, CriterionNormalizers, GeneratorConfig, SeenContext};
+use crate::mapdist::DistanceEngine;
+use crate::parallel::budget_threads;
+use crate::plan::{ExecContext, GeneratorStats, StepStats};
 use crate::pruning::PruningStrategy;
 use crate::ratingmap::ScoredRatingMap;
-use crate::recommend::{RecommendConfig, Recommendation};
-use crate::selector::SelectionStrategy;
+use crate::recommend::{self, RecommendConfig, Recommendation};
+use crate::selector::{select_diverse_with, SelectionStrategy};
 use crate::utility::UtilityCombiner;
 use std::sync::Arc;
+use std::time::Instant;
 use subdex_stats::normalize::NormalizerKind;
-use subdex_store::{DistanceCache, SelectionQuery, SubjectiveDb};
+use subdex_store::{DistanceCache, RatingGroup, SelectionQuery, SubjectiveDb};
 
 /// Full engine configuration (defaults follow Table 3 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -147,8 +150,8 @@ impl EngineConfig {
 
     /// Compiles the generate-phase configuration this engine config
     /// implies (the `k′ = k·l` focus and the Diversity-Only pruning
-    /// override). Public so the plan compiler and the equivalence tests
-    /// see the exact same derivation the engine uses.
+    /// override). Public so the equivalence tests see the exact same
+    /// derivation the engine uses.
     pub fn generator_config(&self) -> GeneratorConfig {
         let k_prime = match self.selection {
             SelectionStrategy::UtilityOnly => self.k,
@@ -199,8 +202,7 @@ pub struct StepResult {
     pub recommendations: Vec<Recommendation>,
     /// The step's unified statistics aggregate: total + per-phase wall
     /// time, generator counters, materialization and selection breakdowns,
-    /// and the database epoch — emitted at one instrumentation point by
-    /// the executor (see [`StepStats`]).
+    /// and the database epoch (see [`StepStats`]).
     pub stats: StepStats,
 }
 
@@ -279,30 +281,128 @@ impl SdeEngine {
         self.step_counter
     }
 
-    /// Compiles the phase plan executing `query` would run, without
-    /// running it. Useful for logging / inspecting what a step will do.
-    pub fn plan(&self, query: &SelectionQuery) -> StepPlan {
-        StepPlan::compile(&self.config, query)
-    }
-
-    /// Executes one exploration operation: compiles the step's phase plan
-    /// and interprets it against this session's pooled [`ExecContext`] —
-    /// selecting the rating group, generating and selecting the `k`
-    /// diverse rating maps, registering them as seen, and (unless
-    /// disabled) computing the top-`o` recommendations.
+    /// Executes one exploration operation over this session's pooled
+    /// [`ExecContext`]: materializes the rating group, generates and
+    /// selects the `k` diverse rating maps, registers them as seen, and
+    /// (unless disabled) computes the top-`o` recommendations.
     pub fn step(&mut self, query: &SelectionQuery) -> StepResult {
+        let start = Instant::now();
         let step = self.step_counter;
         self.step_counter += 1;
-        let plan = StepPlan::compile(&self.config, query);
-        StepExecutor {
-            db: &self.db,
-            dist_cache: self.dist_cache.as_ref(),
-            seen: &mut self.seen,
-            normalizers: &mut self.normalizers,
-            ctx: &mut self.ctx,
+        let config = &self.config;
+        let ctx = &mut self.ctx;
+        let seed = step_seed(config.seed, step);
+        // The step's one worker-count resolution: the configured count,
+        // clamped to the session's oversubscription budget (0 = uncapped).
+        // Budgets change only scheduling, never results, because every
+        // parallel phase merges in deterministic task-index order.
+        let threads = budget_threads(config.threads, ctx.thread_budget);
+        let gen_cfg = config.generator_config();
+        let mut stats = StepStats::default();
+
+        // Materialize. The step's pre-shuffle columns stay alive past the
+        // group build: every add-predicate recommendation candidate
+        // derives its group by filtering them instead of walking the index.
+        let t = Instant::now();
+        let cols = recommend::materialize(&self.db, query, None, &mut stats.materialization);
+        stats.phases.scan_groups = t.elapsed();
+
+        // Generate. CI and MAB pruning run inside the phase-scan loop: a
+        // pruned candidate must stop scanning mid-run (Algorithm 3).
+        let (group_size, out) = {
+            let group = RatingGroup::from_columns(&cols, seed);
+            let t = Instant::now();
+            let out = generator::generate_pooled(
+                &self.db,
+                &group,
+                query,
+                &self.seen,
+                &mut self.normalizers,
+                &gen_cfg,
+                threads,
+                &mut ctx.generate,
+            );
+            stats.phases.generate = t.elapsed();
+            (group.len(), out)
+        };
+        stats.phases.scan = out.scan_time;
+        stats.generator = GeneratorStats {
+            candidates_total: out.candidates_total,
+            pruned_ci: out.pruned_ci,
+            pruned_mab: out.pruned_mab,
+        };
+        let pool_size = config.selection.pool_size(config.k, out.pool.len());
+        let mut pool: Vec<ScoredRatingMap> =
+            out.pool.into_iter().take(pool_size.max(config.k)).collect();
+
+        // Select. The pool outlives selection only when recommendations
+        // will anchor candidates on it.
+        let dist_engine = DistanceEngine::new().with_cache(self.dist_cache.clone());
+        let select_pool = if config.recommendations {
+            pool.clone()
+        } else {
+            std::mem::take(&mut pool)
+        };
+        let (maps, sel) = select_diverse_with(
+            select_pool,
+            config.k,
+            config.selection,
+            &dist_engine,
+            &mut ctx.select,
+        );
+        stats.phases.select = sel.select_time;
+        stats.selection.merge(&sel);
+        for m in &maps {
+            self.seen.record_displayed(&m.map);
         }
-        .run(&plan, query, step)
+
+        // Recommend. Candidate operations are anchored on the *pool* (the
+        // top k·l maps by DW utility), not only the k displayed ones: the
+        // pool is exactly where high-peculiarity pockets that narrowly
+        // missed display live, and the paper's candidate space ("q may add
+        // a new attribute-value pair") is not limited to displayed maps
+        // either.
+        let mut recommendations = Vec::new();
+        if config.recommendations {
+            let t = Instant::now();
+            let (recs, rec_stats, rec_sel) = recommend::recommend(
+                &self.db,
+                query,
+                &pool,
+                &self.seen,
+                &self.normalizers,
+                &gen_cfg,
+                &config.recommend_config(),
+                threads,
+                seed,
+                Some(&cols),
+                Some(&dist_engine),
+                &mut ctx.recommend,
+            );
+            stats.phases.recommend = t.elapsed();
+            stats.materialization.merge(&rec_stats);
+            stats.selection.merge(&rec_sel);
+            recommendations = recs;
+        }
+
+        stats.db_epoch = self.db.epoch();
+        stats.elapsed = start.elapsed();
+        StepResult {
+            step,
+            query: query.clone(),
+            group_size,
+            maps,
+            recommendations,
+            stats,
+        }
     }
+}
+
+/// The deterministic rating-group shuffle seed of step number `step`.
+fn step_seed(base_seed: u64, step: usize) -> u64 {
+    base_seed
+        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        .wrapping_add(step as u64)
 }
 
 #[cfg(test)]
@@ -398,12 +498,13 @@ mod tests {
             ]),
             SelectionQuery::all(),
         ];
-        let run = |threads: usize| {
+        let run = |threads: usize, cache: bool| {
             let cfg = EngineConfig {
                 threads,
                 ..EngineConfig::default()
             };
             let mut engine = SdeEngine::new(db.clone(), cfg);
+            engine.set_distance_cache(cache.then(|| Arc::new(DistanceCache::new(1 << 20))));
             queries
                 .iter()
                 .map(|q| {
@@ -411,11 +512,30 @@ mod tests {
                     let keys: Vec<_> = r.maps.iter().map(|m| m.map.key).collect();
                     let utils: Vec<_> = r.maps.iter().map(|m| m.dw_utility.to_bits()).collect();
                     let recs: Vec<_> = r.recommendations.iter().map(|x| x.query.clone()).collect();
-                    (r.group_size, keys, utils, recs, r.stats.materialization)
+                    let s = r.stats.selection;
+                    let sel = (s.exact_solves, s.cache_hits, s.pruned(), s.previews_skipped);
+                    (
+                        r.group_size,
+                        keys,
+                        utils,
+                        recs,
+                        r.stats.materialization,
+                        sel,
+                    )
                 })
                 .collect::<Vec<_>>()
         };
-        assert_eq!(run(4), run(1));
+        assert_eq!(run(4, false), run(1, false));
+        // With a cache attached, which pairs are solved and which are hit
+        // must not depend on how the previews were scheduled either. A
+        // schedule race shows on some runs only, so each count runs often.
+        let serial = run(1, true);
+        assert!(serial.iter().any(|step| step.5 .1 > 0), "{serial:?}");
+        for _ in 0..20 {
+            for threads in [2, 8] {
+                assert_eq!(run(threads, true), serial, "threads={threads}");
+            }
+        }
     }
 
     #[test]
@@ -569,6 +689,30 @@ mod tests {
                 threads: 1,
                 ..base
             }
+        );
+    }
+
+    #[test]
+    fn diversity_only_compiles_without_pruning() {
+        // Diversity-Only needs every candidate: no pruning, no top-k′ focus.
+        let cfg = EngineConfig {
+            selection: SelectionStrategy::DiversityOnly,
+            ..EngineConfig::subdex()
+        };
+        let gen = cfg.generator_config();
+        assert_eq!(gen.pruning, PruningStrategy::None);
+        assert_eq!(gen.k_prime, usize::MAX / 2);
+        assert_eq!(
+            EngineConfig::subdex().generator_config().pruning,
+            PruningStrategy::Both
+        );
+    }
+
+    #[test]
+    fn step_seed_matches_documented_derivation() {
+        assert_eq!(
+            step_seed(7, 3),
+            7u64.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(3)
         );
     }
 

@@ -260,7 +260,7 @@ pub fn generate(
 }
 
 /// [`generate`] with every reusable buffer caller-provided. This is the
-/// entry point the step executor and the recommendation evaluator run on
+/// entry point the engine's step and the recommendation evaluator run on
 /// ([`crate::plan::ExecContext`] owns the pools), so steps 2..n gather,
 /// scan and re-estimate `candidates × phases` times without allocating.
 /// Pooling recycles capacity only — output is byte-identical to

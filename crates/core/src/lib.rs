@@ -33,7 +33,7 @@
 //! | [`mapdist`] | EMD distance between rating maps (Sec. 3.2.4) |
 //! | [`selector`] | GMM diverse subset selection (Sec. 4.2.2) |
 //! | [`recommend`] | Recommendation Builder (Sec. 4.3) |
-//! | [`plan`] | step plan IR + pooled executor (Alg. 1 as a DAG) |
+//! | [`plan`] | per-step statistics + pooled step scratch |
 //! | [`engine`] | SDE engine & configuration (Sec. 4, Fig. 4) |
 //! | [`session`] | exploration modes (Sec. 3.3) |
 //! | [`explain`] | textual narration of steps (the UI layer's voice) |
@@ -62,9 +62,7 @@ pub use engine::{EngineConfig, SdeEngine, StepResult};
 pub use generator::SeenContext;
 pub use mapdist::{DistScratch, DistanceEngine, MapSignature, SelectionStats};
 pub use parallel::{budget_threads, resolve_threads, task_pool, TaskPool};
-pub use plan::{
-    ExecContext, GeneratorStats, PhaseOp, PhaseTimes, PlanNode, StepExecutor, StepPlan, StepStats,
-};
+pub use plan::{ExecContext, GeneratorStats, PhaseTimes, StepStats};
 pub use pruning::PruningStrategy;
 pub use ratingmap::{MapKey, RatingMap, ScoredRatingMap};
 pub use recommend::{Materialization, Recommendation};

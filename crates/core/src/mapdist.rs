@@ -46,7 +46,7 @@ use crate::ratingmap::RatingMap;
 use subdex_stats::distance::emd_1d_normalized_from_cdfs;
 use subdex_stats::emd::{emd_transport_matrix_with, TransportScratch};
 use subdex_stats::kernels::{self, BatchScratch};
-use subdex_store::DistanceCache;
+use subdex_store::{DistPairKey, DistanceCache};
 
 /// Safety margin subtracted from a computed lower bound before it is
 /// compared against the current minimum in the pruned GMM update.
@@ -195,6 +195,17 @@ pub struct DistScratch {
     mix_stage: Vec<f64>,
     /// Per-candidate mixture lower bounds against the row's pivot.
     mix_lb: Vec<f64>,
+    /// Exact solves a deferring engine has not inserted into its cache
+    /// yet, in solve order.
+    deferred: Vec<(DistPairKey, f64)>,
+}
+
+impl DistScratch {
+    /// Drains the solves a [`DistanceEngine::deferring_inserts`] engine
+    /// buffered here, in solve order.
+    pub(crate) fn take_deferred(&mut self) -> Vec<(DistPairKey, f64)> {
+        self.deferred.drain(..).collect()
+    }
 }
 
 /// How the selection phase resolved its distance evaluations; threaded
@@ -411,6 +422,9 @@ pub fn upper_bound(a: &MapSignature, b: &MapSignature, scratch: &mut DistScratch
 pub struct DistanceEngine {
     bounds: bool,
     cache: Option<Arc<DistanceCache>>,
+    /// Buffer exact solves in the caller's [`DistScratch`] instead of
+    /// inserting them into `cache`; see [`Self::deferring_inserts`].
+    defer_inserts: bool,
 }
 
 impl Default for DistanceEngine {
@@ -425,6 +439,7 @@ impl DistanceEngine {
         Self {
             bounds: true,
             cache: None,
+            defer_inserts: false,
         }
     }
 
@@ -447,6 +462,17 @@ impl DistanceEngine {
         self.cache.as_ref()
     }
 
+    /// This engine, reading the cache as before but buffering each exact
+    /// solve in the [`DistScratch`] it ran on (see
+    /// [`DistScratch::take_deferred`]) instead of inserting it. Parallel
+    /// selections over one cache then hit exactly what the cache held when
+    /// they started, whatever their schedule, and their owner inserts the
+    /// buffers in a fixed order afterwards.
+    pub(crate) fn deferring_inserts(mut self) -> Self {
+        self.defer_inserts = true;
+        self
+    }
+
     /// Exact distance of a pair, served from the cache when possible.
     pub fn exact(
         &self,
@@ -455,23 +481,10 @@ impl DistanceEngine {
         scratch: &mut DistScratch,
         stats: &mut SelectionStats,
     ) -> f64 {
-        if let Some(d) = degenerate(a, b) {
-            return d;
-        }
-        let (x, y) = canonical(a, b);
-        let key = DistanceCache::pair_key(x.content_hash, y.content_hash);
-        if let Some(cache) = &self.cache {
-            if let Some(d) = cache.get(key) {
-                stats.cache_hits += 1;
-                return d;
-            }
-        }
-        let d = exact_ordered(x, y, scratch);
-        stats.exact_solves += 1;
-        if let Some(cache) = &self.cache {
-            cache.insert(key, d);
-        }
-        d
+        self.resolve(a, b, scratch, stats, |x, y, scratch, _| {
+            Some(exact_ordered(x, y, scratch))
+        })
+        .expect("an unbounded resolution always yields a distance")
     }
 
     /// The filter-and-refine GMM update primitive: resolves `d(a, b)`
@@ -507,18 +520,10 @@ impl DistanceEngine {
         scratch: &mut DistScratch,
         stats: &mut SelectionStats,
     ) -> Option<f64> {
-        if let Some(d) = degenerate(a, b) {
-            return Some(d);
-        }
-        let (x, y) = canonical(a, b);
-        let key = DistanceCache::pair_key(x.content_hash, y.content_hash);
-        if let Some(cache) = &self.cache {
-            if let Some(d) = cache.get(key) {
-                stats.cache_hits += 1;
-                return Some(d);
+        self.resolve(a, b, scratch, stats, |x, y, scratch, stats| {
+            if !(self.bounds && current_min.is_finite()) {
+                return Some(exact_ordered(x, y, scratch));
             }
-        }
-        if self.bounds && current_min.is_finite() {
             let mixture = mixture_hint
                 .unwrap_or_else(|| emd_1d_normalized_from_cdfs(&x.mixture_cdf, &y.mixture_cdf));
             if mixture - BOUND_MARGIN >= current_min {
@@ -534,25 +539,53 @@ impl DistanceEngine {
             }
             // Both bounds failed: solve on the matrix already in scratch —
             // the identical arithmetic `exact_ordered` would run.
-            let d = emd_transport_matrix_with(
+            Some(emd_transport_matrix_with(
                 &x.weights,
                 &y.weights,
                 &scratch.cost,
                 &mut scratch.transport,
-            );
-            stats.exact_solves += 1;
-            if let Some(cache) = &self.cache {
-                cache.insert(key, d);
-            }
-            Some(d)
-        } else {
-            let d = exact_ordered(x, y, scratch);
-            stats.exact_solves += 1;
-            if let Some(cache) = &self.cache {
-                cache.insert(key, d);
-            }
-            Some(d)
+            ))
+        })
+    }
+
+    /// The one path from a pair to its distance: degenerate pairs are
+    /// answered outright, then the cache is asked, then `solve` runs on
+    /// the canonically ordered pair. `solve` returns `None` when a bound
+    /// settles the pair without an exact value; an exact value is counted
+    /// as a solve and memoized — inserted into the cache, or, for an engine
+    /// built by [`Self::deferring_inserts`], buffered in `scratch`.
+    fn resolve(
+        &self,
+        a: &MapSignature,
+        b: &MapSignature,
+        scratch: &mut DistScratch,
+        stats: &mut SelectionStats,
+        solve: impl FnOnce(
+            &MapSignature,
+            &MapSignature,
+            &mut DistScratch,
+            &mut SelectionStats,
+        ) -> Option<f64>,
+    ) -> Option<f64> {
+        if let Some(d) = degenerate(a, b) {
+            return Some(d);
         }
+        let (x, y) = canonical(a, b);
+        let key = DistanceCache::pair_key(x.content_hash, y.content_hash);
+        if let Some(d) = self.cache.as_ref().and_then(|cache| cache.get(key)) {
+            stats.cache_hits += 1;
+            return Some(d);
+        }
+        let d = solve(x, y, scratch, stats)?;
+        stats.exact_solves += 1;
+        if let Some(cache) = &self.cache {
+            if self.defer_inserts {
+                scratch.deferred.push((key, d));
+            } else {
+                cache.insert(key, d);
+            }
+        }
+        Some(d)
     }
 
     /// Evaluates one GMM row in place: for every index with `!picked[i]`,

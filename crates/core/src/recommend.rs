@@ -338,8 +338,10 @@ pub fn enumerate_candidates_into(
 ///
 /// `dist` configures the [`DistanceEngine`] behind each candidate's
 /// diverse-selection preview (its bounds and shared cache; the default
-/// engine when `None`). The returned [`SelectionStats`] aggregate those
-/// previews and count the skipped ones.
+/// engine when `None`). The previews read the cache as it stood before
+/// pass 2 and their exact solves are inserted after it, in candidate order,
+/// so the counters do not depend on the schedule. The returned
+/// [`SelectionStats`] aggregate those previews and count the skipped ones.
 ///
 /// `scratch` pools the candidate vector and the per-worker generate and
 /// select buffers across calls; it recycles containers, never values.
@@ -371,7 +373,7 @@ pub fn recommend(
         );
     }
 
-    let dist_engine = &dist.cloned().unwrap_or_default();
+    let dist_engine = dist.cloned().unwrap_or_default().deferring_inserts();
 
     // Each candidate is evaluated inside an (optionally) already-parallel
     // worker. When the fan-out gives every worker a candidate, a parallel
@@ -447,7 +449,9 @@ pub fn recommend(
         .collect();
 
     // Pass 2: the previews that can still rank, claimed one at a time on
-    // the same lanes.
+    // the same lanes. Each preview reads the shared distance cache but
+    // keeps its own solves, so its hits depend only on what the cache held
+    // before the pass, never on which preview ran first.
     let (previewed, _, mut sel_stats) = claim_each(
         &workers[..workers_for(pending.len())],
         pending.len(),
@@ -457,20 +461,30 @@ pub fn recommend(
                 .unwrap_or_else(PoisonError::into_inner)
                 .take()?;
             let (maps, sel) =
-                select_diverse_with(pool, cfg.k, cfg.selection, dist_engine, &mut es.select);
+                select_diverse_with(pool, cfg.k, cfg.selection, &dist_engine, &mut es.select);
             sel_stats.merge(&sel);
             let utility = maps.iter().map(|m| m.dw_utility).sum();
-            Some(Recommendation {
+            let rec = Recommendation {
                 query: candidates[i].clone(),
                 utility,
                 group_size,
                 maps,
-            })
+            };
+            Some((rec, es.select.dist.take_deferred()))
         },
     );
     sel_stats.previews_skipped = skip.iter().filter(|&&s| s).count() as u64;
+    // Insert the previews' solves in candidate order, so the cache later
+    // steps see is the same at every thread count.
+    if let Some(cache) = dist_engine.cache() {
+        for (_, (_, solved)) in &previewed {
+            for &(key, d) in solved {
+                cache.insert(key, d);
+            }
+        }
+    }
 
-    let mut recs: Vec<Recommendation> = previewed.into_iter().map(|(_, rec)| rec).collect();
+    let mut recs: Vec<Recommendation> = previewed.into_iter().map(|(_, (rec, _))| rec).collect();
     recs.sort_by(|a, b| {
         b.utility
             .partial_cmp(&a.utility)

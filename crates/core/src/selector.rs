@@ -60,7 +60,7 @@ pub struct SelectScratch {
     sig_tmp: BatchScratch,
     picked: Vec<bool>,
     min_dist: Vec<f64>,
-    dist: DistScratch,
+    pub(crate) dist: DistScratch,
 }
 
 /// Selects `k` maps from `pool` (already ranked by descending DW utility)

@@ -1,15 +1,15 @@
-//! Property tests pinning the plan executor byte-identical to the
-//! pre-refactor monolithic `SdeEngine::step`.
+//! Property tests pinning `SdeEngine::step` byte-identical to a test-only
+//! replica of the step.
 //!
-//! `LegacyEngine` below is a line-for-line replica of the engine's step
-//! loop as it existed before the `core::plan` planner/executor split —
-//! the hard-coded phase order, the unpooled scratch, the scattered result
-//! fields. Over randomized databases and query paths, every engine
-//! variant (the five Section 5.1 presets) × distance-cache on/off must
-//! produce bit-exact displayed maps, recommendations, and counters through
-//! both paths. The replica allocates fresh scratch for every step, so the
-//! same checks pin the executor's session-pooled `ExecContext`, whose
-//! buffers keep their largest capacity, to unpooled buffers.
+//! `LegacyEngine` below replays the engine's step as a monolithic loop
+//! over the public phase functions — the fixed phase order, unpooled
+//! scratch, scattered result fields. Over randomized databases and query
+//! paths, every engine variant (the five Section 5.1 presets) ×
+//! distance-cache on/off must produce bit-exact displayed maps,
+//! recommendations, and counters through both paths. The replica allocates
+//! fresh scratch for every step, so the same checks pin the engine's
+//! session-pooled `ExecContext`, whose buffers keep their largest
+//! capacity, to unpooled buffers.
 
 use std::sync::Arc;
 

@@ -548,7 +548,7 @@ impl SubjectiveDb {
 
     /// Like [`collect_group_columns`](Self::collect_group_columns), but
     /// reports which [`GroupRoute`] materialized the records — the hook
-    /// the step executor uses to attribute walked vs probed groups in
+    /// the engine's step uses to attribute walked vs probed groups in
     /// [`StepStats`-level counters](GroupRoute).
     pub fn collect_group_columns_routed(
         &self,

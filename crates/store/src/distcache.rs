@@ -27,8 +27,12 @@
 //! *hot* generation; when it reaches half the entry budget the generations
 //! *flip* — the *cold* generation is dropped and the hot one becomes cold.
 //! A hit on a cold entry promotes it back to hot, so an entry used since the
-//! last flip always outlives one that was not. Entries are tiny and uniform,
-//! so the byte budget is in effect an entry-count bound.
+//! last flip always outlives one that was not. A promotion moves an entry
+//! without changing the resident count, so it never flips: lookups never
+//! evict, and only [`DistanceCache::insert`] does. Any set of lookups
+//! between two inserts therefore leaves the same entries, and answers each
+//! key the same way, in whatever order it ran. Entries are tiny and
+//! uniform, so the byte budget is in effect an entry-count bound.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -93,19 +97,22 @@ struct Inner {
 }
 
 impl Inner {
-    /// The resident distance of `key`, promoting a cold entry to hot.
+    /// The resident distance of `key`, promoting a cold entry to hot. The
+    /// resident count is unchanged, so this never flips (the hot
+    /// generation may run past `generation` until the next insert).
     fn touch(&mut self, key: DistPairKey) -> Option<f64> {
         if let Some(&distance) = self.hot.get(&key) {
             return Some(distance);
         }
         let distance = self.cold.remove(&key)?;
-        self.insert_hot(key, distance);
+        self.hot.insert(key, distance);
         Some(distance)
     }
 
     /// Inserts into the hot generation, first flipping while it is full —
-    /// or while the whole budget is, which only happens at a one-entry
-    /// budget, where no cold generation fits beside the new entry.
+    /// or while the whole budget is, which happens at a one-entry budget,
+    /// where no cold generation fits beside the new entry, and when
+    /// promotions had moved every resident entry into the hot generation.
     fn insert_hot(&mut self, key: DistPairKey, distance: f64) {
         while self.hot.len() >= self.generation || self.hot.len() + self.cold.len() >= self.budget {
             self.evictions += self.cold.len() as u64;
@@ -391,6 +398,34 @@ mod tests {
         assert_eq!(stats.hits + stats.misses, lookups);
         assert!(stats.hits > 0 && stats.evictions > 0, "{stats:?}");
         assert!(stats.entries <= BUDGET);
+    }
+
+    /// Promoting cold entries while the hot generation is full evicts
+    /// nothing, so lookups between two inserts give the same answers and
+    /// leave the same entries in any order.
+    #[test]
+    fn lookups_never_evict_in_any_order() {
+        let run = |order: &[DistPairKey]| {
+            // Four entries: generations of two. (0, 0) and (1, 1) end cold
+            // and (2, 2), (3, 3) fill the hot generation.
+            let cache = DistanceCache::new(4 * DIST_ENTRY_BYTES);
+            for k in 0..4u128 {
+                cache.insert((k, k), k as f64);
+            }
+            let mut answers: Vec<_> = order.iter().map(|&key| (key, cache.get(key))).collect();
+            answers.sort_by_key(|&(key, _)| key);
+            let resident: Vec<bool> = (0..4u128).map(|k| cache.contains((k, k))).collect();
+            (answers, resident, cache.stats())
+        };
+        let order = [(1, 1), (0, 0), (9, 9), (3, 3)];
+        let forward = run(&order);
+        let mut reversed = order;
+        reversed.reverse();
+        assert_eq!(run(&reversed), forward);
+        let (answers, resident, stats) = forward;
+        assert_eq!(answers.iter().filter(|(_, d)| d.is_some()).count(), 3);
+        assert_eq!(resident, vec![true; 4]);
+        assert_eq!((stats.evictions, stats.entries), (0, 4));
     }
 
     #[test]
