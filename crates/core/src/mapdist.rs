@@ -553,7 +553,9 @@ impl DistanceEngine {
     /// the canonically ordered pair. `solve` returns `None` when a bound
     /// settles the pair without an exact value; an exact value is counted
     /// as a solve and memoized — inserted into the cache, or, for an engine
-    /// built by [`Self::deferring_inserts`], buffered in `scratch`.
+    /// built by [`Self::deferring_inserts`], buffered in `scratch`, where
+    /// later lookups of the same selection find it as they would in the
+    /// cache.
     fn resolve(
         &self,
         a: &MapSignature,
@@ -572,7 +574,12 @@ impl DistanceEngine {
         }
         let (x, y) = canonical(a, b);
         let key = DistanceCache::pair_key(x.content_hash, y.content_hash);
-        if let Some(d) = self.cache.as_ref().and_then(|cache| cache.get(key)) {
+        let buffered = || scratch.deferred.iter().find(|(k, _)| *k == key);
+        let cached = match &self.cache {
+            Some(cache) => cache.get(key).or_else(|| buffered().map(|&(_, d)| d)),
+            None => None,
+        };
+        if let Some(d) = cached {
             stats.cache_hits += 1;
             return Some(d);
         }
@@ -948,6 +955,29 @@ mod tests {
         assert_eq!(cold.to_bits(), warm.to_bits());
         assert_eq!(cold.to_bits(), warm_swapped.to_bits());
         assert_eq!(cache.len(), 1);
+    }
+
+    /// A deferring engine leaves the cache alone, buffers its solve in the
+    /// scratch, and answers a repeat of the pair from that buffer.
+    #[test]
+    fn deferring_engine_hits_its_own_buffer() {
+        let a = map(0, 0, &[&[3, 1, 0, 0, 6], &[0, 5, 5, 0, 0]]);
+        let b = map(1, 0, &[&[1, 1, 1, 1, 1], &[0, 2, 0, 2, 0]]);
+        let (sa, sb) = (MapSignature::of(&a), MapSignature::of(&b));
+        let cache = Arc::new(subdex_store::DistanceCache::new(1 << 16));
+        let engine = DistanceEngine::new()
+            .with_cache(Some(cache.clone()))
+            .deferring_inserts();
+        let mut scratch = DistScratch::default();
+        let mut stats = SelectionStats::default();
+        let cold = engine.exact(&sa, &sb, &mut scratch, &mut stats);
+        let warm = engine.exact(&sb, &sa, &mut scratch, &mut stats);
+        assert_eq!((stats.exact_solves, stats.cache_hits), (1, 1));
+        assert_eq!(cold.to_bits(), warm.to_bits());
+        assert!(cache.is_empty(), "the owner inserts the buffer later");
+        let buffered = scratch.take_deferred();
+        assert_eq!(buffered.len(), 1);
+        assert_eq!(buffered[0].1.to_bits(), cold.to_bits());
     }
 
     #[test]

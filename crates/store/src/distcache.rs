@@ -31,7 +31,10 @@
 //! without changing the resident count, so it never flips: lookups never
 //! evict, and only [`DistanceCache::insert`] does. Any set of lookups
 //! between two inserts therefore leaves the same entries, and answers each
-//! key the same way, in whatever order it ran. Entries are tiny and
+//! key the same way, in whatever order it ran. Promotions can fill the hot
+//! generation past half the budget; the next flip then keeps half the
+//! budget of it (the smallest keys), so the new hot generation has room
+//! and a burst of hits never costs every recently used entry at once. Entries are tiny and
 //! uniform, so the byte budget is in effect an entry-count bound.
 
 use std::collections::HashMap;
@@ -109,15 +112,28 @@ impl Inner {
         Some(distance)
     }
 
-    /// Inserts into the hot generation, first flipping while it is full —
-    /// or while the whole budget is, which happens at a one-entry budget,
-    /// where no cold generation fits beside the new entry, and when
-    /// promotions had moved every resident entry into the hot generation.
+    /// Inserts into the hot generation, first flipping if it is full.
+    /// Promotions can grow the hot generation past `generation`, up to the
+    /// whole budget; the flip then trims the new cold generation to
+    /// `budget - generation` entries, so a full hot generation still fits
+    /// beside it. Every trimmed entry was used since the last flip, so none
+    /// is more recent than another: the smallest keys are kept, which is
+    /// the same choice whatever order the promotions ran in.
     fn insert_hot(&mut self, key: DistPairKey, distance: f64) {
-        while self.hot.len() >= self.generation || self.hot.len() + self.cold.len() >= self.budget {
+        if self.hot.len() >= self.generation {
             self.evictions += self.cold.len() as u64;
             self.cold = std::mem::take(&mut self.hot);
+            let keep = self.budget - self.generation;
+            if self.cold.len() > keep {
+                let mut keys: Vec<DistPairKey> = self.cold.keys().copied().collect();
+                keys.sort_unstable();
+                for dropped in &keys[keep..] {
+                    self.cold.remove(dropped);
+                }
+                self.evictions += (keys.len() - keep) as u64;
+            }
         }
+        debug_assert!(self.len() < self.budget);
         self.hot.insert(key, distance);
     }
 
@@ -355,6 +371,24 @@ mod tests {
         assert!(stats.evictions > 0);
         assert_eq!(stats.evictions + stats.entries as u64, inserted);
         assert_eq!(stats.misses, 0);
+
+        // Fill the budget, then promote the cold generation so every entry
+        // is hot: the next insert keeps half the budget, not one entry.
+        let cache = DistanceCache::new(BUDGET * DIST_ENTRY_BYTES);
+        for k in 0..BUDGET as u128 {
+            cache.insert((k, k), k as f64);
+        }
+        for k in 0..BUDGET as u128 {
+            assert_eq!(cache.get((k, k)), Some(k as f64));
+        }
+        cache.insert((100, 100), 1.0);
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.evictions), (BUDGET / 2 + 1, 4));
+        let kept: Vec<u128> = (0..BUDGET as u128)
+            .filter(|&k| cache.contains((k, k)))
+            .collect();
+        assert_eq!(kept, vec![0, 1, 2, 3], "smallest keys kept");
+        assert!(cache.contains((100, 100)));
     }
 
     /// Four threads racing over overlapping keys on a budget small enough to
