@@ -102,24 +102,7 @@ pub fn mine_patterns(
     let mut singles: Vec<(AttrValue, Vec<u32>)> = Vec::new();
     for entity in [Entity::Reviewer, Entity::Item] {
         let table = db.table(entity);
-        // Resolve record → entity row once per side, not once per
-        // (side, attribute): groups built through the scan layer carry the
-        // gathered row columns already, everything else pays one gather.
-        let gathered: Vec<u32>;
-        let rows: &[u32] = match group.entity_rows(entity) {
-            Some(rows) => rows,
-            None => {
-                gathered = group
-                    .records()
-                    .iter()
-                    .map(|&rec| match entity {
-                        Entity::Reviewer => db.ratings().reviewer_of(rec),
-                        Entity::Item => db.ratings().item_of(rec),
-                    })
-                    .collect();
-                &gathered
-            }
-        };
+        let rows = group.entity_rows(entity);
         for attr in table.schema().attr_ids() {
             if base.constrains(entity, attr) || table.dictionary(attr).len() < 2 {
                 continue;
@@ -248,22 +231,6 @@ mod tests {
             .filter(|&&rec| pair.0.matches(&db, rec))
             .count();
         assert_eq!(pair.1.len(), manual);
-    }
-
-    #[test]
-    fn mining_identical_with_and_without_gathered_rows() {
-        let db = db();
-        let q = SelectionQuery::all();
-        let plain = db.rating_group(&q, 7); // resolves rows record by record
-        let columnar = db.scan_group(&q, 7); // carries gathered row columns
-        assert!(!plain.has_entity_rows());
-        assert!(columnar.has_entity_rows());
-        assert_eq!(plain.records(), columnar.records());
-        let cfg = MiningConfig::default();
-        assert_eq!(
-            mine_patterns(&db, &plain, &q, &cfg),
-            mine_patterns(&db, &columnar, &q, &cfg)
-        );
     }
 
     #[test]

@@ -42,9 +42,7 @@ pub fn qagview(
     k: usize,
     cfg: &QagConfig,
 ) -> Vec<SelectionQuery> {
-    // scan_group yields byte-identical records to rating_group and carries
-    // the gathered entity-row columns that mine_patterns exploits.
-    let group = db.scan_group(query, 0x9a9);
+    let group = db.rating_group(query, 0x9a9);
     if group.is_empty() || k == 0 {
         return Vec::new();
     }

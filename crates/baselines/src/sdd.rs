@@ -41,9 +41,7 @@ pub fn smart_drill_down(
     k: usize,
     cfg: &SddConfig,
 ) -> Vec<SelectionQuery> {
-    // scan_group yields byte-identical records to rating_group and carries
-    // the gathered entity-row columns that mine_patterns exploits.
-    let group = db.scan_group(query, 0x5dd);
+    let group = db.rating_group(query, 0x5dd);
     if group.is_empty() || k == 0 {
         return Vec::new();
     }

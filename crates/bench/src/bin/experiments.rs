@@ -2,11 +2,13 @@
 //! (Section 5). Usage:
 //!
 //! ```text
-//! experiments [--quick] <table2|fig7|fig8|table4|table5|table6|fig9|
-//!               ablation|fig10a|fig10b|fig10c|fig11a|fig11b|fig11c|all>
+//! experiments [--quick] <name>... (default: all)
 //! ```
 //!
-//! `--quick` shrinks dataset scales and subject counts for smoke runs.
+//! Names: table2 fig7 fig8 table4 table5 table6 fig9 ablation hotels
+//! fig10a fig10b fig10c fig11a fig11b fig11c all. Any other name is an
+//! error. `--quick` shrinks dataset scales and subject counts for smoke
+//! runs.
 //! Output is Markdown-ish text; EXPERIMENTS.md records paper-vs-measured.
 
 use std::collections::HashSet;
@@ -64,6 +66,29 @@ impl Ctx {
     }
 }
 
+/// An experiment's command-line name and its runner.
+type Experiment = (&'static str, fn(&Ctx));
+
+/// Every experiment, in the order `all` runs them. Dispatch and name
+/// validation both read this list.
+const EXPERIMENTS: [Experiment; 15] = [
+    ("table2", table2),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("table4", table4),
+    ("table5", table5),
+    ("table6", table6),
+    ("fig9", fig9),
+    ("ablation", ablation),
+    ("hotels", hotels_trends),
+    ("fig10a", fig10a),
+    ("fig10b", fig10b),
+    ("fig10c", fig10c),
+    ("fig11a", |ctx| fig11(ctx, 'a')),
+    ("fig11b", |ctx| fig11(ctx, 'b')),
+    ("fig11c", |ctx| fig11(ctx, 'c')),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -73,60 +98,24 @@ fn main() {
         .filter(|a| !a.starts_with("--"))
         .map(|s| s.as_str())
         .collect();
-    let what = which.first().copied().unwrap_or("all");
+    let names = if which.is_empty() { vec!["all"] } else { which };
+    if let Some(bad) = names
+        .iter()
+        .find(|&&n| n != "all" && !EXPERIMENTS.iter().any(|&(name, _)| name == n))
+    {
+        let valid: Vec<&str> = EXPERIMENTS.iter().map(|&(name, _)| name).collect();
+        eprintln!(
+            "unknown experiment `{bad}`; valid names: {} all",
+            valid.join(" ")
+        );
+        std::process::exit(2);
+    }
 
     let t0 = std::time::Instant::now();
-    let run = |name: &str| what == "all" || what == name;
-    if run("table2") {
-        table2(&ctx);
-    }
-    if run("fig7") {
-        fig7(&ctx);
-    }
-    if run("fig8") {
-        fig8(&ctx);
-    }
-    if run("table4") {
-        table4(&ctx);
-    }
-    if run("table5") {
-        table5(&ctx);
-    }
-    if run("table6") {
-        table6(&ctx);
-    }
-    if run("fig9") {
-        fig9(&ctx);
-    }
-    if run("ablation") {
-        ablation(&ctx);
-    }
-    if run("ablation-pec") {
-        ablation_peculiarity(&ctx);
-    }
-    if run("ablation-norm") {
-        ablation_normalizer(&ctx);
-    }
-    if run("hotels") {
-        hotels_trends(&ctx);
-    }
-    if run("fig10a") {
-        fig10a(&ctx);
-    }
-    if run("fig10b") {
-        fig10b(&ctx);
-    }
-    if run("fig10c") {
-        fig10c(&ctx);
-    }
-    if run("fig11a") {
-        fig11(&ctx, 'a');
-    }
-    if run("fig11b") {
-        fig11(&ctx, 'b');
-    }
-    if run("fig11c") {
-        fig11(&ctx, 'c');
+    for (name, experiment) in EXPERIMENTS {
+        if names.iter().any(|&n| n == "all" || n == name) {
+            experiment(&ctx);
+        }
     }
     eprintln!(
         "\n[experiments finished in {:.1}s]",
@@ -462,60 +451,6 @@ fn ablation(ctx: &Ctx) {
             cols.push(format!("{:.2}", summarize(&scores).expect("scores").mean));
         }
         println!("{:<18} {:>10} {:>10}", name, cols[0], cols[1]);
-    }
-}
-
-// ------------------------------------------- Design-choice ablations
-
-/// DESIGN.md ablation: the peculiarity distance (TVD vs KL vs Outlier).
-fn ablation_peculiarity(ctx: &Ctx) {
-    header("Ablation: peculiarity measure (avg #irregular groups surfaced)");
-    use subdex_core::interest::PeculiarityMeasure;
-    println!("{:<18} {:>10} {:>10}", "Measure", "Movielens", "Yelp");
-    for (name, measure) in [
-        ("TVD (paper)", PeculiarityMeasure::TotalVariation),
-        ("KL divergence", PeculiarityMeasure::KlDivergence),
-        ("Outlier fn", PeculiarityMeasure::Outlier),
-    ] {
-        let mut cols = Vec::new();
-        for dataset in ["movielens", "yelp"] {
-            let mut scores = Vec::new();
-            for seed in 0..ctx.injection_seeds {
-                let mut cfg = ctx.study_engine();
-                cfg.peculiarity = measure;
-                let w = scenario1_workload(dataset, ctx.study_scale, 500 + seed);
-                let stats = run_auto_path(&w, OpSource::Subdex, ctx.path_steps, &cfg);
-                scores.push(stats.irregulars_shown.len() as f64);
-            }
-            cols.push(format!("{:.2}", summarize(&scores).expect("scores").mean));
-        }
-        println!("{:<18} {:>10} {:>10}", name, cols[0], cols[1]);
-    }
-}
-
-/// DESIGN.md ablation: criterion normalization (z-logistic per \[51\] vs
-/// running min-max).
-fn ablation_normalizer(ctx: &Ctx) {
-    header("Ablation: criterion normalizer (avg #irregular groups surfaced)");
-    use subdex_stats::normalize::NormalizerKind;
-    println!("{:<22} {:>10} {:>10}", "Normalizer", "Movielens", "Yelp");
-    for (name, kind) in [
-        ("z-logistic (paper)", NormalizerKind::ZLogistic),
-        ("min-max", NormalizerKind::MinMax),
-    ] {
-        let mut cols = Vec::new();
-        for dataset in ["movielens", "yelp"] {
-            let mut scores = Vec::new();
-            for seed in 0..ctx.injection_seeds {
-                let mut cfg = ctx.study_engine();
-                cfg.normalizer = kind;
-                let w = scenario1_workload(dataset, ctx.study_scale, 600 + seed);
-                let stats = run_auto_path(&w, OpSource::Subdex, ctx.path_steps, &cfg);
-                scores.push(stats.irregulars_shown.len() as f64);
-            }
-            cols.push(format!("{:.2}", summarize(&scores).expect("scores").mean));
-        }
-        println!("{:<22} {:>10} {:>10}", name, cols[0], cols[1]);
     }
 }
 

@@ -40,6 +40,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::interest;
 use crate::ratingmap::{MapKey, RatingMap, Subgroup};
+use subdex_stats::distance;
 use subdex_stats::kernels::BatchScratch;
 use subdex_stats::RatingDistribution;
 use subdex_store::{
@@ -76,7 +77,7 @@ pub struct RawScores {
 ///
 /// The seen maps are staged once per generate call
 /// ([`Self::stage_seen`]). Global peculiarity is a pure function of the
-/// overall distribution, the staged seen batch and the measure, and every
+/// overall distribution and the staged seen batch, and every
 /// single-valued family of a dimension shares one overall distribution, so
 /// it is memoized by the overall's counts until the next
 /// [`Self::begin_phase`] or [`Self::stage_seen`]. Everything else is
@@ -92,13 +93,13 @@ pub struct EstimateScratch {
     overall: RatingDistribution,
     /// Per-lane kernel outputs (distances / standard deviations).
     vals: Vec<f64>,
-    /// Kernel scratch (means under the Outlier measure).
+    /// Kernel scratch (the per-lane means of the agreement kernel).
     tmp: Vec<f64>,
     /// Memo keys: the overall counts of each memoized entry, back to back
     /// (`seen_batch.scale()` counts an entry).
     memo_counts: Vec<u64>,
     /// Memo values, aligned with `memo_counts`.
-    memo: Vec<(interest::PeculiarityMeasure, f64)>,
+    memo: Vec<f64>,
 }
 
 impl Default for EstimateScratch {
@@ -138,26 +139,21 @@ impl EstimateScratch {
     }
 
     /// Global peculiarity of `self.overall` against the staged seen batch,
-    /// from the memo when this (measure, overall) pair was seen before.
-    fn global_peculiarity(&mut self, measure: interest::PeculiarityMeasure) -> f64 {
+    /// from the memo when this overall was seen before.
+    fn global_peculiarity(&mut self) -> f64 {
         let key = self.overall.counts();
         let hit = self
             .memo_counts
             .chunks_exact(key.len())
             .zip(&self.memo)
-            .find(|(counts, (m, _))| *m == measure && *counts == key);
-        if let Some((_, &(_, value))) = hit {
+            .find(|(counts, _)| *counts == key);
+        if let Some((_, &value)) = hit {
             return value;
         }
-        measure.distance_rows(
-            &self.seen_batch,
-            &self.overall,
-            &mut self.tmp,
-            &mut self.vals,
-        );
+        distance::total_variation_rows(&self.seen_batch, &self.overall, &mut self.vals);
         let value = interest::max_distance(&self.vals);
         self.memo_counts.extend_from_slice(self.overall.counts());
-        self.memo.push((measure, value));
+        self.memo.push(value);
         value
     }
 }
@@ -249,9 +245,8 @@ impl FamilyAccumulator {
         if self.dims.is_empty() || phase.is_empty() {
             return;
         }
-        let group = RatingGroup::with_order(phase.to_vec());
+        let group = RatingGroup::with_order(db.ratings(), phase.to_vec());
         let mut scratch = ScanScratch::new();
-        scratch.prepare_group(db.ratings(), &group);
         let dims = self.dims.clone();
         let block = scratch.gather_phase(db.ratings(), &group, 0..phase.len(), &dims);
         scan_block(
@@ -295,12 +290,7 @@ impl FamilyAccumulator {
     ///
     /// # Panics
     /// Panics if the staged seen batch is not over this family's scale.
-    pub fn raw_scores_staged(
-        &self,
-        dim_pos: usize,
-        measure: interest::PeculiarityMeasure,
-        scratch: &mut EstimateScratch,
-    ) -> RawScores {
+    pub fn raw_scores_staged(&self, dim_pos: usize, scratch: &mut EstimateScratch) -> RawScores {
         assert_eq!(
             scratch.seen_batch.scale(),
             self.scale,
@@ -341,17 +331,12 @@ impl FamilyAccumulator {
 
         // Self peculiarity: every live subgroup against the overall
         // distribution, max-aggregated in lane order.
-        measure.distance_rows(
-            &scratch.batch,
-            &scratch.overall,
-            &mut scratch.tmp,
-            &mut scratch.vals,
-        );
+        distance::total_variation_rows(&scratch.batch, &scratch.overall, &mut scratch.vals);
         let self_peculiarity = interest::max_distance(&scratch.vals);
 
         // Global peculiarity: the overall distribution against every seen
         // map — one lane per seen distribution, same reference.
-        let global_peculiarity = scratch.global_peculiarity(measure);
+        let global_peculiarity = scratch.global_peculiarity();
 
         RawScores {
             conciseness: interest::conciseness_raw(self.records_processed, live),
@@ -854,11 +839,10 @@ mod tests {
         fam: &FamilyAccumulator,
         dim_pos: usize,
         seen: &[RatingDistribution],
-        measure: interest::PeculiarityMeasure,
     ) -> RawScores {
         let mut scratch = EstimateScratch::new();
         scratch.stage_seen(fam.scale, seen);
-        fam.raw_scores_staged(dim_pos, measure, &mut scratch)
+        fam.raw_scores_staged(dim_pos, &mut scratch)
     }
 
     #[test]
@@ -867,7 +851,7 @@ mod tests {
         let gender = db.reviewers().schema().attr_by_name("gender").unwrap();
         let mut fam = FamilyAccumulator::new(&db, Entity::Reviewer, gender, vec![DimId(1)]);
         fam.update(&db, &(0..8).collect::<Vec<_>>());
-        let raw = fresh_scores(&fam, 0, &[], interest::PeculiarityMeasure::TotalVariation);
+        let raw = fresh_scores(&fam, 0, &[]);
         assert!(raw.conciseness > 0.0 && raw.conciseness.is_finite());
         assert!(raw.agreement > 0.0 && raw.agreement <= 1.0);
         assert!((0.0..=1.0).contains(&raw.self_peculiarity));
@@ -876,15 +860,11 @@ mod tests {
 
     #[test]
     fn pooled_estimation_matches_fresh_scratch() {
-        // One scratch reused across families, dims, measures, seen sets and
+        // One scratch reused across families, dims, seen sets and
         // repeated calls must give the same scores as a throwaway scratch
         // every time — stale distributions beyond the live prefix and memo
         // entries of an earlier seen set must never leak in.
         let db = fixture::build();
-        let measures = [
-            interest::PeculiarityMeasure::TotalVariation,
-            interest::PeculiarityMeasure::KlDivergence,
-        ];
         let dims = vec![DimId(0), DimId(1)];
         let family = |entity: Entity, name: &str| {
             let attr = db.table(entity).schema().attr_by_name(name).unwrap();
@@ -923,13 +903,11 @@ mod tests {
         ];
         // The two seen sets score the same overall differently, so a memo
         // entry surviving `stage_seen` would show up as a mismatch.
-        for measure in measures {
-            let globals: Vec<f64> = seen_sets
-                .iter()
-                .map(|seen| fresh_scores(&city, 0, seen, measure).global_peculiarity)
-                .collect();
-            assert_ne!(globals[0], globals[1], "{measure:?}");
-        }
+        let globals: Vec<f64> = seen_sets
+            .iter()
+            .map(|seen| fresh_scores(&city, 0, seen).global_peculiarity)
+            .collect();
+        assert_ne!(globals[0], globals[1]);
 
         let mut scratch = EstimateScratch::new();
         for _round in 0..2 {
@@ -937,26 +915,22 @@ mod tests {
                 scratch.stage_seen(5, seen);
                 for fam in families {
                     for dim_pos in 0..dims.len() {
-                        for measure in measures {
-                            let fresh = fresh_scores(fam, dim_pos, seen, measure);
-                            let staged = fam.raw_scores_staged(dim_pos, measure, &mut scratch);
-                            assert_eq!(fresh, staged, "{:?} dim {dim_pos}", fam.attr);
-                        }
+                        let fresh = fresh_scores(fam, dim_pos, seen);
+                        let staged = fam.raw_scores_staged(dim_pos, &mut scratch);
+                        assert_eq!(fresh, staged, "{:?} dim {dim_pos}", fam.attr);
                     }
                 }
-                // One memo entry per measure and distinct overall: the two
-                // single-valued families shared theirs.
-                assert_eq!(scratch.memo.len(), measures.len() * distinct_overalls);
+                // One memo entry per distinct overall: the two single-valued
+                // families shared theirs.
+                assert_eq!(scratch.memo.len(), distinct_overalls);
                 scratch.begin_phase();
                 assert!(scratch.memo.is_empty());
                 for fam in families {
                     for dim_pos in 0..dims.len() {
-                        for measure in measures {
-                            let fresh = fresh_scores(fam, dim_pos, seen, measure);
-                            scratch.stage_seen(fam.scale, seen);
-                            let pooled = fam.raw_scores_staged(dim_pos, measure, &mut scratch);
-                            assert_eq!(fresh, pooled, "{:?} dim {dim_pos}", fam.attr);
-                        }
+                        let fresh = fresh_scores(fam, dim_pos, seen);
+                        scratch.stage_seen(fam.scale, seen);
+                        let pooled = fam.raw_scores_staged(dim_pos, &mut scratch);
+                        assert_eq!(fresh, pooled, "{:?} dim {dim_pos}", fam.attr);
                     }
                 }
             }

@@ -26,7 +26,6 @@ use crate::selector::{select_diverse_with, SelectionStrategy};
 use crate::utility::UtilityCombiner;
 use std::sync::Arc;
 use std::time::Instant;
-use subdex_stats::normalize::NormalizerKind;
 use subdex_store::{DistanceCache, RatingGroup, SelectionQuery, SubjectiveDb};
 
 /// Full engine configuration (defaults follow Table 3 of the paper).
@@ -50,8 +49,6 @@ pub struct EngineConfig {
     /// cores, `1` = serial). Resolved once per step, under the session's
     /// thread budget.
     pub threads: usize,
-    /// Criterion normalization family.
-    pub normalizer: NormalizerKind,
     /// Criterion → utility aggregation (Max is the paper's; the rest are
     /// ablations).
     pub combiner: UtilityCombiner,
@@ -61,8 +58,6 @@ pub struct EngineConfig {
     /// Apply dimension weighting (Equation 1); the Figure 9 ablation
     /// turns this off.
     pub dimension_weighting: bool,
-    /// Distance backing the peculiarity criteria (TVD by default).
-    pub peculiarity: crate::interest::PeculiarityMeasure,
     /// Cap on evaluated candidate operations per step.
     pub max_candidates: usize,
     /// Base RNG seed (phase shuffles are derived deterministically).
@@ -79,11 +74,9 @@ impl Default for EngineConfig {
             delta: 0.05,
             pruning: PruningStrategy::Both,
             threads: 0,
-            normalizer: NormalizerKind::ZLogistic,
             combiner: UtilityCombiner::Max,
             recommendations: true,
             dimension_weighting: true,
-            peculiarity: crate::interest::PeculiarityMeasure::TotalVariation,
             max_candidates: 48,
             seed: 0,
         }
@@ -170,7 +163,6 @@ impl EngineConfig {
             },
             combiner: self.combiner,
             use_dw: self.dimension_weighting,
-            peculiarity: self.peculiarity,
         }
     }
 
@@ -227,7 +219,7 @@ impl SdeEngine {
         Self {
             db,
             seen: SeenContext::new(dim_count),
-            normalizers: CriterionNormalizers::new(config.normalizer),
+            normalizers: CriterionNormalizers::new(),
             config,
             step_counter: 0,
             dist_cache: None,

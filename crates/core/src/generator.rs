@@ -31,7 +31,7 @@ use crate::accumulator::{
 use crate::pruning::{ci_survivors, utility_envelope, PruningStrategy, SarDecision, SarState};
 use crate::ratingmap::{RatingMap, ScoredRatingMap};
 use crate::utility::{CriterionScores, DimensionWeights, UtilityCombiner};
-use subdex_stats::normalize::{Normalizer, NormalizerKind, ScoreNormalizer};
+use subdex_stats::normalize::ZLogisticNormalizer;
 use subdex_stats::{ConfidenceInterval, HoeffdingSerfling, RatingDistribution};
 use subdex_store::{DimId, RatingGroup, ScanScratch, SelectionQuery, SubjectiveDb};
 
@@ -102,26 +102,22 @@ impl SeenContext {
     }
 }
 
-/// Stateful normalizers, one per criterion (scales persist across steps so
-/// criteria stay comparable throughout a session). Cloneable so candidate-
-/// operation evaluation can snapshot them into worker threads.
-#[derive(Debug, Clone)]
+/// Stateful z-logistic normalizers, one per criterion (scales persist
+/// across steps so criteria stay comparable throughout a session).
+/// Cloneable so candidate-operation evaluation can snapshot them into
+/// worker threads.
+#[derive(Debug, Clone, Default)]
 pub struct CriterionNormalizers {
-    conciseness: ScoreNormalizer,
-    agreement: ScoreNormalizer,
-    self_peculiarity: ScoreNormalizer,
-    global_peculiarity: ScoreNormalizer,
+    conciseness: ZLogisticNormalizer,
+    agreement: ZLogisticNormalizer,
+    self_peculiarity: ZLogisticNormalizer,
+    global_peculiarity: ZLogisticNormalizer,
 }
 
 impl CriterionNormalizers {
-    /// Builds four fresh normalizers of the given kind.
-    pub fn new(kind: NormalizerKind) -> Self {
-        Self {
-            conciseness: kind.build_enum(),
-            agreement: kind.build_enum(),
-            self_peculiarity: kind.build_enum(),
-            global_peculiarity: kind.build_enum(),
-        }
+    /// Builds four fresh normalizers.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Observes raw scores (updating scales) and returns them normalized.
@@ -160,8 +156,6 @@ pub struct GeneratorConfig {
     /// Apply dimension weighting (Equation 1). Disabled only by the
     /// Figure 9 ablation.
     pub use_dw: bool,
-    /// Distance backing the peculiarity criteria.
-    pub peculiarity: crate::interest::PeculiarityMeasure,
 }
 
 impl Default for GeneratorConfig {
@@ -173,7 +167,6 @@ impl Default for GeneratorConfig {
             pruning: PruningStrategy::Both,
             combiner: UtilityCombiner::Max,
             use_dw: true,
-            peculiarity: crate::interest::PeculiarityMeasure::TotalVariation,
         }
     }
 }
@@ -318,9 +311,6 @@ pub fn generate_pooled(
     let seen_dists = seen.seen_distributions();
     let weights = seen.weights();
 
-    let prepare_start = Instant::now();
-    scratch.prepare_group(db.ratings(), group);
-    out.scan_time += prepare_start.elapsed();
     est.stage_seen(db.ratings().scale() as usize, seen_dists);
 
     let mut records_seen: u64 = 0;
@@ -362,7 +352,7 @@ pub fn generate_pooled(
             let Some(dim_pos) = fam.dims().iter().position(|&d| d == cand.dim) else {
                 continue;
             };
-            let raw = fam.raw_scores_staged(dim_pos, cfg.peculiarity, est);
+            let raw = fam.raw_scores_staged(dim_pos, est);
             cand.scores = normalizers.observe_and_normalize(&raw);
             live.push(ci);
             live_scores.push(cand.scores);
@@ -533,7 +523,7 @@ mod tests {
         let q = SelectionQuery::all();
         let group = db.rating_group(&q, 42);
         let seen = SeenContext::new(db.ratings().dim_count());
-        let mut norms = CriterionNormalizers::new(NormalizerKind::ZLogistic);
+        let mut norms = CriterionNormalizers::new();
         generate(db, &group, &q, &seen, &mut norms, cfg, threads)
     }
 
@@ -643,9 +633,8 @@ mod tests {
         let db = SubjectiveDb::new(ub.build(), ib.build(), rb.build(60, 60));
 
         let q = SelectionQuery::all();
-        let group = db.scan_group(&q, 11);
+        let group = db.rating_group(&q, 11);
         let mut scratch = ScanScratch::new();
-        scratch.prepare_group(db.ratings(), &group);
         let dims = vec![DimId(0)];
         let keys = candidate_keys(&db, &q);
         let make = || -> Vec<FamilyAccumulator> {
@@ -678,7 +667,7 @@ mod tests {
         ]);
         let group = db.rating_group(&q, 0);
         let seen = SeenContext::new(2);
-        let mut norms = CriterionNormalizers::new(NormalizerKind::ZLogistic);
+        let mut norms = CriterionNormalizers::new();
         let out = generate(
             &db,
             &group,
@@ -710,7 +699,7 @@ mod tests {
             );
             seen.record_displayed(&fake);
         }
-        let mut norms = CriterionNormalizers::new(NormalizerKind::ZLogistic);
+        let mut norms = CriterionNormalizers::new();
         let cfg = GeneratorConfig {
             pruning: PruningStrategy::None,
             ..Default::default()

@@ -18,94 +18,13 @@
 //!   the map's overall distribution and the distributions of previously
 //!   displayed maps; it rewards maps that show a facet of the data the user
 //!   has not seen yet (the multi-step diversity facet).
+//!
+//! Both peculiarity criteria use TVD, as the paper's prototype does.
+//! Section 4.1 names the KL divergence and the Outlier Function of \[39\]
+//! only as alternatives, and none of the paper's experiments swaps them in.
 
-use subdex_stats::distance::{kl_divergence, total_variation};
-use subdex_stats::kernels::BatchScratch;
-use subdex_stats::{distance, distribution, RatingDistribution};
-
-/// Which distribution-distance backs the two peculiarity criteria.
-///
-/// The paper's prototype uses the total variation distance and names the
-/// KL divergence and the Outlier Function of \[39\] as alternatives
-/// (Section 4.1); all three are provided and ablated by
-/// `experiments ablation-pec`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PeculiarityMeasure {
-    /// Total variation distance (the paper's choice).
-    #[default]
-    TotalVariation,
-    /// Smoothed, symmetrized KL divergence squashed to `[0, 1)`.
-    KlDivergence,
-    /// Outlier function: normalized gap between the distribution means.
-    Outlier,
-}
-
-impl PeculiarityMeasure {
-    /// Distance between two distributions in `[0, 1]`.
-    pub fn distance(self, a: &RatingDistribution, b: &RatingDistribution) -> f64 {
-        match self {
-            PeculiarityMeasure::TotalVariation => total_variation(a, b),
-            PeculiarityMeasure::KlDivergence => {
-                // Symmetrize and squash: d = 1 − e^(−J/2) where J is
-                // Jeffreys' divergence — keeps the [0, 1] scale the
-                // normalizers and CI bounds expect.
-                let j = kl_divergence(a, b, 1e-4) + kl_divergence(b, a, 1e-4);
-                1.0 - (-0.5 * j.max(0.0)).exp()
-            }
-            PeculiarityMeasure::Outlier => {
-                let scale = a.scale().max(2) as f64;
-                match (a.mean(), b.mean()) {
-                    (Some(ma), Some(mb)) => (ma - mb).abs() / (scale - 1.0),
-                    _ => 0.0,
-                }
-            }
-        }
-    }
-
-    /// Batched [`Self::distance`] of every lane of a staged batch against
-    /// one reference distribution, dispatched through the active SIMD
-    /// kernel path: `out[i]` is bit-identical to
-    /// `self.distance(lane_i, reference)` (and, since every backing
-    /// distance is bit-symmetric in its arguments, to
-    /// `self.distance(reference, lane_i)`). Empty lanes yield 0 under
-    /// [`PeculiarityMeasure::Outlier`], matching the scalar `None` arm.
-    /// `tmp` is kernel scratch.
-    pub fn distance_rows(
-        self,
-        batch: &BatchScratch,
-        reference: &RatingDistribution,
-        tmp: &mut Vec<f64>,
-        out: &mut Vec<f64>,
-    ) {
-        match self {
-            PeculiarityMeasure::TotalVariation => {
-                distance::total_variation_rows(batch, reference, out);
-            }
-            PeculiarityMeasure::KlDivergence => {
-                distance::jeffreys_rows(batch, reference, 1e-4, out);
-                for v in out.iter_mut() {
-                    *v = 1.0 - (-0.5 * v.max(0.0)).exp();
-                }
-            }
-            PeculiarityMeasure::Outlier => {
-                distribution::mean_sd_rows(batch, out, tmp);
-                let diameter = (batch.scale().max(2) as f64) - 1.0;
-                match reference.mean() {
-                    Some(mb) => {
-                        for v in out.iter_mut() {
-                            *v = if v.is_nan() {
-                                0.0
-                            } else {
-                                (*v - mb).abs() / diameter
-                            };
-                        }
-                    }
-                    None => out.iter_mut().for_each(|v| *v = 0.0),
-                }
-            }
-        }
-    }
-}
+use subdex_stats::distance::total_variation;
+use subdex_stats::RatingDistribution;
 
 /// [`agreement_raw`] evaluated from batched per-lane standard deviations
 /// (as produced by the `mean_sd_rows` kernel; NaN marks an empty lane and
@@ -198,19 +117,10 @@ pub fn agreement_raw(subgroups: &[RatingDistribution]) -> f64 {
 /// Raw self peculiarity: the maximum TVD between any subgroup's
 /// distribution and the whole group's distribution. No subgroups ⇒ 0.
 pub fn self_peculiarity_raw(subgroups: &[RatingDistribution], overall: &RatingDistribution) -> f64 {
-    self_peculiarity_with(subgroups, overall, PeculiarityMeasure::TotalVariation)
-}
-
-/// [`self_peculiarity_raw`] under a configurable distance.
-pub fn self_peculiarity_with(
-    subgroups: &[RatingDistribution],
-    overall: &RatingDistribution,
-    measure: PeculiarityMeasure,
-) -> f64 {
     subgroups
         .iter()
         .filter(|d| !d.is_empty())
-        .map(|d| measure.distance(d, overall))
+        .map(|d| total_variation(d, overall))
         .fold(0.0, f64::max)
 }
 
@@ -218,17 +128,8 @@ pub fn self_peculiarity_with(
 /// distribution and each previously displayed map's distribution.
 /// Nothing seen yet ⇒ 0 (there is no facet to differ from).
 pub fn global_peculiarity_raw(overall: &RatingDistribution, seen: &[RatingDistribution]) -> f64 {
-    global_peculiarity_with(overall, seen, PeculiarityMeasure::TotalVariation)
-}
-
-/// [`global_peculiarity_raw`] under a configurable distance.
-pub fn global_peculiarity_with(
-    overall: &RatingDistribution,
-    seen: &[RatingDistribution],
-    measure: PeculiarityMeasure,
-) -> f64 {
     seen.iter()
-        .map(|d| measure.distance(overall, d))
+        .map(|d| total_variation(overall, d))
         .fold(0.0, f64::max)
 }
 
@@ -309,47 +210,13 @@ mod tests {
 
     #[test]
     fn peculiarity_measures_agree_on_identity_and_extremes() {
-        let a = dist(&[10, 0, 0, 0, 0]);
-        let b = dist(&[0, 0, 0, 0, 10]);
-        for m in [
-            PeculiarityMeasure::TotalVariation,
-            PeculiarityMeasure::KlDivergence,
-            PeculiarityMeasure::Outlier,
-        ] {
-            assert!(m.distance(&a, &a) < 1e-9, "{m:?} identity");
-            let d = m.distance(&a, &b);
-            assert!(d > 0.8, "{m:?} extremes should be near 1, got {d}");
-            assert!((0.0..=1.0).contains(&d));
-        }
-    }
-
-    #[test]
-    fn kl_measure_symmetric_and_bounded() {
-        let a = dist(&[5, 3, 1, 0, 0]);
-        let b = dist(&[0, 1, 3, 5, 2]);
-        let m = PeculiarityMeasure::KlDivergence;
-        assert!((m.distance(&a, &b) - m.distance(&b, &a)).abs() < 1e-12);
-        assert!(m.distance(&a, &b) < 1.0);
-    }
-
-    #[test]
-    fn outlier_measure_uses_means_only() {
-        // Same mean, different shape → 0 under Outlier but > 0 under TVD.
-        let a = dist(&[5, 0, 0, 0, 5]); // mean 3
-        let b = dist(&[0, 0, 10, 0, 0]); // mean 3
-        assert!(PeculiarityMeasure::Outlier.distance(&a, &b) < 1e-12);
-        assert!(PeculiarityMeasure::TotalVariation.distance(&a, &b) > 0.5);
-    }
-
-    #[test]
-    fn configurable_peculiarity_changes_scores() {
-        let normal = dist(&[0, 0, 0, 5, 5]);
-        let outlier = dist(&[10, 0, 0, 0, 0]);
-        let mut overall = normal.clone();
-        overall.merge(&outlier);
-        let subs = [normal, outlier];
-        let tvd = self_peculiarity_with(&subs, &overall, PeculiarityMeasure::TotalVariation);
-        let out = self_peculiarity_with(&subs, &overall, PeculiarityMeasure::Outlier);
-        assert!(tvd > 0.0 && out > 0.0);
+        // Self and global peculiarity share TVD: 0 for identical
+        // distributions, 1 for disjoint ones, always within [0, 1].
+        let a = [dist(&[10, 0, 0, 0, 0])];
+        let b = [dist(&[0, 0, 0, 0, 10])];
+        assert_eq!(self_peculiarity_raw(&a, &a[0]), 0.0);
+        assert_eq!(global_peculiarity_raw(&a[0], &a), 0.0);
+        assert_eq!(self_peculiarity_raw(&a, &b[0]), 1.0);
+        assert_eq!(global_peculiarity_raw(&a[0], &b), 1.0);
     }
 }

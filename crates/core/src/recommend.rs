@@ -621,7 +621,6 @@ mod tests {
     use crate::pruning::PruningStrategy;
     use crate::ratingmap::{MapKey, RatingMap, Subgroup};
     use proptest::prelude::*;
-    use subdex_stats::normalize::NormalizerKind;
     use subdex_store::{Cell, EntityTableBuilder, RatingTableBuilder, Schema, Value};
 
     fn db() -> SubjectiveDb {
@@ -655,7 +654,7 @@ mod tests {
     fn displayed(db: &SubjectiveDb, q: &SelectionQuery) -> Vec<ScoredRatingMap> {
         let group = db.rating_group(q, 3);
         let seen = SeenContext::new(2);
-        let mut norms = CriterionNormalizers::new(NormalizerKind::ZLogistic);
+        let mut norms = CriterionNormalizers::new();
         let cfg = GeneratorConfig {
             pruning: PruningStrategy::None,
             ..Default::default()
@@ -755,7 +754,7 @@ mod tests {
             q,
             maps,
             &SeenContext::new(2),
-            &CriterionNormalizers::new(NormalizerKind::ZLogistic),
+            &CriterionNormalizers::new(),
             &unpruned(),
             cfg,
             threads,
@@ -964,7 +963,7 @@ mod tests {
         seed: u64,
     ) -> Vec<((f64, f64), Recommendation)> {
         let seen = SeenContext::new(2);
-        let norms = CriterionNormalizers::new(NormalizerKind::ZLogistic);
+        let norms = CriterionNormalizers::new();
         let mut out = Vec::new();
         for c in enumerate_candidates(db, q, maps, cfg) {
             if db.index_cardinality_bound(&c) == 0 {

@@ -57,7 +57,7 @@ impl LegacyEngine {
         Self {
             db,
             seen: SeenContext::new(dim_count),
-            normalizers: CriterionNormalizers::new(config.normalizer),
+            normalizers: CriterionNormalizers::new(),
             config,
             step_counter: 0,
             dist_cache: None,

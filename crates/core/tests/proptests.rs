@@ -299,7 +299,7 @@ proptest! {
         // Use a generated pool of displayed maps.
         let group = db.rating_group(&q, 1);
         let seen = subdex_core::SeenContext::new(1);
-        let mut norms = subdex_core::generator::CriterionNormalizers::new(Default::default());
+        let mut norms = subdex_core::generator::CriterionNormalizers::new();
         let gcfg = subdex_core::generator::GeneratorConfig {
             pruning: subdex_core::PruningStrategy::None,
             ..Default::default()

@@ -14,7 +14,6 @@ use subdex_core::generator::{self, CriterionNormalizers, GeneratorConfig};
 use subdex_core::ratingmap::ScoredRatingMap;
 use subdex_core::recommend::{recommend, RecommendConfig, RecommendScratch, Recommendation};
 use subdex_core::{PruningStrategy, SeenContext};
-use subdex_stats::normalize::NormalizerKind;
 use subdex_store::{
     table::EntityTableBuilder, AttrValue, Cell, Entity, Schema, SelectionQuery, SubjectiveDb, Value,
 };
@@ -125,9 +124,9 @@ fn parent_query(preds: &[AttrValue], mask: &[bool]) -> SelectionQuery {
 }
 
 fn displayed(db: &SubjectiveDb, q: &SelectionQuery) -> Vec<ScoredRatingMap> {
-    let group = db.scan_group(q, 3);
+    let group = db.rating_group(q, 3);
     let seen = SeenContext::new(db.ratings().dim_count());
-    let mut norms = CriterionNormalizers::new(NormalizerKind::ZLogistic);
+    let mut norms = CriterionNormalizers::new();
     let cfg = GeneratorConfig {
         pruning: PruningStrategy::None,
         phases: 4,
@@ -202,7 +201,7 @@ proptest! {
         let parent_cols = db.collect_group_columns(&query);
         let maps = displayed(&db, &query);
         let seen = SeenContext::new(db.ratings().dim_count());
-        let norms = CriterionNormalizers::new(NormalizerKind::ZLogistic);
+        let norms = CriterionNormalizers::new();
         let gen_cfg = GeneratorConfig {
             pruning: PruningStrategy::None,
             phases: 4,

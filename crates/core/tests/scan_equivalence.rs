@@ -205,7 +205,7 @@ fn run_generate(
 ) -> generator::GeneratorOutput {
     let q = SelectionQuery::all();
     let seen = SeenContext::new(db.ratings().dim_count());
-    let mut norms = CriterionNormalizers::new(Default::default());
+    let mut norms = CriterionNormalizers::new();
     let cfg = GeneratorConfig {
         pruning,
         phases: 4,
@@ -227,7 +227,7 @@ proptest! {
         let db = build_db(&spec);
         let mut mix = Mix(spec.seed ^ 0x5ca9);
         let q = SelectionQuery::all();
-        let group = db.scan_group(&q, spec.seed);
+        let group = db.rating_group(&q, spec.seed);
         let n = group.len();
 
         // Phase blocks, in order: empty; fewer records than the item table
@@ -251,7 +251,6 @@ proptest! {
         let mut expect_processed = vec![0u64; keys.len()];
         let mut scratch = ScanScratch::new();
         let mut counts = CountScratch::new();
-        scratch.prepare_group(db.ratings(), &group);
 
         for range in cuts.windows(2).map(|w| w[0]..w[1]) {
             // The generator gathers exactly the union of the active dims.
@@ -294,15 +293,15 @@ proptest! {
     }
 
     /// The generator's final rating-map pool must be byte-identical across
-    /// every pruning mode × parallelism setting, and across the two group
-    /// construction paths (in-place shuffle vs gathered columns — the
-    /// uncached and cached paths respectively).
+    /// every pruning mode × parallelism setting, and across the two ways a
+    /// group is built (shuffle then gather in `rating_group`, gather then
+    /// permute in the engine's `RatingGroup::from_columns`).
     #[test]
     fn generate_identical_across_modes(spec in db_spec()) {
         let db = build_db(&spec);
         let q = SelectionQuery::all();
         let group = db.rating_group(&q, 7);
-        let columnar = db.scan_group(&q, 7);
+        let columnar = RatingGroup::from_columns(&db.collect_group_columns(&q), 7);
         prop_assert_eq!(group.records(), columnar.records());
 
         for pruning in [

@@ -2,17 +2,15 @@
 //!
 //! The paper uses the *Total Variation Distance* for the two peculiarity
 //! criteria (Section 4.1) and the *Earth Mover's Distance* for rating-map
-//! diversity (Section 3.2.4). The Kullback–Leibler divergence is provided as
-//! the alternative peculiarity measure the paper mentions.
+//! diversity (Section 3.2.4).
 
 use crate::distribution::RatingDistribution;
 use crate::kernels::{self, BatchScratch};
 
 /// Probability of one score bucket given the distribution's total, matching
 /// [`RatingDistribution::probabilities`] bucket-for-bucket (empty ⇒ the
-/// uniform `1/m`) without materializing the probability vector. Both
-/// distances below stream through this so the hot re-estimation paths do
-/// not allocate per call.
+/// uniform `1/m`) without materializing the probability vector, so the hot
+/// re-estimation paths do not allocate per call.
 #[inline]
 fn prob(count: u64, total: u64, m: f64) -> f64 {
     if total == 0 {
@@ -39,29 +37,6 @@ pub fn total_variation(a: &RatingDistribution, b: &RatingDistribution) -> f64 {
         .sum::<f64>()
 }
 
-/// Kullback–Leibler divergence `KL(p ‖ q)` in nats, with additive smoothing
-/// `eps` applied to both distributions so the divergence is finite even when
-/// `q` has empty buckets.
-///
-/// # Panics
-/// Panics if the scales differ or `eps <= 0`.
-pub fn kl_divergence(a: &RatingDistribution, b: &RatingDistribution, eps: f64) -> f64 {
-    assert_eq!(a.scale(), b.scale(), "distributions must share a scale");
-    assert!(eps > 0.0, "smoothing epsilon must be positive");
-    let m = a.scale() as f64;
-    let (ta, tb) = (a.total(), b.total());
-    let norm = 1.0 + m * eps;
-    a.counts()
-        .iter()
-        .zip(b.counts())
-        .map(|(&x, &y)| {
-            let p = (prob(x, ta, m) + eps) / norm;
-            let q = (prob(y, tb, m) + eps) / norm;
-            p * (p / q).ln()
-        })
-        .sum()
-}
-
 /// Batched [`total_variation`]: every staged lane against one reference
 /// distribution, dispatched through the process-wide
 /// [`kernels::active`] SIMD path. `out[i]` is bit-identical to
@@ -79,29 +54,6 @@ pub fn total_variation_rows(
         batch,
         reference.counts(),
         reference.total(),
-        out,
-    );
-}
-
-/// Batched symmetrized KL (Jeffreys) divergence: `out[i]` is bit-identical
-/// to `kl_divergence(lane_i, reference, eps) + kl_divergence(reference,
-/// lane_i, eps)` — the form behind the KL peculiarity measure — dispatched
-/// through the process-wide [`kernels::active`] SIMD path.
-///
-/// # Panics
-/// Panics if the scales differ or `eps <= 0`.
-pub fn jeffreys_rows(
-    batch: &BatchScratch,
-    reference: &RatingDistribution,
-    eps: f64,
-    out: &mut Vec<f64>,
-) {
-    kernels::jeffreys_rows(
-        kernels::active(),
-        batch,
-        reference.counts(),
-        reference.total(),
-        eps,
         out,
     );
 }
@@ -195,27 +147,6 @@ mod tests {
         let a = dist(&[1, 1, 0]);
         let b = dist(&[1, 0, 1]);
         assert!((total_variation(&a, &b) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kl_identical_is_zero() {
-        let a = dist(&[1, 2, 3, 4, 5]);
-        assert!(kl_divergence(&a, &a, 1e-6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kl_nonnegative_and_asymmetric() {
-        let a = dist(&[8, 1, 1, 0, 0]);
-        let b = dist(&[0, 0, 1, 1, 8]);
-        let ab = kl_divergence(&a, &b, 1e-3);
-        let ba = kl_divergence(&b, &a, 1e-3);
-        assert!(ab > 0.0);
-        assert!(ba > 0.0);
-        // These particular histograms are mirror images, so KL is symmetric
-        // between them; perturb to observe asymmetry.
-        let c = dist(&[5, 4, 1, 0, 0]);
-        assert!((kl_divergence(&a, &c, 1e-3) - kl_divergence(&c, &a, 1e-3)).abs() > 1e-6);
-        let _ = (ab, ba);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! of the distributional hot path.
 //!
 //! Every exploration step reduces to the same handful of small-distribution
-//! loops: CDF prefixes and TVD/KL divergences during score re-estimation,
+//! loops: CDF prefixes and TVD distances during score re-estimation,
 //! and L1 cost matrices during GMM selection (the phase scan's histogram
 //! accumulation is data-dependent scatter no lane model helps with; it
 //! lives with the accumulators in `subdex-core`). The rating scale `m` is tiny (typically 5), so
@@ -22,8 +22,7 @@
 //!
 //! Every path returns bit-identical `f64`s for the same inputs, and those
 //! bits equal what the pre-kernel scalar code (`cdf_into`,
-//! `total_variation`, `kl_divergence`, `emd_1d_normalized_from_cdfs`,
-//! `std_dev`) produced:
+//! `total_variation`, `emd_1d_normalized_from_cdfs`, `std_dev`) produced:
 //!
 //! * Vectorization is across the batch axis only — each lane's reduction
 //!   accumulates in the same `j = 0..m` order as the scalar reference, so
@@ -32,9 +31,6 @@
 //!   sqrt, abs-by-masking, min on finite values, `u64 → f64` conversion)
 //!   are IEEE-754 correctly rounded, hence lane-for-lane identical to
 //!   their scalar equivalents.
-//! * Transcendentals (`ln`, `exp`) are **not** vectorized: SIMD paths
-//!   extract lanes and call the same scalar `f64::ln` the reference uses —
-//!   a polynomial vector approximation would break the contract.
 //! * Integer kernels are exact on every path, so identity there is by
 //!   construction. The word-wise set kernels (`and_words`,
 //!   `popcount_words`) vectorize profitably; the data-dependent ones
@@ -278,43 +274,6 @@ pub fn tvd_rows(
             x86::tvd_rows_avx2(counts, totals, lanes, scale, ref_counts, ref_total, out)
         },
         _ => scalar::tvd_rows(counts, totals, lanes, scale, ref_counts, ref_total, out),
-    }
-}
-
-/// Batch Jeffreys divergence (`KL(p‖q) + KL(q‖p)`, smoothed by `eps`) of
-/// every lane against one reference distribution — the symmetrized form
-/// behind the KL peculiarity measure, bit-identical per lane to
-/// `kl_divergence(a, b, eps) + kl_divergence(b, a, eps)`. `out` is resized
-/// to `lanes`.
-///
-/// # Panics
-/// Panics if `ref_counts.len() != scale` or `eps <= 0`.
-pub fn jeffreys_rows(
-    path: KernelPath,
-    batch: &BatchScratch,
-    ref_counts: &[u64],
-    ref_total: u64,
-    eps: f64,
-    out: &mut Vec<f64>,
-) {
-    check(path);
-    assert_eq!(ref_counts.len(), batch.scale, "reference scale mismatch");
-    assert!(eps > 0.0, "smoothing epsilon must be positive");
-    let (lanes, scale) = (batch.lanes, batch.scale);
-    out.clear();
-    out.resize(lanes, 0.0);
-    let (counts, totals) = (&batch.counts, &batch.totals);
-    match path {
-        // SAFETY: `check` asserted that the host supports AVX2.
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Avx2 => unsafe {
-            x86::jeffreys_rows_avx2(
-                counts, totals, lanes, scale, ref_counts, ref_total, eps, out,
-            )
-        },
-        _ => scalar::jeffreys_rows(
-            counts, totals, lanes, scale, ref_counts, ref_total, eps, out,
-        ),
     }
 }
 

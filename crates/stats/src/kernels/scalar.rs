@@ -101,51 +101,6 @@ pub(crate) fn tvd_rows(
     }
 }
 
-/// Smoothed Jeffreys divergence of one lane against the reference —
-/// the two directed KL sums of `distance::kl_divergence`, each
-/// accumulated in `j` order, added once at the end.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn jeffreys_lane(
-    counts: &[u64],
-    totals: &[u64],
-    lanes: usize,
-    scale: usize,
-    ref_counts: &[u64],
-    ref_total: u64,
-    eps: f64,
-    i: usize,
-) -> f64 {
-    let m = scale as f64;
-    let norm = 1.0 + m * eps;
-    let t = totals[i];
-    let mut ab = 0.0;
-    let mut ba = 0.0;
-    for j in 0..scale {
-        let p = (prob(counts[j * lanes + i], t, m) + eps) / norm;
-        let q = (prob(ref_counts[j], ref_total, m) + eps) / norm;
-        ab += p * (p / q).ln();
-        ba += q * (q / p).ln();
-    }
-    ab + ba
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn jeffreys_rows(
-    counts: &[u64],
-    totals: &[u64],
-    lanes: usize,
-    scale: usize,
-    ref_counts: &[u64],
-    ref_total: u64,
-    eps: f64,
-    out: &mut [f64],
-) {
-    for i in 0..lanes {
-        out[i] = jeffreys_lane(counts, totals, lanes, scale, ref_counts, ref_total, eps, i);
-    }
-}
-
 /// Mean and population SD of one lane — mirrors
 /// `RatingDistribution::{mean, std_dev}`; empty lanes yield NaN.
 #[inline]

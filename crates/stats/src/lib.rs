@@ -8,7 +8,7 @@
 //! * [`RatingDistribution`] — histograms over a discrete ordinal rating scale
 //!   (Definition 1 of the paper), with means, dispersion, and merging.
 //! * Distances between distributions: [`distance::total_variation`],
-//!   [`distance::kl_divergence`], [`distance::emd_1d`] (the closed-form
+//!   [`distance::emd_1d`] (the closed-form
 //!   Earth Mover's Distance on an ordinal scale) and a general exact EMD
 //!   solver over weighted point sets ([`emd::emd_transport`]) built on a
 //!   min-cost-flow transportation solver.
@@ -21,7 +21,7 @@
 //!   the F distribution CDF, supporting the ANOVA significance tests in the
 //!   user-study harness.
 //! * [`anova`] — one-way ANOVA over treatment groups.
-//! * [`normalize`] — score normalizers that bring the paper's four
+//! * [`normalize`] — the score normalizer that brings the paper's four
 //!   interestingness criteria onto a common `[0, 1]` scale (following
 //!   Somech et al. \[51\]).
 //! * [`kernels`] — structure-of-arrays batch kernels for the distributional

@@ -9,13 +9,13 @@
 //!    non-multiple-of-width tails of the 4-lane vectors.
 //! 2. **Legacy equivalence** — the scalar kernels produce bit-identical
 //!    output to the pre-kernel per-distribution code (`cdf_into`,
-//!    `total_variation`, `kl_divergence`, `mean`/`std_dev`,
+//!    `total_variation`, `mean`/`std_dev`,
 //!    `emd_1d_normalized_from_cdfs`), so kernelized callers keep emitting
 //!    the bytes they always emitted.
 
 use proptest::prelude::*;
 use proptest::strategy::Just;
-use subdex_stats::distance::{emd_1d_normalized_from_cdfs, kl_divergence, total_variation};
+use subdex_stats::distance::{emd_1d_normalized_from_cdfs, total_variation};
 use subdex_stats::kernels::{self, BatchScratch, KernelPath};
 use subdex_stats::RatingDistribution;
 
@@ -96,21 +96,6 @@ proptest! {
         for path in simd_paths() {
             let mut got = Vec::new();
             kernels::tvd_rows(path, &b, &rc, rt, &mut got);
-            prop_assert_eq!(bits(&got), bits(&want), "path {}", path);
-        }
-    }
-
-    #[test]
-    fn jeffreys_rows_paths_match_scalar((scale, rows) in batch(7), refc in (1usize..=7).prop_flat_map(reference)) {
-        // Regenerate the reference at the batch's scale.
-        let rc: Vec<u64> = (0..scale).map(|j| refc.get(j).copied().unwrap_or(3)).collect();
-        let rt: u64 = rc.iter().sum();
-        let b = stage(scale, &rows);
-        let mut want = Vec::new();
-        kernels::jeffreys_rows(KernelPath::Scalar, &b, &rc, rt, 1e-4, &mut want);
-        for path in simd_paths() {
-            let mut got = Vec::new();
-            kernels::jeffreys_rows(path, &b, &rc, rt, 1e-4, &mut got);
             prop_assert_eq!(bits(&got), bits(&want), "path {}", path);
         }
     }
@@ -200,11 +185,10 @@ proptest! {
         let refd = RatingDistribution::from_counts(rc.clone());
         let b = stage(scale, &rows);
 
-        let (mut cdfs, mut tvd, mut jef, mut mean, mut sd) =
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let (mut cdfs, mut tvd, mut mean, mut sd) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         kernels::cdf_rows(KernelPath::Scalar, &b, &mut cdfs);
         kernels::tvd_rows(KernelPath::Scalar, &b, &rc, rt, &mut tvd);
-        kernels::jeffreys_rows(KernelPath::Scalar, &b, &rc, rt, 1e-4, &mut jef);
         kernels::mean_sd_rows(KernelPath::Scalar, &b, &mut mean, &mut sd);
 
         let mut legacy_cdf = Vec::new();
@@ -217,8 +201,6 @@ proptest! {
                 prop_assert_eq!(cdfs[j * b.lanes() + i].to_bits(), c.to_bits(), "cdf lane {}", i);
             }
             prop_assert_eq!(tvd[i].to_bits(), total_variation(&d, &refd).to_bits(), "tvd lane {}", i);
-            let legacy_j = kl_divergence(&d, &refd, 1e-4) + kl_divergence(&refd, &d, 1e-4);
-            prop_assert_eq!(jef[i].to_bits(), legacy_j.to_bits(), "jeffreys lane {}", i);
             match (d.mean(), d.std_dev()) {
                 (Some(m), Some(s)) => {
                     prop_assert_eq!(mean[i].to_bits(), m.to_bits(), "mean lane {}", i);

@@ -1,12 +1,10 @@
 //! Property-based tests for the numeric substrate.
 
 use proptest::prelude::*;
-use subdex_stats::distance::{
-    emd_1d, emd_1d_from_cdfs, emd_1d_normalized, kl_divergence, total_variation,
-};
+use subdex_stats::distance::{emd_1d, emd_1d_from_cdfs, emd_1d_normalized, total_variation};
 use subdex_stats::emd::{emd_transport, emd_transport_general, emd_transport_matrix};
 use subdex_stats::moments::RunningMoments;
-use subdex_stats::normalize::{MinMaxNormalizer, Normalizer, ZLogisticNormalizer};
+use subdex_stats::normalize::ZLogisticNormalizer;
 use subdex_stats::special::{f_cdf, regularized_incomplete_beta};
 use subdex_stats::{HoeffdingSerfling, RatingDistribution};
 
@@ -33,11 +31,6 @@ proptest! {
     #[test]
     fn tvd_zero_iff_same_probabilities(a in nonempty_dist()) {
         prop_assert!(total_variation(&a, &a) < 1e-12);
-    }
-
-    #[test]
-    fn kl_nonnegative(a in nonempty_dist(), b in nonempty_dist()) {
-        prop_assert!(kl_divergence(&a, &b, 1e-4) >= -1e-12);
     }
 
     #[test]
@@ -114,14 +107,11 @@ proptest! {
         probe in -1e6f64..1e6,
     ) {
         let mut z = ZLogisticNormalizer::new();
-        let mut m = MinMaxNormalizer::new();
         for &x in &observations {
             z.observe(x);
-            m.observe(x);
         }
-        for v in [z.normalize(probe), m.normalize(probe)] {
-            prop_assert!((0.0..=1.0).contains(&v), "out of range: {v}");
-        }
+        let v = z.normalize(probe);
+        prop_assert!((0.0..=1.0).contains(&v), "out of range: {v}");
     }
 
     #[test]

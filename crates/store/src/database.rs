@@ -342,18 +342,11 @@ impl SubjectiveDb {
     }
 
     /// Materializes the rating group for `query`: all records whose
-    /// reviewer and item match the respective sides. `seed` fixes the phase
-    /// order (see [`RatingGroup::new`]).
+    /// reviewer and item match the respective sides, with their entity-row
+    /// columns gathered. `seed` fixes the phase order (see
+    /// [`RatingGroup::new`]).
     pub fn rating_group(&self, query: &SelectionQuery, seed: u64) -> RatingGroup {
-        RatingGroup::new(self.collect_group_records(query), seed)
-    }
-
-    /// Like [`rating_group`](Self::rating_group), but the group additionally
-    /// carries pre-gathered entity-row columns for the scan kernels (see
-    /// [`RatingGroup::entity_rows`]). Record order is byte-identical to
-    /// [`rating_group`](Self::rating_group) for the same `(query, seed)`.
-    pub fn scan_group(&self, query: &SelectionQuery, seed: u64) -> RatingGroup {
-        RatingGroup::from_columns(&self.collect_group_columns(query), seed)
+        RatingGroup::new(&self.ratings, self.collect_group_records(query), seed)
     }
 
     /// The record ids matched by `query`, in **canonical ascending order**
@@ -541,7 +534,7 @@ impl SubjectiveDb {
     /// The gather columns for `query`: the walk-order record list plus both
     /// entity-row columns resolved once ([`GroupColumns::gather`]). This is
     /// what refinements are derived from and what
-    /// [`scan_group`](Self::scan_group) shuffles per session.
+    /// [`RatingGroup::from_columns`] shuffles per step.
     pub fn collect_group_columns(&self, query: &SelectionQuery) -> GroupColumns {
         GroupColumns::gather(&self.ratings, self.collect_group_records(query))
     }
@@ -1021,7 +1014,10 @@ mod tests {
     }
 
     #[test]
-    fn scan_group_matches_rating_group() {
+    fn rating_group_rows_follow_records() {
+        // The phase order is the seeded shuffle of the canonical ascending
+        // records, and each gathered row is its record's own.
+        use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
         let db = figure2_db();
         let young = db
             .pred(Entity::Reviewer, "age_group", &Value::str("Young"))
@@ -1031,12 +1027,13 @@ mod tests {
             SelectionQuery::from_preds(vec![young]),
         ] {
             for seed in [0u64, 5, 99] {
-                let plain = db.rating_group(&query, seed);
-                let columnar = db.scan_group(&query, seed);
-                assert_eq!(plain.records(), columnar.records());
-                let rev = columnar.entity_rows(Entity::Reviewer).unwrap();
-                let item = columnar.entity_rows(Entity::Item).unwrap();
-                for (i, &rec) in columnar.records().iter().enumerate() {
+                let group = db.rating_group(&query, seed);
+                let mut order = db.collect_group_records(&query);
+                order.shuffle(&mut StdRng::seed_from_u64(seed));
+                assert_eq!(group.records(), order);
+                let rev = group.entity_rows(Entity::Reviewer);
+                let item = group.entity_rows(Entity::Item);
+                for (i, &rec) in group.records().iter().enumerate() {
                     assert_eq!(rev[i], db.ratings().reviewer_of(rec));
                     assert_eq!(item[i], db.ratings().item_of(rec));
                 }

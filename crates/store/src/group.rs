@@ -11,7 +11,7 @@
 //! applicable.
 
 use crate::bitset::BitSet;
-use crate::ratings::RecordId;
+use crate::ratings::{RatingTable, RecordId};
 use crate::scan::GroupColumns;
 use crate::schema::Entity;
 use rand::rngs::StdRng;
@@ -65,37 +65,39 @@ impl EntityGroup {
 }
 
 /// A materialized rating group: the record ids linking a reviewer group to
-/// an item group, in a deterministic shuffled order.
+/// an item group, in a deterministic shuffled order, with each record's
+/// reviewer and item rows gathered alongside for the scan kernels.
 #[derive(Debug, Clone)]
 pub struct RatingGroup {
     records: Vec<RecordId>,
-    /// Pre-gathered `reviewer_of` column in phase order, when the group was
-    /// built from [`GroupColumns`].
-    reviewer_rows: Option<Vec<u32>>,
-    /// Pre-gathered `item_of` column in phase order.
-    item_rows: Option<Vec<u32>>,
+    /// `reviewer_of` of each record, in phase order.
+    reviewer_rows: Vec<u32>,
+    /// `item_of` of each record, in phase order.
+    item_rows: Vec<u32>,
 }
 
 impl RatingGroup {
     /// Creates a rating group and fixes its phase order by shuffling with
-    /// the given seed. The shuffle is what turns phase-by-phase consumption
-    /// into sampling without replacement.
-    pub fn new(mut records: Vec<RecordId>, seed: u64) -> Self {
+    /// the given seed, then gathers both entity-row columns from `ratings`.
+    /// The shuffle is what turns phase-by-phase consumption into sampling
+    /// without replacement.
+    pub fn new(ratings: &RatingTable, mut records: Vec<RecordId>, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         records.shuffle(&mut rng);
-        Self {
-            records,
-            reviewer_rows: None,
-            item_rows: None,
-        }
+        Self::with_order(ratings, records)
     }
 
     /// Creates a rating group preserving the given order (tests, replays).
-    pub fn with_order(records: Vec<RecordId>) -> Self {
+    pub fn with_order(ratings: &RatingTable, records: Vec<RecordId>) -> Self {
+        let GroupColumns {
+            records,
+            reviewer_rows,
+            item_rows,
+        } = GroupColumns::gather(ratings, records);
         Self {
             records,
-            reviewer_rows: None,
-            item_rows: None,
+            reviewer_rows,
+            item_rows,
         }
     }
 
@@ -119,23 +121,18 @@ impl RatingGroup {
         let item_rows = perm.iter().map(|&i| cols.item_rows[i as usize]).collect();
         Self {
             records,
-            reviewer_rows: Some(reviewer_rows),
-            item_rows: Some(item_rows),
+            reviewer_rows,
+            item_rows,
         }
     }
 
-    /// The pre-gathered entity-row column of one side, in phase order, if
-    /// the group was built from [`GroupColumns`].
-    pub fn entity_rows(&self, entity: Entity) -> Option<&[u32]> {
+    /// The entity-row column of one side, in phase order: `rows[i]` is the
+    /// reviewer or item row of `records()[i]`.
+    pub fn entity_rows(&self, entity: Entity) -> &[u32] {
         match entity {
-            Entity::Reviewer => self.reviewer_rows.as_deref(),
-            Entity::Item => self.item_rows.as_deref(),
+            Entity::Reviewer => &self.reviewer_rows,
+            Entity::Item => &self.item_rows,
         }
-    }
-
-    /// Whether the group carries pre-gathered entity-row columns.
-    pub fn has_entity_rows(&self) -> bool {
-        self.reviewer_rows.is_some() && self.item_rows.is_some()
     }
 
     /// All records in phase order.
@@ -154,22 +151,10 @@ impl RatingGroup {
     }
 
     /// Splits the group into `n` near-equal consecutive fractions — the
-    /// `D_i` of Algorithm 1. Earlier fractions are never smaller than later
-    /// ones by more than one record; empty trailing fractions occur when
-    /// `n > len`.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    pub fn phases(&self, n: usize) -> Vec<&[RecordId]> {
-        self.phase_ranges(n)
-            .into_iter()
-            .map(|r| &self.records[r])
-            .collect()
-    }
-
-    /// The index ranges of the `n` phase fractions — same partition as
-    /// [`phases`](Self::phases), but as ranges so callers can slice every
-    /// gathered column of the group, not just the record ids.
+    /// `D_i` of Algorithm 1 — as index ranges, so callers can slice every
+    /// gathered column of the group, not just the record ids. Earlier
+    /// fractions are never smaller than later ones by more than one
+    /// record; empty trailing fractions occur when `n > len`.
     ///
     /// # Panics
     /// Panics if `n == 0`.
@@ -204,11 +189,30 @@ mod tests {
         assert_eq!(g.rows(), vec![1, 3, 7]);
     }
 
+    /// A table of `n` records; record `i` links reviewer `i % 7` to item
+    /// `i % 5`.
+    fn table(n: u32) -> RatingTable {
+        let mut b = crate::ratings::RatingTableBuilder::new(vec!["overall".into()], 5);
+        for i in 0..n {
+            b.push(i % 7, i % 5, &[1 + (i % 5) as u8]);
+        }
+        b.build(7, 5)
+    }
+
+    /// The records of each phase fraction.
+    fn phases(g: &RatingGroup, n: usize) -> Vec<&[RecordId]> {
+        g.phase_ranges(n)
+            .into_iter()
+            .map(|r| &g.records()[r])
+            .collect()
+    }
+
     #[test]
     fn shuffle_is_deterministic() {
-        let a = RatingGroup::new((0..100).collect(), 7);
-        let b = RatingGroup::new((0..100).collect(), 7);
-        let c = RatingGroup::new((0..100).collect(), 8);
+        let t = table(100);
+        let a = RatingGroup::new(&t, (0..100).collect(), 7);
+        let b = RatingGroup::new(&t, (0..100).collect(), 7);
+        let c = RatingGroup::new(&t, (0..100).collect(), 8);
         assert_eq!(a.records(), b.records());
         assert_ne!(a.records(), c.records(), "different seed, different order");
         let mut sorted = a.records().to_vec();
@@ -218,8 +222,8 @@ mod tests {
 
     #[test]
     fn phases_partition_everything() {
-        let g = RatingGroup::new((0..103).collect(), 1);
-        let phases = g.phases(10);
+        let g = RatingGroup::new(&table(103), (0..103).collect(), 1);
+        let phases = phases(&g, 10);
         assert_eq!(phases.len(), 10);
         let total: usize = phases.iter().map(|p| p.len()).sum();
         assert_eq!(total, 103);
@@ -231,8 +235,8 @@ mod tests {
 
     #[test]
     fn phases_more_than_records() {
-        let g = RatingGroup::new(vec![5, 6], 1);
-        let phases = g.phases(5);
+        let g = RatingGroup::new(&table(7), vec![5, 6], 1);
+        let phases = phases(&g, 5);
         let total: usize = phases.iter().map(|p| p.len()).sum();
         assert_eq!(total, 2);
         assert_eq!(phases.iter().filter(|p| p.is_empty()).count(), 3);
@@ -240,25 +244,25 @@ mod tests {
 
     #[test]
     fn empty_group_phases() {
-        let g = RatingGroup::new(vec![], 1);
+        let g = RatingGroup::new(&table(0), vec![], 1);
         assert!(g.is_empty());
-        let phases = g.phases(10);
-        assert!(phases.iter().all(|p| p.is_empty()));
+        assert!(phases(&g, 10).iter().all(|p| p.is_empty()));
     }
 
     #[test]
     #[should_panic(expected = "at least one phase")]
     fn zero_phases_panics() {
-        let g = RatingGroup::new(vec![1], 1);
-        let _ = g.phases(0);
+        let g = RatingGroup::new(&table(2), vec![1], 1);
+        let _ = g.phase_ranges(0);
     }
 
     #[test]
     fn with_order_preserves() {
-        let g = RatingGroup::with_order(vec![9, 1, 5]);
+        let t = table(10);
+        let g = RatingGroup::with_order(&t, vec![9, 1, 5]);
         assert_eq!(g.records(), &[9, 1, 5]);
-        assert!(!g.has_entity_rows());
-        assert!(g.entity_rows(Entity::Reviewer).is_none());
+        assert_eq!(g.entity_rows(Entity::Reviewer), &[2, 1, 5]);
+        assert_eq!(g.entity_rows(Entity::Item), &[4, 1, 0]);
     }
 
     #[test]
@@ -266,17 +270,17 @@ mod tests {
         // The keystone of gathered columns: permuting an index vector and
         // gathering must produce byte-identical record order to shuffling
         // the records in place with the same seed.
-        for n in [0usize, 1, 2, 17, 100, 257] {
-            let records: Vec<RecordId> = (0..n as u32).map(|i| i * 3 + 1).collect();
-            let cols = GroupColumns {
-                records: records.clone(),
-                reviewer_rows: (0..n as u32).map(|i| i * 7).collect(),
-                item_rows: (0..n as u32).map(|i| i + 42).collect(),
-            };
+        for n in [0u32, 1, 2, 17, 100, 257] {
+            let t = table(3 * n + 1);
+            let records: Vec<RecordId> = (0..n).map(|i| i * 3 + 1).collect();
+            let cols = GroupColumns::gather(&t, records.clone());
             for seed in [0u64, 7, 0xdead_beef] {
-                let direct = RatingGroup::new(records.clone(), seed);
+                let direct = RatingGroup::new(&t, records.clone(), seed);
                 let gathered = RatingGroup::from_columns(&cols, seed);
                 assert_eq!(direct.records(), gathered.records(), "n={n} seed={seed}");
+                for e in [Entity::Reviewer, Entity::Item] {
+                    assert_eq!(direct.entity_rows(e), gathered.entity_rows(e));
+                }
             }
         }
     }
@@ -290,9 +294,8 @@ mod tests {
             item_rows: records.iter().map(|&r| r + 100).collect(),
         };
         let g = RatingGroup::from_columns(&cols, 3);
-        assert!(g.has_entity_rows());
-        let rev = g.entity_rows(Entity::Reviewer).unwrap();
-        let item = g.entity_rows(Entity::Item).unwrap();
+        let rev = g.entity_rows(Entity::Reviewer);
+        let item = g.entity_rows(Entity::Item);
         for (i, &rec) in g.records().iter().enumerate() {
             assert_eq!(rev[i], rec * 2, "reviewer row must follow its record");
             assert_eq!(item[i], rec + 100, "item row must follow its record");
@@ -301,14 +304,14 @@ mod tests {
 
     #[test]
     fn phase_ranges_match_phases() {
-        let g = RatingGroup::new((0..103).collect(), 1);
+        // The ranges tile the group in order: concatenating the phase
+        // fractions gives back every record, each exactly once.
+        let g = RatingGroup::new(&table(103), (0..103).collect(), 1);
         for n in [1, 3, 10, 200] {
             let ranges = g.phase_ranges(n);
-            let phases = g.phases(n);
-            assert_eq!(ranges.len(), phases.len());
-            for (r, p) in ranges.into_iter().zip(phases) {
-                assert_eq!(&g.records()[r], p);
-            }
+            assert_eq!(ranges.len(), n);
+            assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
+            assert_eq!(phases(&g, n).concat(), g.records());
         }
     }
 }

@@ -22,7 +22,7 @@
 //!   ([`cindex`], [`bitset::BitSet`]);
 //! * rating groups materialize as record-id vectors with a deterministic
 //!   shuffle, providing the without-replacement sample order required by the
-//!   phase-based execution framework ([`group::RatingGroup::phases`]);
+//!   phase-based execution framework ([`group::RatingGroup::phase_ranges`]);
 //! * the phased scan consumes **gathered columnar blocks** — entity-row
 //!   indices resolved once per side plus contiguous per-dimension score
 //!   buffers ([`scan`]) — built from reusable buffers so steady-state steps

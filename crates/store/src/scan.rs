@@ -165,18 +165,12 @@ impl<'a> ScanBlock<'a> {
     }
 }
 
-/// Reusable gather buffers for building [`ScanBlock`]s.
-///
-/// Usage per group: call [`prepare_group`](Self::prepare_group) once, then
-/// [`gather_phase`](Self::gather_phase) for each phase range. The buffers
-/// are retained across groups and steps, so steady-state scans allocate
-/// nothing once the buffers reach the working-set size.
+/// Reusable gather buffers for building [`ScanBlock`]s: call
+/// [`gather_phase`](Self::gather_phase) for each phase range of a group.
+/// The buffers are retained across groups and steps, so steady-state scans
+/// allocate nothing once the buffers reach the working-set size.
 #[derive(Debug, Default)]
 pub struct ScanScratch {
-    /// Whole-group entity-row gathers, used only when the group does not
-    /// carry pre-gathered columns (see [`RatingGroup::entity_rows`]).
-    reviewer_rows: Vec<u32>,
-    item_rows: Vec<u32>,
     /// Dimensions gathered into `scores` by the last `gather_phase` call.
     dims: Vec<DimId>,
     /// Dim-major flat per-phase score gather.
@@ -189,29 +183,12 @@ impl ScanScratch {
         Self::default()
     }
 
-    /// Resolves the whole-group entity-row columns when `group` lacks
-    /// pre-gathered ones. A no-op for groups built via
-    /// [`RatingGroup::from_columns`], which already carry both columns.
-    pub fn prepare_group(&mut self, ratings: &RatingTable, group: &RatingGroup) {
-        if group.has_entity_rows() {
-            return;
-        }
-        kernels::gather_u32(
-            ratings.reviewer_column(),
-            group.records(),
-            &mut self.reviewer_rows,
-        );
-        kernels::gather_u32(ratings.item_column(), group.records(), &mut self.item_rows);
-    }
-
     /// Builds the block for one phase `range` of `group`, gathering one
     /// contiguous score buffer per dimension in `dims`. Entity rows are
-    /// sliced from the group's own columns when present, otherwise from the
-    /// buffers filled by [`prepare_group`](Self::prepare_group).
+    /// sliced from the group's own columns.
     ///
     /// # Panics
-    /// Panics if `range` is out of bounds, or if the group lacks columns
-    /// and `prepare_group` was not called for it.
+    /// Panics if `range` is out of bounds.
     pub fn gather_phase<'a>(
         &'a mut self,
         ratings: &RatingTable,
@@ -234,24 +211,10 @@ impl ScanScratch {
             self.scores
                 .extend(phase.iter().map(|&rec| col[rec as usize]));
         }
-        let (reviewer_rows, item_rows) = match (
-            group.entity_rows(Entity::Reviewer),
-            group.entity_rows(Entity::Item),
-        ) {
-            (Some(r), Some(i)) => (&r[range.clone()], &i[range]),
-            _ => {
-                assert!(
-                    self.reviewer_rows.len() == group.len(),
-                    "prepare_group must run before gather_phase on a group \
-                     without pre-gathered columns"
-                );
-                (&self.reviewer_rows[range.clone()], &self.item_rows[range])
-            }
-        };
         ScanBlock {
             records: phase,
-            reviewer_rows,
-            item_rows,
+            reviewer_rows: &group.entity_rows(Entity::Reviewer)[range.clone()],
+            item_rows: &group.entity_rows(Entity::Item)[range],
             dims: &self.dims,
             scores: &self.scores,
         }
@@ -282,11 +245,10 @@ mod tests {
     }
 
     #[test]
-    fn gather_phase_without_group_columns() {
+    fn gather_phase_slices_group_columns() {
         let t = table();
-        let group = RatingGroup::with_order(vec![3, 0, 2, 1]);
+        let group = RatingGroup::with_order(&t, vec![3, 0, 2, 1]);
         let mut scratch = ScanScratch::new();
-        scratch.prepare_group(&t, &group);
         let dims = [DimId(1), DimId(0)];
         let block = scratch.gather_phase(&t, &group, 1..3, &dims);
         assert_eq!(block.len(), 2);
@@ -296,17 +258,10 @@ mod tests {
         // Records 0 and 2: food scores 3, 4; overall scores 4, 3.
         assert_eq!(block.scores_for(DimId(1)), Some(&[3, 4][..]));
         assert_eq!(block.scores_for(DimId(0)), Some(&[4, 3][..]));
-    }
 
-    #[test]
-    fn gather_phase_prefers_group_columns() {
-        let t = table();
-        let cols = GroupColumns::gather(&t, (0..4).collect());
-        let group = RatingGroup::from_columns(&cols, 9);
-        let mut scratch = ScanScratch::new();
-        scratch.prepare_group(&t, &group); // no-op
-        let dims = [DimId(0)];
-        let block = scratch.gather_phase(&t, &group, 0..group.len(), &dims);
+        // A shuffled group: every row and score follows its record.
+        let group = RatingGroup::from_columns(&GroupColumns::gather(&t, (0..4).collect()), 9);
+        let block = scratch.gather_phase(&t, &group, 0..group.len(), &dims[1..]);
         for (i, &rec) in block.records().iter().enumerate() {
             assert_eq!(block.entity_rows(Entity::Reviewer)[i], t.reviewer_of(rec));
             assert_eq!(block.entity_rows(Entity::Item)[i], t.item_of(rec));
@@ -320,9 +275,8 @@ mod tests {
     #[test]
     fn scores_for_unknown_dim_is_none() {
         let t = table();
-        let group = RatingGroup::with_order(vec![0, 1]);
+        let group = RatingGroup::with_order(&t, vec![0, 1]);
         let mut scratch = ScanScratch::new();
-        scratch.prepare_group(&t, &group);
         let dims = [DimId(0)];
         let block = scratch.gather_phase(&t, &group, 0..2, &dims);
         assert!(block.scores_for(DimId(1)).is_none());

@@ -192,8 +192,12 @@ proptest! {
     #[test]
     fn phases_partition_the_group(records in prop::collection::vec(0u32..1000, 0..200), n in 1usize..12, seed in 0u64..100) {
         let unique: Vec<u32> = records.into_iter().collect::<HashSet<_>>().into_iter().collect();
-        let g = RatingGroup::new(unique.clone(), seed);
-        let phases = g.phases(n);
+        let mut table = RatingTableBuilder::new(vec!["d".into()], 5);
+        for i in 0..1000u32 {
+            table.push(i % 10, i % 3, &[1]);
+        }
+        let g = RatingGroup::new(&table.build(10, 3), unique.clone(), seed);
+        let phases: Vec<&[u32]> = g.phase_ranges(n).into_iter().map(|r| &g.records()[r]).collect();
         prop_assert_eq!(phases.len(), n);
         let mut collected: Vec<u32> = phases.iter().flat_map(|p| p.iter().copied()).collect();
         collected.sort_unstable();
