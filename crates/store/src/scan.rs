@@ -244,8 +244,10 @@ mod tests {
         assert_eq!(cols.item_rows, vec![3, 3, 1]);
     }
 
+    /// A group built from a record order alone: `with_order` gathers the
+    /// entity rows itself, so no caller-side preparation is needed.
     #[test]
-    fn gather_phase_slices_group_columns() {
+    fn gather_phase_without_group_columns() {
         let t = table();
         let group = RatingGroup::with_order(&t, vec![3, 0, 2, 1]);
         let mut scratch = ScanScratch::new();
@@ -258,10 +260,18 @@ mod tests {
         // Records 0 and 2: food scores 3, 4; overall scores 4, 3.
         assert_eq!(block.scores_for(DimId(1)), Some(&[3, 4][..]));
         assert_eq!(block.scores_for(DimId(0)), Some(&[4, 3][..]));
+    }
 
-        // A shuffled group: every row and score follows its record.
-        let group = RatingGroup::from_columns(&GroupColumns::gather(&t, (0..4).collect()), 9);
-        let block = scratch.gather_phase(&t, &group, 0..group.len(), &dims[1..]);
+    /// A shuffled group built from pre-gathered columns: every row and
+    /// score of the block follows its record.
+    #[test]
+    fn gather_phase_prefers_group_columns() {
+        let t = table();
+        let cols = GroupColumns::gather(&t, (0..4).collect());
+        let group = RatingGroup::from_columns(&cols, 9);
+        let mut scratch = ScanScratch::new();
+        let dims = [DimId(0)];
+        let block = scratch.gather_phase(&t, &group, 0..group.len(), &dims);
         for (i, &rec) in block.records().iter().enumerate() {
             assert_eq!(block.entity_rows(Entity::Reviewer)[i], t.reviewer_of(rec));
             assert_eq!(block.entity_rows(Entity::Item)[i], t.item_of(rec));
