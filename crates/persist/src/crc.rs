@@ -2,80 +2,37 @@
 //!
 //! Both persisted formats — snapshot sections and WAL frames — carry a
 //! CRC-32 over their payload so damaged bytes are detected before any
-//! decoding happens. The build environment vendors no checksum crate, so
-//! the implementation lives here. It uses *slicing-by-eight*: eight
-//! derived lookup tables let the hot loop fold eight input bytes per
-//! iteration instead of one, which matters because warm start checksums
-//! the entire multi-megabyte snapshot — at one byte per step the CRC, not
-//! the decode, would dominate load time.
+//! decoding happens. Opening a store checksums the whole multi-megabyte
+//! snapshot, so the checksum is a kernel of the SIMD layer
+//! ([`subdex_stats::kernels::crc32`]): a carry-less-multiply fold on AVX2
+//! hosts, slicing-by-eight tables otherwise, on the process-wide
+//! [`kernels::active`] path. Both paths give the same value, so a file
+//! written on one path opens on the other.
 
-/// Eight reflected tables for polynomial `0xEDB88320`. `TABLES[0]` is the
-/// classic byte-at-a-time table; `TABLES[j]` advances a byte `j` extra
-/// positions through the shift register, so one XOR tree consumes eight
-/// bytes at once.
-const fn make_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        tables[0][i] = crc;
-        i += 1;
-    }
-    let mut j = 1;
-    while j < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[j - 1][i];
-            tables[j][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        j += 1;
-    }
-    tables
-}
-
-static TABLES: [[u32; 256]; 8] = make_tables();
+use subdex_stats::kernels;
 
 /// CRC-32 of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
-        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-        crc = TABLES[7][(lo & 0xFF) as usize]
-            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ TABLES[4][(lo >> 24) as usize]
-            ^ TABLES[3][(hi & 0xFF) as usize]
-            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ TABLES[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
+    kernels::crc32(kernels::active(), bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Reference byte-at-a-time implementation the sliced loop must match.
+    /// Reference bit-at-a-time shift register, one input byte per step,
+    /// that both kernel paths must match.
     fn crc32_simple(bytes: &[u8]) -> u32 {
         let mut crc = !0u32;
         for &b in bytes {
-            crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xEDB8_8320
+                } else {
+                    crc >> 1
+                };
+            }
         }
         !crc
     }
@@ -90,11 +47,16 @@ mod tests {
 
     #[test]
     fn sliced_matches_byte_at_a_time_at_every_length() {
-        // Cover every remainder length and multi-block inputs.
+        // Cover every remainder length and multi-block inputs, on every
+        // kernel path the host runs.
         let data: Vec<u8> = (0u16..1024).map(|i| (i * 31 % 251) as u8).collect();
-        for len in 0..data.len() {
-            assert_eq!(crc32(&data[..len]), crc32_simple(&data[..len]), "len {len}");
+        for path in kernels::KernelPath::available() {
+            for len in 0..data.len() {
+                let want = crc32_simple(&data[..len]);
+                assert_eq!(kernels::crc32(path, &data[..len]), want, "{path} len {len}");
+            }
         }
+        assert_eq!(crc32(&data), crc32_simple(&data));
     }
 
     #[test]

@@ -23,9 +23,10 @@
 //! verifies checksums and structural invariants before any decoded data is
 //! used, and returns a [`StoreError`] (never panics, never yields a
 //! silently-wrong database) on any mismatch. Writing streams through a
-//! `BufWriter` into a temp file in the target directory, fsyncs, and
-//! atomically renames over the destination, so a crashed writer leaves the
-//! previous snapshot intact.
+//! `BufWriter` into a temp file in the target directory, fsyncs, atomically
+//! renames over the destination and fsyncs the directory, so a crashed
+//! writer leaves the previous snapshot intact and a returned write survives
+//! a power loss.
 //!
 //! Format history:
 //!
@@ -359,7 +360,8 @@ pub fn write_snapshot(db: &SubjectiveDb, last_seq: u64, path: &Path) -> Result<u
 }
 
 /// Streams `sections` to `path` under the framed-and-tabled layout
-/// described in the module docs (temp file + fsync + atomic rename).
+/// described in the module docs (temp file + fsync + atomic rename +
+/// directory fsync).
 fn write_sections(
     version: u32,
     sections: &[(u16, Vec<u8>)],
@@ -419,9 +421,7 @@ fn write_sections(
         .map_err(|e| StoreError::from_io("fsync snapshot", e))?;
     drop(file);
     std::fs::rename(&tmp, path).map_err(|e| StoreError::from_io("rename snapshot", e))?;
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all(); // best-effort directory fsync for the rename
-    }
+    crate::sync_dir(dir)?;
     Ok(total)
 }
 
@@ -471,17 +471,42 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(SubjectiveDb, SnapshotMeta), Sto
     let count = c.u32()? as usize;
     let section = |want: u16| find_section(bytes, table_bytes, count, want);
 
-    let meta = decode_meta(section(SEC_META)?)?;
-    let reviewers = decode_entity_table(section(SEC_REVIEWERS)?, "snapshot reviewer table")?;
-    let items = decode_entity_table(section(SEC_ITEMS)?, "snapshot item table")?;
+    // The reviewer table is the largest section (two thirds of the file at
+    // Table-2 scale). Verify and decode it on a second thread while this
+    // one does every other section; if no thread can be started, decode it
+    // here. Whatever ran where, the first error in section order is the
+    // one returned, as if the sections were read one after another.
+    let decode_reviewers =
+        || decode_entity_table(section(SEC_REVIEWERS)?, "snapshot reviewer table");
+    let (meta, reviewers, items, ratings, reviewer_index, item_index) =
+        std::thread::scope(|s| -> Result<_, StoreError> {
+            let worker = std::thread::Builder::new().spawn_scoped(s, decode_reviewers);
+            let meta = decode_meta(section(SEC_META)?)?;
+            let items = section(SEC_ITEMS)
+                .and_then(|payload| decode_entity_table(payload, "snapshot item table"));
+            let ratings = section(SEC_RATINGS).and_then(|payload| decode_ratings(payload, &meta));
+            let reviewer_index = section(SEC_REVIEWER_CINDEX)
+                .and_then(|payload| decode_cindex(payload, "snapshot reviewer containers"));
+            let item_index = section(SEC_ITEM_CINDEX)
+                .and_then(|payload| decode_cindex(payload, "snapshot item containers"));
+            let reviewers = match worker {
+                Ok(handle) => handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                Err(_) => decode_reviewers(),
+            }?;
+            Ok((meta, reviewers, items?, ratings, reviewer_index, item_index))
+        })?;
     if reviewers.len() != meta.reviewer_count || items.len() != meta.item_count {
         return Err(StoreError::corrupt(
             "snapshot entity tables disagree with meta counts",
         ));
     }
-    let ratings = decode_ratings(section(SEC_RATINGS)?, &meta)?;
-    let reviewer_index = load_cindex(section(SEC_REVIEWER_CINDEX)?, &reviewers, "reviewer")?;
-    let item_index = load_cindex(section(SEC_ITEM_CINDEX)?, &items, "item")?;
+    let ratings = ratings?;
+    let reviewer_index = reviewer_index?;
+    verify_cindex_matches(&reviewer_index, &reviewers, "reviewer")?;
+    let item_index = item_index?;
+    verify_cindex_matches(&item_index, &items, "item")?;
 
     let db = SubjectiveDb::from_parts(
         reviewers,
@@ -499,18 +524,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(SubjectiveDb, SnapshotMeta), Sto
             bytes: bytes.len() as u64,
         },
     ))
-}
-
-/// Decodes one entity side's container section and checks that it covers
-/// `table` exactly.
-fn load_cindex(
-    payload: &[u8],
-    table: &EntityTable,
-    what: &str,
-) -> Result<CompressedIndex, StoreError> {
-    let index = decode_cindex(payload, &format!("snapshot {what} containers"))?;
-    verify_cindex_matches(&index, table, what)?;
-    Ok(index)
 }
 
 /// Locates section `want` via the table, verifying bounds and payload CRC;

@@ -238,7 +238,10 @@ impl PersistentStore {
     /// Crash safety: the snapshot lands via temp-file + rename, and the log
     /// reset also lands via rename. Dying between the two leaves the old
     /// log in place — its batch sequences are all `<= last_seq` of the new
-    /// snapshot, so the next open replays none of them.
+    /// snapshot, so the next open replays none of them. Each rename is
+    /// followed by a directory fsync whose failure fails the checkpoint:
+    /// once this returns `Ok`, a power loss can bring back neither the old
+    /// snapshot nor the old log.
     pub fn compact(&self) -> Result<u64, StoreError> {
         let mut writer = lock(&self.wal);
         let db = self.db();

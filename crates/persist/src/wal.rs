@@ -106,7 +106,8 @@ impl WalWriter {
     /// The header is written to a temp file and atomically renamed over
     /// `path`, so a crash mid-reset leaves either the complete old log
     /// (whose frames the next replay skips) or the complete new one —
-    /// never a half-written header.
+    /// never a half-written header. The directory is fsynced after the
+    /// rename, so once this returns the new log survives a power loss.
     pub fn create_seeded(
         path: &Path,
         dim_count: usize,
@@ -128,6 +129,7 @@ impl WalWriter {
             .map_err(|e| StoreError::from_io("fsync wal header", e))?;
         drop(file);
         std::fs::rename(&tmp, path).map_err(|e| StoreError::from_io("rename wal", e))?;
+        crate::sync_dir(dir)?;
         let mut file = OpenOptions::new()
             .write(true)
             .open(path)

@@ -25,7 +25,8 @@ use subdex_persist::{
     read_snapshot, wal, write_snapshot, PersistentStore, SNAPSHOT_FILE, WAL_FILE,
 };
 use subdex_store::{
-    table::EntityTableBuilder, Cell, RatingDraft, Schema, StoreError, SubjectiveDb, Value,
+    table::EntityTableBuilder, Cell, RatingDraft, Schema, StoreError, StoreErrorKind, SubjectiveDb,
+    Value,
 };
 
 const DIMS: usize = 2;
@@ -317,6 +318,45 @@ fn torn_wal_tail_is_dropped_and_log_stays_usable() {
     let store = PersistentStore::open(&dir).expect("reopen");
     assert_eq!(store.db().ratings().len(), base + 6);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Payload range of snapshot section `id`, read from the section table the
+/// footer points at (`count u32 · {id u16, offset u64, len u64, crc u32}…`).
+fn section_range(bytes: &[u8], id: u16) -> std::ops::Range<usize> {
+    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let table = u64_at(bytes.len() - 20);
+    let count = u32::from_le_bytes(bytes[table..table + 4].try_into().unwrap()) as usize;
+    (0..count)
+        .map(|i| table + 4 + i * 22)
+        .find(|&entry| u16::from_le_bytes([bytes[entry], bytes[entry + 1]]) == id)
+        .map(|entry| u64_at(entry + 2)..u64_at(entry + 2) + u64_at(entry + 10))
+        .expect("section listed in the table")
+}
+
+/// The reviewer table is decoded on a thread of its own, yet errors come
+/// back in section order: with both the reviewer table (section 2) and the
+/// ratings (section 4) damaged, the reviewer table's error is returned.
+#[test]
+fn reviewer_table_error_wins_over_ratings_error() {
+    let (_, bytes) = snapshot_bytes();
+    let damage = |ids: &[u16]| {
+        let mut damaged = bytes.clone();
+        for &id in ids {
+            let range = section_range(&bytes, id);
+            damaged[range.start + range.len() / 2] ^= 0x5A;
+        }
+        let path = write_temp("two-sections", &damaged);
+        let err = read_snapshot(&path).expect_err("a damaged section must not load");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(err.kind, StoreErrorKind::Corrupt, "{err}");
+        err.context
+    };
+    // Each damage alone is caught in its own section...
+    assert!(damage(&[4]).contains("section 4"));
+    assert!(damage(&[2]).contains("section 2"));
+    // ...and together the earlier section's error wins.
+    let both = damage(&[2, 4]);
+    assert!(both.contains("section 2"), "{both}");
 }
 
 /// `StoreError` equality is part of the API contract tests rely on.

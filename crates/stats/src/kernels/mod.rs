@@ -9,6 +9,8 @@
 //! vectorizing *within* one distribution is useless — and would reassociate
 //! its reductions. This module instead vectorizes across the **batch
 //! axis**: one distribution (candidate, subgroup, map pair) per SIMD lane.
+//! Two byte-stream kernels sit beside them: the set algebra of the
+//! compressed posting index and the CRC-32 of the persisted formats.
 //!
 //! # Layout
 //!
@@ -38,6 +40,8 @@
 //!   scalar body, because their `vpgatherdd`-style variants measured
 //!   slower than out-of-order scalar loads (see the per-kernel docs), and
 //!   take no [`KernelPath`].
+//! * [`crc32`] is exact GF(2) arithmetic: the carry-less-multiply fold
+//!   and the slicing-by-eight table compute the same remainder.
 //!
 //! The contract is pinned by proptests (`kernel_equivalence`) comparing
 //! every available path against [`KernelPath::Scalar`] with `to_bits`
@@ -45,8 +49,9 @@
 //!
 //! # Dispatch
 //!
-//! [`active`] picks AVX2 when `is_x86_feature_detected!` reports it and
-//! scalar otherwise, once per process. The environment variable
+//! [`active`] picks AVX2 when `is_x86_feature_detected!` reports it
+//! together with PCLMULQDQ and SSE4.1 (the CRC-32 fold's instructions),
+//! and scalar otherwise, once per process. The environment variable
 //! `SUBDEX_KERNEL=scalar|avx2` overrides the choice (an unknown or
 //! unavailable value falls back to auto-detection; `scalar` always works,
 //! which is what CI uses to keep the fallback path honest). Every
@@ -66,7 +71,9 @@ pub enum KernelPath {
     /// Portable scalar reference — the semantics the AVX2 path must
     /// reproduce bit-for-bit, and the only path off x86_64.
     Scalar,
-    /// 256-bit AVX2: four `f64` lanes per op.
+    /// 256-bit AVX2: four `f64` lanes per op, plus the PCLMULQDQ
+    /// (carry-less multiply) and SSE4.1 instructions of the CRC-32 fold,
+    /// which every AVX2 CPU also has.
     Avx2,
 }
 
@@ -76,7 +83,11 @@ impl KernelPath {
         match self {
             KernelPath::Scalar => true,
             #[cfg(target_arch = "x86_64")]
-            KernelPath::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            KernelPath::Avx2 => {
+                std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("pclmulqdq")
+                    && std::arch::is_x86_feature_detected!("sse4.1")
+            }
             #[cfg(not(target_arch = "x86_64"))]
             KernelPath::Avx2 => false,
         }
@@ -489,6 +500,27 @@ pub fn gather_u32(src: &[u32], idx: &[u32], out: &mut Vec<u32>) {
     out.reserve_exact(idx.len());
     out.resize(idx.len(), 0);
     scalar::gather_u32(src, idx, out)
+}
+
+/// CRC-32 of `bytes` (reflected IEEE 802.3 polynomial, the `zlib`/`gzip`
+/// checksum) — the checksum of every persisted snapshot section and WAL
+/// frame. Scalar is slicing-by-eight tables. The AVX2 path folds the whole
+/// 16-byte blocks of an input of at least 64 bytes with PCLMULQDQ and
+/// finishes the last 0–15 bytes with the table: over 10.9 MB, 0.64 ms
+/// against 8.0 ms for the table (best of 20, warm, one core of a 2-core
+/// x86_64 host).
+pub fn crc32(path: KernelPath, bytes: &[u8]) -> u32 {
+    check(path);
+    #[cfg(target_arch = "x86_64")]
+    if path == KernelPath::Avx2 && bytes.len() >= 64 {
+        let (body, tail) = bytes.split_at(bytes.len() & !15);
+        // SAFETY: `check` asserted that the host supports the AVX2 path,
+        // which includes PCLMULQDQ and SSE4.1; `body` is at least four
+        // whole 16-byte blocks.
+        let state = unsafe { x86::crc32_fold(!0, body) };
+        return !scalar::crc32_update(state, tail);
+    }
+    !scalar::crc32_update(!0, bytes)
 }
 
 #[cfg(test)]

@@ -376,3 +376,69 @@ pub(crate) fn filter_rows(
     }
     out.truncate(start + n);
 }
+
+// ------------------------------------------------------------------- crc-32
+//
+// CRC-32 over the reflected IEEE 802.3 polynomial `0xEDB88320` (the
+// `zlib`/`gzip` checksum), *slicing-by-eight*: eight derived lookup tables
+// fold eight input bytes per iteration instead of one. Exact integer
+// arithmetic, so the folding path equals it by construction; the
+// equivalence tests still pin it.
+
+/// Eight reflected tables. `CRC_TABLES[0]` is the classic byte-at-a-time
+/// table; `CRC_TABLES[j]` advances a byte `j` extra positions through the
+/// shift register, so one XOR tree consumes eight bytes at once.
+const fn make_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut j = 1;
+    while j < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[j - 1][i];
+            tables[j][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        j += 1;
+    }
+    tables
+}
+
+static CRC_TABLES: [[u32; 256]; 8] = make_crc_tables();
+
+/// Advances the raw CRC-32 shift register `state` over `bytes` (no pre- or
+/// post-inversion: the checksum of `b` is `!crc32_update(!0, b)`).
+pub(crate) fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ state;
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        state = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        state = (state >> 8) ^ t[0][((state ^ b as u32) & 0xFF) as usize];
+    }
+    state
+}

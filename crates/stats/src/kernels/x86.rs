@@ -1,4 +1,5 @@
-//! x86_64 AVX2 implementations of the batch kernels.
+//! x86_64 AVX2 implementations of the batch kernels, and the
+//! carry-less-multiply CRC-32 fold.
 //!
 //! One generic body per kernel, written against the tiny [`Simd`]
 //! abstraction below and instantiated at 4 lanes inside
@@ -17,7 +18,8 @@
 //! * Tails shorter than the vector width fall through to the scalar
 //!   per-lane helpers.
 //!
-//! Safety: every function here requires an AVX2 host, which the
+//! Safety: every function here requires an AVX2 host (the CRC-32 fold:
+//! PCLMULQDQ and SSE4.1, which the AVX2 path includes), which the
 //! dispatchers in `kernels` check before calling in, and every unsafe
 //! operation sits in an `unsafe` block that states why its pointer
 //! arithmetic stays inside the slices it reads and writes.
@@ -489,4 +491,107 @@ shells! {
     col_mins_avx2 => col_mins_v(
         mat: &[f64], rows: usize, cols: usize, out: &mut [f64],
     );
+}
+
+// ------------------------------------------------------------------- crc-32
+//
+// Folding CRC-32 after Gopal et al., "Fast CRC Computation for Generic
+// Polynomials Using PCLMULQDQ Instruction" (Intel, 2009), in the
+// bit-reflected domain of the IEEE polynomial, as zlib's `crc32_simd` does
+// it. Four 128-bit accumulators each fold forward over 64 bytes per step (a
+// carry-less multiply of each 64-bit half by `x^(512±32) mod P`), the four
+// fold into one, leftover 16-byte blocks fold in over 128 bits, and a
+// Barrett reduction takes the 128-bit remainder to 32 bits. GF(2)
+// arithmetic is exact, so the register equals the table reference's.
+
+/// Reflected fold constants (33 bits each): `K1`/`K2` fold across 512 bits,
+/// `K3`/`K4` across 128, `K5` takes 96 bits to 64.
+const CRC_K1: i64 = 0x1_5444_2bd4;
+const CRC_K2: i64 = 0x1_c6e4_1596;
+const CRC_K3: i64 = 0x1_7519_97d0;
+const CRC_K4: i64 = 0x0_ccaa_009e;
+const CRC_K5: i64 = 0x1_63cd_6124;
+/// The reflected polynomial `P'` and its Barrett constant `µ' = x^64 / P`.
+const CRC_P: i64 = 0x1_db71_0641;
+const CRC_MU: i64 = 0x1_f701_1641;
+
+/// `x.lo·k.lo ⊕ x.hi·k.hi ⊕ data` — accumulator `x` carried forward over
+/// the distance `k` encodes, plus the block found there.
+///
+/// # Safety
+/// The host supports PCLMULQDQ.
+#[inline(always)]
+unsafe fn crc_fold_16(x: __m128i, k: __m128i, data: __m128i) -> __m128i {
+    // SAFETY: PCLMULQDQ host (caller's contract); no memory is touched.
+    unsafe {
+        let lo = _mm_clmulepi64_si128::<0x00>(x, k);
+        let hi = _mm_clmulepi64_si128::<0x11>(x, k);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), data)
+    }
+}
+
+/// Advances the raw CRC-32 register `state` over `body` by carry-less
+/// multiplication (no pre- or post-inversion, like
+/// `scalar::crc32_update`).
+///
+/// # Safety
+/// The host supports PCLMULQDQ and SSE4.1.
+///
+/// # Panics
+/// Panics unless `body` is at least four whole 16-byte blocks.
+#[target_feature(enable = "pclmulqdq,sse4.1")]
+pub(crate) unsafe fn crc32_fold(state: u32, body: &[u8]) -> u32 {
+    assert!(
+        body.len() >= 64 && body.len().is_multiple_of(16),
+        "crc32_fold needs at least four whole 16-byte blocks"
+    );
+    let mut blocks = body.chunks_exact(16);
+    // SAFETY: PCLMULQDQ and SSE4.1 host (caller's contract). Every load
+    // reads one 16-byte block of `chunks_exact(16)`, unaligned, and the
+    // assert above guarantees the first four exist.
+    unsafe {
+        let mut next = || {
+            let block = blocks.next().expect("fold steps never outrun the blocks");
+            _mm_loadu_si128(block.as_ptr().cast())
+        };
+        let mut x = [next(), next(), next(), next()];
+        x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128(state as i32));
+        let k1k2 = _mm_set_epi64x(CRC_K2, CRC_K1);
+        let mut left = body.len() / 16 - 4;
+        while left >= 4 {
+            for acc in &mut x {
+                *acc = crc_fold_16(*acc, k1k2, next());
+            }
+            left -= 4;
+        }
+
+        let k3k4 = _mm_set_epi64x(CRC_K4, CRC_K3);
+        let mut acc = crc_fold_16(x[0], k3k4, x[1]);
+        acc = crc_fold_16(acc, k3k4, x[2]);
+        acc = crc_fold_16(acc, k3k4, x[3]);
+        for _ in 0..left {
+            acc = crc_fold_16(acc, k3k4, next());
+        }
+
+        // 128 → 64 bits: fold the low half over 64 bits, then the low 32
+        // bits of the result over 32.
+        let low32 = _mm_setr_epi32(-1, 0, -1, 0);
+        let mut r = _mm_xor_si128(
+            _mm_srli_si128::<8>(acc),
+            _mm_clmulepi64_si128::<0x10>(acc, k3k4),
+        );
+        let k5 = _mm_set_epi64x(0, CRC_K5);
+        r = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(r, low32), k5),
+            _mm_srli_si128::<4>(r),
+        );
+
+        // Barrett reduction of the 64-bit remainder by µ' and P' (two
+        // multiplies of its reflected low word); the CRC lands in bits
+        // 32..64.
+        let poly = _mm_set_epi64x(CRC_MU, CRC_P);
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(r, low32), poly);
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), poly);
+        _mm_extract_epi32::<1>(_mm_xor_si128(r, t2)) as u32
+    }
 }

@@ -12,6 +12,9 @@
 //!    `total_variation`, `mean`/`std_dev`,
 //!    `emd_1d_normalized_from_cdfs`), so kernelized callers keep emitting
 //!    the bytes they always emitted.
+//!
+//! The integer kernels (set algebra, CRC-32) are exact on every path and
+//! are pinned the same way.
 
 use proptest::prelude::*;
 use proptest::strategy::Just;
@@ -221,6 +224,42 @@ proptest! {
                 "l1 lane {}", i
             );
         }
+    }
+}
+
+/// The CRC-32 fold equals the table at every length that splits its
+/// 16-byte blocks and table tail differently (below, at and above the
+/// 64-byte fold minimum), at every start offset within a cache line, and
+/// over a multi-megabyte buffer.
+#[test]
+fn crc32_paths_match_scalar() {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut bytes = || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x as u8
+    };
+    let buf: Vec<u8> = (0..2048 + 64).map(|_| bytes()).collect();
+    let big: Vec<u8> = (0..(3 << 20) + 13).map(|_| bytes()).collect();
+    for path in KernelPath::available() {
+        assert_eq!(kernels::crc32(path, b"123456789"), 0xCBF4_3926, "{path}");
+        for offset in 0..64 {
+            for len in 0..=2048 {
+                let input = &buf[offset..offset + len];
+                assert_eq!(
+                    kernels::crc32(path, input),
+                    kernels::crc32(KernelPath::Scalar, input),
+                    "{path} offset {offset} len {len}"
+                );
+            }
+        }
+        assert_eq!(
+            kernels::crc32(path, &big),
+            kernels::crc32(KernelPath::Scalar, &big),
+            "{path} {} bytes",
+            big.len()
+        );
     }
 }
 
