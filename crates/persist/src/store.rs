@@ -8,14 +8,15 @@
 //! a *new* `Arc` rather than mutating shared state — an engine mid-step
 //! never observes a half-applied batch.
 //!
-//! Publishing an epoch is copy-on-append, not copy-the-database
-//! ([`SubjectiveDb::with_appended`]): the next epoch shares the entity
-//! tables, their posting indexes and the rating adjacency base with the
-//! current one through `Arc`s, and owns only the flat rating columns —
-//! copied once, at their final size — with the batch in the adjacency tail.
-//! What stays O(|R|) per append is that one column copy (9 bytes a record
-//! at four dimensions; ≈ 0.2 ms at 200 K ratings), so live epochs cost a
-//! set of rating columns each, not a database each.
+//! Publishing an epoch costs O(batch), not a copy of the database or of
+//! its ratings ([`SubjectiveDb::with_appended`]): the next epoch shares the
+//! entity tables, their posting indexes and the rating adjacency base with
+//! the current one through `Arc`s, and shares the rating columns too —
+//! they are append-only buffers, and the batch is written into the slots
+//! past the current epoch's records, which older epochs never read. The
+//! columns are copied only when their buffer is full (into doubled
+//! capacity, amortized O(1) per record), so live epochs cost a length and
+//! an adjacency tail each, not a set of rating columns each.
 //!
 //! Durability protocol for [`append_ratings`](PersistentStore::append_ratings):
 //!
@@ -216,8 +217,8 @@ impl PersistentStore {
         current.check_ratings(drafts)?;
         writer.append_batch(drafts)?;
         // Build the next epoch beside the current one and publish it:
-        // holders of the old Arc keep their epoch, and the two share
-        // everything but the rating columns.
+        // holders of the old Arc keep their epoch, which shares everything
+        // with the next one and still reads only its own records.
         let next = current
             .with_appended(drafts)
             .expect("drafts validated above");

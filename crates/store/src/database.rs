@@ -100,7 +100,9 @@ pub struct IndexStats {
 ///
 /// Appends add ratings, never entities, so the entity tables and their
 /// posting indexes sit behind `Arc`s that every epoch (and every `clone`)
-/// of one database shares; only the rating table is per-epoch.
+/// of one database shares. The rating columns are append-only buffers the
+/// epochs share too, each epoch reading its own prefix; only the rating
+/// table's length and adjacency tail are per-epoch.
 #[derive(Debug, Clone)]
 pub struct SubjectiveDb {
     reviewers: Arc<EntityTable>,
@@ -225,29 +227,23 @@ impl SubjectiveDb {
         Ok(())
     }
 
-    /// Copy-on-append: the next epoch of this database — its records
-    /// followed by `drafts` — leaving `self` untouched for whoever still
-    /// reads it. Costs one exact-size copy of the flat rating columns plus
-    /// O(`drafts`): both entity tables, both posting indexes, the query
-    /// counters and (until the tail outgrows it) the adjacency base are
-    /// shared with `self`, not copied. The result equals `clone()` followed
-    /// by [`append_ratings`](Self::append_ratings), column for column.
+    /// The next epoch of this database — its records followed by
+    /// `drafts` — leaving `self` untouched for whoever still reads it: it
+    /// is `clone()` followed by [`append_ratings`](Self::append_ratings).
+    /// Costs O(`drafts`) plus amortized O(1) per record of column growth
+    /// and re-indexing: both entity tables, both posting indexes, the query
+    /// counters, the rating column buffer and (until the tail outgrows it)
+    /// the adjacency base are shared with `self`, not copied. The batch
+    /// goes into the column slots past `self`'s records; only a fork from
+    /// an epoch that another append has already extended copies the
+    /// columns (see [`RatingTable::append_drafts`]).
     pub fn with_appended(
         &self,
         drafts: &[crate::ratings::RatingDraft],
     ) -> Result<Self, crate::error::StoreError> {
-        self.check_ratings(drafts)?;
-        Ok(Self {
-            reviewers: Arc::clone(&self.reviewers),
-            items: Arc::clone(&self.items),
-            ratings: self
-                .ratings
-                .with_appended(drafts, self.reviewers.len(), self.items.len()),
-            reviewer_index: Arc::clone(&self.reviewer_index),
-            item_index: Arc::clone(&self.item_index),
-            counters: Arc::clone(&self.counters),
-            epoch: self.epoch + 1,
-        })
+        let mut next = self.clone();
+        next.append_ratings(drafts)?;
+        Ok(next)
     }
 
     /// The reviewer table `U`.
@@ -447,10 +443,11 @@ impl SubjectiveDb {
         // and keeps the result independent of which side happened to be
         // cheaper.
         let mut records: Vec<RecordId> = Vec::new();
+        let (reviewer_of, item_of) = (self.ratings.reviewer_column(), self.ratings.item_column());
         if reviewer_cost <= item_cost {
             for r in g_u.members().iter() {
                 for &rec in self.ratings.records_of_reviewer(r) {
-                    if g_i.contains(self.ratings.item_of(rec)) {
+                    if g_i.contains(item_of[rec as usize]) {
                         records.push(rec);
                     }
                 }
@@ -458,7 +455,7 @@ impl SubjectiveDb {
         } else {
             for i in g_i.members().iter() {
                 for &rec in self.ratings.records_of_item(i) {
-                    if g_u.contains(self.ratings.reviewer_of(rec)) {
+                    if g_u.contains(reviewer_of[rec as usize]) {
                         records.push(rec);
                     }
                 }
@@ -469,11 +466,9 @@ impl SubjectiveDb {
         // adjacency list. Their ids exceed every base id and ascend, so
         // filtering them in order after the sort keeps the canonical order
         // — and byte-identity with the probe, which scans them in place.
-        for rec in self.ratings.indexed_len() as u32..self.ratings.len() as u32 {
-            if g_u.contains(self.ratings.reviewer_of(rec))
-                && g_i.contains(self.ratings.item_of(rec))
-            {
-                records.push(rec);
+        for rec in self.ratings.indexed_len()..self.ratings.len() {
+            if g_u.contains(reviewer_of[rec]) && g_i.contains(item_of[rec]) {
+                records.push(rec as RecordId);
             }
         }
         (records, GroupRoute::Walk)
@@ -1000,6 +995,14 @@ mod tests {
         assert_eq!(next.ratings().indexed_len(), db.ratings().len());
         assert!(shares_entities(&next));
         assert!(next.ratings().shares_adjacency_with(db.ratings()));
+
+        // The builder's exact-size columns were full, so that append moved
+        // them into a larger buffer; the next one writes into it in place,
+        // while `next` keeps reading its own prefix.
+        let after = next.with_appended(std::slice::from_ref(&draft)).unwrap();
+        assert!(after.ratings().shares_columns_with(next.ratings()));
+        assert_eq!(next.ratings().len(), db.ratings().len() + 1);
+        assert_eq!(after.ratings().reviewer_column(), &[0, 1, 1, 2, 3, 3]);
 
         // Above it only the adjacency is new.
         let big = vec![draft; RatingTable::tail_limit(db.ratings().len()) + 1];

@@ -14,8 +14,9 @@
 //!   rows store `u32` codes, so scans touch only dense code vectors;
 //! * multi-valued attributes (e.g. `cuisine = {Burgers, Barbeque}`) use a
 //!   CSR (offsets + codes) layout ([`column::Column`]);
-//! * the rating table is struct-of-arrays: one contiguous `Vec<u8>` per
-//!   rating dimension ([`ratings::RatingTable`]);
+//! * the rating table is struct-of-arrays: one contiguous `u8` column per
+//!   rating dimension ([`ratings::RatingTable`]), in append-only buffers
+//!   that successive epochs share, so an append costs O(batch);
 //! * per attribute-value postings live in compressed hybrid containers
 //!   (sorted array / packed bitmap, byte-minimal per value) whose
 //!   kernel-driven intersections answer conjunctive selections
@@ -38,6 +39,7 @@ pub mod error;
 pub mod group;
 pub mod parse;
 pub mod predicate;
+mod rating_columns;
 pub mod ratings;
 pub mod scan;
 pub mod schema;

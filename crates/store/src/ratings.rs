@@ -2,11 +2,13 @@
 //!
 //! Each rating record is `⟨i, u, s₁ … s_t⟩` (Section 3.1): a reviewer, an
 //! item, and one score per rating dimension on the scale `1..=m`. Storage is
-//! struct-of-arrays — parallel `Vec<u32>` reviewer/item columns and one
-//! dense `Vec<u8>` per dimension — so a phase scan over one dimension is a
-//! contiguous byte walk. CSR adjacency (reviewer → records, item → records)
-//! supports fast rating-group materialization when one side of the
-//! selection is small.
+//! struct-of-arrays — parallel `u32` reviewer/item columns and one dense
+//! `u8` column per dimension — so a phase scan over one dimension is a
+//! contiguous byte walk. The columns are append-only buffers that the
+//! tables of successive epochs share (`rating_columns`), so an append
+//! writes only its own records. CSR adjacency (reviewer → records, item →
+//! records) supports fast rating-group materialization when one side of
+//! the selection is small.
 //!
 //! The adjacency is *base + tail*: the two CSRs cover records
 //! `[0, indexed_len)` and sit behind `Arc`s, so a table grown by an append
@@ -17,6 +19,8 @@
 //! appended record instead of two counting sorts per batch.
 
 use std::sync::Arc;
+
+use crate::rating_columns::RatingColumns;
 
 /// Index of a rating record in the rating table.
 pub type RecordId = u32;
@@ -62,10 +66,9 @@ impl RatingDraft {
 pub struct RatingTable {
     dim_names: Arc<[String]>,
     scale: u8,
-    reviewers: Vec<u32>,
-    items: Vec<u32>,
-    /// `scores[d][rec]` — score of record `rec` on dimension `d`.
-    scores: Vec<Vec<u8>>,
+    /// Reviewer, item and per-dimension score columns, shared with the
+    /// tables this one grew from or into.
+    columns: RatingColumns,
     /// CSR reviewer → record ids, over records `[0, indexed_len)`.
     by_reviewer: Arc<Csr>,
     /// CSR item → record ids, over records `[0, indexed_len)`.
@@ -108,12 +111,12 @@ impl Csr {
 impl RatingTable {
     /// Number of rating records.
     pub fn len(&self) -> usize {
-        self.reviewers.len()
+        self.columns.len()
     }
 
     /// Whether the table has no records.
     pub fn is_empty(&self) -> bool {
-        self.reviewers.is_empty()
+        self.columns.len() == 0
     }
 
     /// The rating scale `m` (scores are `1..=m`).
@@ -152,35 +155,35 @@ impl RatingTable {
     /// The reviewer of a record.
     #[inline]
     pub fn reviewer_of(&self, rec: RecordId) -> u32 {
-        self.reviewers[rec as usize]
+        self.columns.reviewers()[rec as usize]
     }
 
     /// The item of a record.
     #[inline]
     pub fn item_of(&self, rec: RecordId) -> u32 {
-        self.items[rec as usize]
+        self.columns.items()[rec as usize]
     }
 
     /// The score of a record on one dimension.
     #[inline]
     pub fn score(&self, rec: RecordId, dim: DimId) -> u8 {
-        self.scores[dim.index()][rec as usize]
+        self.columns.scores(dim.index())[rec as usize]
     }
 
     /// The full score column of a dimension (for vectorized scans).
     #[inline]
     pub fn score_column(&self, dim: DimId) -> &[u8] {
-        &self.scores[dim.index()]
+        self.columns.scores(dim.index())
     }
 
     /// The reviewer-id column.
     pub fn reviewer_column(&self) -> &[u32] {
-        &self.reviewers
+        self.columns.reviewers()
     }
 
     /// The item-id column.
     pub fn item_column(&self) -> &[u32] {
-        &self.items
+        self.columns.items()
     }
 
     /// Number of records the adjacency base covers: records below it are
@@ -218,6 +221,12 @@ impl RatingTable {
     pub(crate) fn shares_adjacency_with(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.by_reviewer, &other.by_reviewer)
             && Arc::ptr_eq(&self.by_item, &other.by_item)
+    }
+
+    /// Whether the rating columns are the very buffer `other` reads.
+    #[cfg(test)]
+    pub(crate) fn shares_columns_with(&self, other: &Self) -> bool {
+        self.columns.shares_buffer_with(&other.columns)
     }
 
     /// Reassembles a table from its raw columns (the snapshot-load path),
@@ -293,9 +302,7 @@ impl RatingTable {
             by_reviewer: Arc::new(Csr::build(&reviewers, reviewer_count)),
             by_item: Arc::new(Csr::build(&items, item_count)),
             indexed_len: reviewers.len(),
-            reviewers,
-            items,
-            scores,
+            columns: RatingColumns::from_vecs(reviewers, items, scores),
         }
     }
 
@@ -339,11 +346,15 @@ impl RatingTable {
         Ok(())
     }
 
-    /// Appends validated drafts in place: extends every column, leaving the
-    /// new records in the adjacency tail, and rebuilds the base only when
-    /// the tail has outgrown [`tail_limit`](Self::tail_limit). Callers must
-    /// have run [`check_drafts`](Self::check_drafts) (re-checked here in
-    /// debug builds).
+    /// Appends validated drafts: writes them past this table's records in
+    /// the shared column buffer (O(batch); a copy into doubled capacity
+    /// only when the buffer is full or another table already appended
+    /// past this one's length), leaves the new records in the adjacency
+    /// tail, and rebuilds the base only when the tail has outgrown
+    /// [`tail_limit`](Self::tail_limit). Tables sharing the buffer keep
+    /// their own length and never see the batch. Callers must have run
+    /// [`check_drafts`](Self::check_drafts) (re-checked here in debug
+    /// builds).
     pub fn append_drafts(
         &mut self,
         drafts: &[RatingDraft],
@@ -353,47 +364,26 @@ impl RatingTable {
         debug_assert!(self
             .check_drafts(drafts, reviewer_count, item_count)
             .is_ok());
-        for d in drafts {
-            self.reviewers.push(d.reviewer);
-            self.items.push(d.item);
-            for (col, &s) in self.scores.iter_mut().zip(&d.scores) {
-                col.push(s);
-            }
-        }
+        self.columns = self.columns.appended(drafts);
         if self.len() - self.indexed_len > Self::tail_limit(self.indexed_len) {
-            self.by_reviewer = Arc::new(Csr::build(&self.reviewers, reviewer_count));
-            self.by_item = Arc::new(Csr::build(&self.items, item_count));
+            self.by_reviewer = Arc::new(Csr::build(self.columns.reviewers(), reviewer_count));
+            self.by_item = Arc::new(Csr::build(self.columns.items(), item_count));
             self.indexed_len = self.len();
         }
     }
 
-    /// Copy-on-append: a new table holding this one's records followed by
-    /// `drafts`, leaving `self` untouched. Each column is allocated once at
-    /// its final size and the adjacency base is shared, not copied; the
-    /// drafts then go through [`append_drafts`](Self::append_drafts), so
-    /// the result equals `clone()` + `append_drafts` field for field.
+    /// The next epoch's table: this one's records followed by `drafts`,
+    /// leaving `self` untouched. Costs O(`drafts`) plus the amortized
+    /// column growth and re-index of [`append_drafts`](Self::append_drafts):
+    /// the column buffer and (below the re-index threshold) the adjacency
+    /// base are shared with `self`, not copied.
     pub fn with_appended(
         &self,
         drafts: &[RatingDraft],
         reviewer_count: usize,
         item_count: usize,
     ) -> Self {
-        fn grown<T: Copy>(col: &[T], extra: usize) -> Vec<T> {
-            let mut next = Vec::with_capacity(col.len() + extra);
-            next.extend_from_slice(col);
-            next
-        }
-        let extra = drafts.len();
-        let mut next = Self {
-            dim_names: Arc::clone(&self.dim_names),
-            scale: self.scale,
-            reviewers: grown(&self.reviewers, extra),
-            items: grown(&self.items, extra),
-            scores: self.scores.iter().map(|col| grown(col, extra)).collect(),
-            by_reviewer: Arc::clone(&self.by_reviewer),
-            by_item: Arc::clone(&self.by_item),
-            indexed_len: self.indexed_len,
-        };
+        let mut next = self.clone();
         next.append_drafts(drafts, reviewer_count, item_count);
         next
     }

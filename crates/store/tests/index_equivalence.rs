@@ -226,8 +226,10 @@ proptest! {
     /// before — tail empty, partly full, full to the limit, just rebuilt —
     /// the walk (base + tail), the probe and a row-at-a-time filter name
     /// the same ascending records, a derivation from a parent walked
-    /// across the tail equals the child's own walk, and the copy-on-append
-    /// constructor builds what clone-then-append-in-place builds.
+    /// across the tail equals the child's own walk, and the next-epoch
+    /// constructor builds what clone-then-append-in-place builds (one of
+    /// the two forks writes into the shared column buffer, the other
+    /// copies it).
     #[test]
     fn walk_probe_and_row_filter_agree_across_appended_tails(
         sp in spec(),

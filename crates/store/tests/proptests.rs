@@ -4,8 +4,8 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 use subdex_store::bitset::BitSet;
 use subdex_store::{
-    AttrValue, Cell, Entity, EntityTableBuilder, RatingGroup, RatingTableBuilder, Schema,
-    SelectionQuery, SubjectiveDb, Value,
+    AttrValue, Cell, Entity, EntityTableBuilder, RatingDraft, RatingGroup, RatingTable,
+    RatingTableBuilder, Schema, SelectionQuery, SubjectiveDb, Value,
 };
 
 // ------------------------------------------------------------- BitSet model
@@ -250,6 +250,109 @@ proptest! {
                 db.ratings().score(rec, subdex_store::DimId(0)),
                 db2.ratings().score(rec, subdex_store::DimId(0))
             );
+        }
+    }
+}
+
+// ------------------------------------------- epochs sharing rating columns
+
+/// One record of the plain-`Vec` reference: reviewer, item, scores.
+type ModelRecord = (u32, u32, Vec<u8>);
+
+const MODEL_REVIEWERS: u32 = 9;
+const MODEL_ITEMS: u32 = 7;
+const MODEL_DIMS: usize = 3;
+
+fn model_drafts(size: usize, seed: u32) -> Vec<RatingDraft> {
+    (0..size as u32)
+        .map(|k| {
+            let x = seed
+                .wrapping_mul(2_654_435_761)
+                .wrapping_add(k.wrapping_mul(40_503));
+            let scores = (0..MODEL_DIMS as u32)
+                .map(|d| 1 + ((x >> (3 * d)) % 5) as u8)
+                .collect();
+            RatingDraft::new(x % MODEL_REVIEWERS, (x >> 7) % MODEL_ITEMS, scores)
+        })
+        .collect()
+}
+
+/// Every column, per-record accessor and base adjacency list of `table`
+/// against the reference records.
+fn assert_matches_model(table: &RatingTable, model: &[ModelRecord]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(table.len(), model.len());
+    let reviewers: Vec<u32> = model.iter().map(|r| r.0).collect();
+    let items: Vec<u32> = model.iter().map(|r| r.1).collect();
+    prop_assert_eq!(table.reviewer_column(), &reviewers[..]);
+    prop_assert_eq!(table.item_column(), &items[..]);
+    for dim in table.dims() {
+        let col: Vec<u8> = model.iter().map(|r| r.2[dim.index()]).collect();
+        prop_assert_eq!(table.score_column(dim), &col[..]);
+    }
+    for (rec, (r, i, scores)) in model.iter().enumerate() {
+        let rec = rec as u32;
+        prop_assert_eq!(table.reviewer_of(rec), *r);
+        prop_assert_eq!(table.item_of(rec), *i);
+        for dim in table.dims() {
+            prop_assert_eq!(table.score(rec, dim), scores[dim.index()]);
+        }
+    }
+    let base = &reviewers[..table.indexed_len()];
+    for r in 0..MODEL_REVIEWERS {
+        let expect: Vec<u32> = (0..base.len() as u32)
+            .filter(|&rec| base[rec as usize] == r)
+            .collect();
+        prop_assert_eq!(table.records_of_reviewer(r), &expect[..]);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Epochs share append-only column buffers, so an append writes past
+    /// its parent's records and only a fork from an epoch someone already
+    /// extended (or a full buffer) copies. Random appends — by value from
+    /// any live epoch, or in place on one — plus random drops, over enough
+    /// records to cross several capacity doublings: every live epoch must
+    /// read exactly what cloning and pushing onto plain `Vec`s gives.
+    #[test]
+    fn epochs_read_what_clone_and_push_gives(
+        start in 0usize..6,
+        ops in prop::collection::vec((0u32..1000, 0usize..70, 0u8..8, 0u32..100_000), 1..40),
+    ) {
+        let dims = (0..MODEL_DIMS).map(|d| format!("d{d}")).collect();
+        let mut builder = RatingTableBuilder::new(dims, 5);
+        let mut model: Vec<ModelRecord> = Vec::new();
+        for d in model_drafts(start, 7) {
+            builder.push(d.reviewer, d.item, &d.scores);
+            model.push((d.reviewer, d.item, d.scores));
+        }
+        let (nu, ni) = (MODEL_REVIEWERS as usize, MODEL_ITEMS as usize);
+        let mut live = vec![(builder.build(nu, ni), model)];
+        for (pick, size, action, seed) in ops {
+            let at = pick as usize % live.len();
+            let drafts = model_drafts(size, seed);
+            let mut grown = live[at].1.clone();
+            grown.extend(drafts.iter().map(|d| (d.reviewer, d.item, d.scores.clone())));
+            match action {
+                // In place on a live epoch: the table it was is gone.
+                0 => {
+                    live[at].0.append_drafts(&drafts, nu, ni);
+                    live[at].1 = grown;
+                }
+                // Drop an epoch, then fork the next pick.
+                1 if live.len() > 1 => {
+                    live.swap_remove(at);
+                }
+                _ => {
+                    let next = live[at].0.with_appended(&drafts, nu, ni);
+                    live.push((next, grown));
+                }
+            }
+            for (table, model) in &live {
+                assert_matches_model(table, model)?;
+            }
         }
     }
 }
